@@ -14,7 +14,7 @@
 use osp_core::algorithms::{HashRandPr, RandPr, RandomAssign};
 use osp_core::gen::{random_instance, RandomInstanceConfig};
 use osp_core::{run as engine_run, InstanceBuilder, OnlineAlgorithm, SetId};
-use osp_net::partial::partial_benefit;
+use osp_net::partial::{partial_benefit, run_logged};
 use osp_net::policy::TailDrop;
 use osp_net::trace::{video_trace, VideoTraceConfig};
 use osp_net::trace_to_instance;
@@ -148,21 +148,21 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     let trace = video_trace(&vcfg, &mut rng);
     let mapped = trace_to_instance(&trace);
     let thetas = [1.0, 0.9, 0.75, 0.5];
-    for (name, outcome) in [
+    for (name, (_, log)) in [
         (
             "randPr",
-            engine_run(&mapped.instance, &mut RandPr::from_seed(seeds.next_seed())).unwrap(),
+            run_logged(&mapped.instance, &mut RandPr::from_seed(seeds.next_seed())).unwrap(),
         ),
         (
             "tail-drop",
-            engine_run(&mapped.instance, &mut TailDrop::new()).unwrap(),
+            run_logged(&mapped.instance, &mut TailDrop::new()).unwrap(),
         ),
     ] {
         let mut row = vec![name.to_string()];
         for &theta in &thetas {
             row.push(format!(
                 "{:.1}",
-                partial_benefit(&mapped.instance, &outcome, theta)
+                partial_benefit(&mapped.instance, &log, theta)
             ));
         }
         theta_table.row(row);

@@ -625,7 +625,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             report.note(format!(
                 "distributed: the same serialized JobSpecs replayed three ways — in-process, \
                  across {} thread shard(s), and across {} osp-worker process(es) fed \
-                 length-prefixed frames over pipes. Outcomes (incl. DecisionLog and died_at) \
+                 length-prefixed frames over pipes. Outcomes (incl. decision digest and died_at) \
                  must be bit-identical on every row; wall clocks include \
                  serialize/spawn/pipe overhead and scale with the machine, so only the \
                  identity column is guarded. Spec-shaped fan-out obtains its backend from \

@@ -281,7 +281,7 @@ mod tests {
         let out1 = run(&inst, &mut HashRandPr::new(4, 99)).unwrap();
         let out2 = run(&inst, &mut HashRandPr::new(4, 99)).unwrap();
         assert_eq!(out1.completed(), out2.completed());
-        assert_eq!(out1.decisions(), out2.decisions());
+        assert_eq!(out1.digest(), out2.digest());
     }
 
     #[test]
@@ -376,7 +376,10 @@ mod tests {
         let sets = mixed_weight_sets(157);
         let mut alg = HashRandPr::new(8, 5);
         eval_count::reset();
-        alg.begin(&sets);
+        // One thread: the counter is thread-local, and the table fill is
+        // sharded across `OSP_PROLOGUE_THREADS` (the machine's cores) by
+        // default.
+        alg.begin_with_threads(&sets, 1);
         assert_eq!(eval_count::get(), sets.len() as u64);
     }
 
@@ -405,7 +408,7 @@ mod tests {
         for seed in 0..25u64 {
             let eager = run(&inst, &mut HashRandPr::new(8, seed)).unwrap();
             let lazy = run(&inst, &mut HashRandPr::new_lazy(8, seed)).unwrap();
-            assert_eq!(eager.decisions(), lazy.decisions(), "seed {seed}");
+            assert_eq!(eager.digest(), lazy.digest(), "seed {seed}");
             assert_eq!(eager.completed(), lazy.completed(), "seed {seed}");
         }
     }

@@ -28,13 +28,12 @@ use crate::instance::{Instance, SetMeta};
 use crate::source::ArrivalSource;
 use crate::spec::{run_spec_with_scratch, JobSpec, SpecResolver};
 
-use super::{run_source_with_scratch, run_with_scratch, DecisionLog, Outcome};
+use super::{run_source_with_scratch, run_with_scratch, Outcome};
 
 /// Reusable engine buffers for one replay shard.
 ///
 /// Holds the per-set bookkeeping (`assigned`, `alive`, `died_at`), the
-/// in-flight [`DecisionLog`] arena, the algorithm's decision buffer and the
-/// decision validation scratch;
+/// algorithm's decision buffer and the decision validation scratch;
 /// [`Session::with_scratch`](super::Session::with_scratch) borrows them for
 /// a run and [`Session::finish_into`](super::Session::finish_into) hands
 /// them back. With every per-arrival buffer recycled here, a warm shard
@@ -44,7 +43,6 @@ pub struct ReplayScratch {
     pub(super) assigned: Vec<u32>,
     pub(super) alive: Vec<bool>,
     pub(super) died_at: Vec<Option<ElementId>>,
-    pub(super) decisions: DecisionLog,
     pub(super) decision_buf: Vec<crate::SetId>,
     pub(super) sorted: Vec<crate::SetId>,
     /// Per-job copy of a source's set metadata

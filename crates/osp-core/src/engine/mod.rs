@@ -6,7 +6,9 @@
 //!   [`ArrivalSource`] — the primary ingestion path. Sources stream
 //!   arrivals one at a time (a fused generator, a packet trace, a
 //!   materialized instance), so scenario size is bounded by the source's
-//!   resident state, not by RAM holding a hypergraph.
+//!   resident state, not by RAM holding a hypergraph. Its logged twin
+//!   [`run_source_logged`] also keeps every decision in a
+//!   [`DecisionLog`].
 //! * [`run`] replays a frozen [`Instance`]'s arrival sequence — the
 //!   standard evaluation path. It is a thin wrapper over [`run_source`]
 //!   via [`Instance::source`]: a materialized instance is just one
@@ -96,13 +98,19 @@
 //! All paths enforce the model's rules (§2): each decision must pick at
 //! most `b(u)` distinct sets from `C(u)`. A set is **completed** iff it was
 //! chosen for every one of its elements; the [`Outcome`] records the
-//! completed sets, the benefit, every decision (as a flat [`DecisionLog`]),
-//! and when each non-surviving set died.
+//! completed sets, the benefit, when each non-surviving set died, and a
+//! rolling 128-bit [`DecisionDigest`] of the decision stream together with
+//! its arrival and assignment counts. An outcome is therefore O(m) however
+//! long the stream is: a 10⁸-arrival replay crosses a process, socket,
+//! serve or journal boundary as easily as a 10³-arrival one. The digest is
+//! the bit-identity witness; the full per-arrival record is opt-in
+//! ([`run_source_logged`] fills a caller's [`DecisionLog`], whose
+//! [`digest`](DecisionLog::digest) equals the outcome's).
 //!
 //! The per-arrival hot path is allocation-free: algorithms write decisions
 //! into a recycled buffer ([`OnlineAlgorithm::decide_into`]), the engine
-//! validates in another recycled buffer, and the decision log accumulates
-//! in two flat CSR vectors — all handed from job to job via
+//! validates in another recycled buffer and folds the decision into the
+//! digest in place — the buffers are handed from job to job via
 //! [`batch::ReplayScratch`], so a warm shard performs zero heap
 //! allocations per arrival.
 
@@ -120,10 +128,121 @@ use crate::source::ArrivalSource;
 pub use batch::{derive_seed, ReplayPool, ReplayScratch};
 pub use parallel::{run_parallel, run_source_parallel, ParallelConfig};
 
+/// Lane A's starting state: the FNV-1a 64-bit offset basis.
+const DIGEST_BASIS_A: u64 = 0xcbf2_9ce4_8422_2325;
+/// Lane B's starting state: the second basis of
+/// [`job_digest`](crate::serve::job_digest).
+const DIGEST_BASIS_B: u64 = 0x6c62_272e_07bb_0142;
+/// Lane A's multiplier: the FNV-1a 64-bit prime.
+const DIGEST_PRIME_A: u64 = 0x0000_0100_0000_01b3;
+/// Lane B's multiplier: the (odd) SplitMix64 golden gamma, so the two
+/// lanes spread each word differently.
+const DIGEST_PRIME_B: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// A rolling 128-bit digest of a decision stream — the bit-identity
+/// witness an [`Outcome`] carries instead of the stream itself.
+///
+/// Two 64-bit lanes, each running FNV-1a's xor-then-multiply step on
+/// whole words (lane A with the FNV-1a constants, lane B with its own
+/// basis and multiplier). Every 64-bit word `w` fed in updates both
+/// (arithmetic mod 2⁶⁴):
+///
+/// ```text
+/// a ← (a ⊕ w) · 0x0000_0100_0000_01b3     a₀ = 0xcbf2_9ce4_8422_2325
+/// b ← (b ⊕ w) · 0x9e37_79b9_7f4a_7c15     b₀ = 0x6c62_272e_07bb_0142
+/// ```
+///
+/// Each accepted decision ([`fold`](Self::fold)) feeds its length, then
+/// every chosen [`SetId`] (zero-extended) in the order the algorithm
+/// emitted them. The length word keeps the encoding unambiguous
+/// (`[s], []` and `[], [s]` fold differently), and each step is a
+/// bijection of the lane state, so two equally long streams that differ
+/// in one word never collide. It is a witness, not a cryptographic hash.
+///
+/// Rendered (and serialized) as 32 lowercase hex digits, lane A first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct DecisionDigest {
+    a: u64,
+    b: u64,
+}
+
+impl Default for DecisionDigest {
+    fn default() -> Self {
+        DecisionDigest::new()
+    }
+}
+
+impl DecisionDigest {
+    /// The digest of the empty stream.
+    pub const fn new() -> Self {
+        DecisionDigest {
+            a: DIGEST_BASIS_A,
+            b: DIGEST_BASIS_B,
+        }
+    }
+
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.a = (self.a ^ w).wrapping_mul(DIGEST_PRIME_A);
+        self.b = (self.b ^ w).wrapping_mul(DIGEST_PRIME_B);
+    }
+
+    /// Folds one decision in: its length, then each chosen set.
+    #[inline]
+    pub fn fold(&mut self, decision: &[SetId]) {
+        self.word(decision.len() as u64);
+        for s in decision {
+            self.word(u64::from(s.0));
+        }
+    }
+}
+
+impl std::fmt::Display for DecisionDigest {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:016x}{:016x}", self.a, self.b)
+    }
+}
+
+impl std::str::FromStr for DecisionDigest {
+    type Err = Error;
+
+    /// Parses the 32-hex-digit rendering.
+    fn from_str(hex: &str) -> Result<Self, Error> {
+        if hex.len() != 32 || !hex.bytes().all(|c| c.is_ascii_hexdigit()) {
+            return Err(Error::Protocol(format!(
+                "decision digest must be 32 hex digits, got {hex:?}"
+            )));
+        }
+        let lane = |digits: &str| u64::from_str_radix(digits, 16).expect("16 hex digits fit");
+        Ok(DecisionDigest {
+            a: lane(&hex[..16]),
+            b: lane(&hex[16..]),
+        })
+    }
+}
+
+impl serde::Serialize for DecisionDigest {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Str(self.to_string())
+    }
+}
+
+impl serde::Deserialize for DecisionDigest {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        String::from_value(value)?
+            .parse()
+            .map_err(|e: Error| serde::Error::msg(e.to_string()))
+    }
+}
+
 /// A flat record of every decision of a run: one CSR arena (offsets +
 /// data) instead of a `Vec<SetId>` per arrival, so logging a decision is
 /// two appends into warm buffers and reading the log back walks one
 /// contiguous allocation.
+///
+/// Outcomes do not carry it — it grows with the stream. A run fills one
+/// only when asked ([`run_source_logged`]); [`digest`](Self::digest)
+/// checks it against the run's [`Outcome::digest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecisionLog {
     /// `offsets.len() == len() + 1`; arrival `i`'s decision is
@@ -175,6 +294,16 @@ impl DecisionLog {
         DecisionLogIter { log: self, next: 0 }
     }
 
+    /// The [`DecisionDigest`] of the recorded stream — equal to the
+    /// [`Outcome::digest`] of the run that filled the log.
+    pub fn digest(&self) -> DecisionDigest {
+        let mut digest = DecisionDigest::new();
+        for decision in self {
+            digest.fold(decision);
+        }
+        digest
+    }
+
     /// Appends one decision.
     fn push(&mut self, decision: &[SetId]) {
         self.data.extend_from_slice(decision);
@@ -188,18 +317,8 @@ impl DecisionLog {
         self.data.clear();
     }
 
-    /// A right-sized deep copy (fresh exact-capacity allocations), leaving
-    /// `self` — and its warm capacity — in place for reuse.
-    fn snapshot(&self) -> DecisionLog {
-        DecisionLog {
-            offsets: self.offsets.as_slice().to_vec(),
-            data: self.data.as_slice().to_vec(),
-        }
-    }
-
-    /// Reassembles a log from its raw CSR parts — the deserialization
-    /// entry point for logs that crossed a process boundary
-    /// ([`wire`](crate::wire)).
+    /// Reassembles a log from its raw CSR parts (the deserialization
+    /// entry point).
     ///
     /// # Errors
     ///
@@ -223,12 +342,6 @@ impl DecisionLog {
             ));
         }
         Ok(DecisionLog { offsets, data })
-    }
-
-    /// The raw CSR parts `(offsets, data)` — the serialization twin of
-    /// [`from_parts`](Self::from_parts).
-    pub fn as_parts(&self) -> (&[u32], &[SetId]) {
-        (&self.offsets, &self.data)
     }
 }
 
@@ -283,13 +396,32 @@ impl<'a> Iterator for DecisionLogIter<'a> {
 impl ExactSizeIterator for DecisionLogIter<'_> {}
 impl std::iter::FusedIterator for DecisionLogIter<'_> {}
 
-/// The result of one online run.
-#[derive(Debug, Clone, PartialEq)]
+/// The result of one online run: the completed sets and their weight
+/// (`w(alg)`, §2), when each other set died, and a [`DecisionDigest`] of
+/// the decision stream with its arrival and assignment counts. Its size is
+/// O(m), independent of the stream length.
+///
+/// Equality is bit-identity: the same completed sets, benefit bits, death
+/// records, counts and digest.
+#[derive(Debug, Clone)]
 pub struct Outcome {
     completed: Vec<SetId>,
     benefit: f64,
-    decisions: DecisionLog,
+    digest: DecisionDigest,
+    arrivals: u64,
+    assignments: u64,
     died_at: Vec<Option<ElementId>>,
+}
+
+impl PartialEq for Outcome {
+    fn eq(&self, other: &Outcome) -> bool {
+        self.digest == other.digest
+            && self.arrivals == other.arrivals
+            && self.assignments == other.assignments
+            && self.benefit.to_bits() == other.benefit.to_bits()
+            && self.completed == other.completed
+            && self.died_at == other.died_at
+    }
 }
 
 impl Outcome {
@@ -303,10 +435,19 @@ impl Outcome {
         self.benefit
     }
 
-    /// The decision taken for each arrival, in arrival order, as a flat
-    /// [`DecisionLog`].
-    pub fn decisions(&self) -> &DecisionLog {
-        &self.decisions
+    /// The [`DecisionDigest`] of every decision taken, in arrival order.
+    pub fn digest(&self) -> DecisionDigest {
+        self.digest
+    }
+
+    /// Number of arrivals replayed (= decisions taken).
+    pub fn arrivals(&self) -> u64 {
+        self.arrivals
+    }
+
+    /// Total `(element, set)` assignments across all decisions.
+    pub fn assignments(&self) -> u64 {
+        self.assignments
     }
 
     /// For each set, the element at which it died (its first element *not*
@@ -331,14 +472,17 @@ impl Outcome {
     ///
     /// # Errors
     ///
-    /// [`Error::Protocol`] if `completed` is not strictly ascending or
-    /// `benefit` is not finite (the structural invariants every
-    /// engine-produced outcome holds; deeper consistency would need the
-    /// instance, which by design is not on the wire).
+    /// [`Error::Protocol`] if `completed` is not strictly ascending,
+    /// `benefit` is not finite, or an empty stream claims assignments (the
+    /// structural invariants every engine-produced outcome holds; deeper
+    /// consistency would need the instance, which by design is not on the
+    /// wire).
     pub fn from_parts(
         completed: Vec<SetId>,
         benefit: f64,
-        decisions: DecisionLog,
+        digest: DecisionDigest,
+        arrivals: u64,
+        assignments: u64,
         died_at: Vec<Option<ElementId>>,
     ) -> Result<Outcome, Error> {
         if completed.windows(2).any(|w| w[0] >= w[1]) {
@@ -349,10 +493,17 @@ impl Outcome {
         if !benefit.is_finite() {
             return Err(Error::Protocol("benefit must be finite".into()));
         }
+        if arrivals == 0 && assignments != 0 {
+            return Err(Error::Protocol(
+                "an empty decision stream has no assignments".into(),
+            ));
+        }
         Ok(Outcome {
             completed,
             benefit,
-            decisions,
+            digest,
+            arrivals,
+            assignments,
             died_at,
         })
     }
@@ -363,19 +514,42 @@ impl serde::Serialize for Outcome {
         serde::Value::Map(vec![
             ("completed".to_string(), self.completed.to_value()),
             ("benefit".to_string(), self.benefit.to_value()),
-            ("decisions".to_string(), self.decisions.to_value()),
+            ("digest".to_string(), self.digest.to_value()),
+            ("arrivals".to_string(), self.arrivals.to_value()),
+            ("assignments".to_string(), self.assignments.to_value()),
             ("died_at".to_string(), self.died_at.to_value()),
         ])
     }
 }
 
 impl serde::Deserialize for Outcome {
+    /// Reads the current shape, and also a pre-v4 outcome that carries its
+    /// full `decisions` log instead of a digest: the log is folded into the
+    /// digest and counts, so results journaled by an older build still
+    /// answer from cache.
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         let completed = Vec::<SetId>::from_value(serde::get_field(value, "completed")?)?;
         let benefit = f64::from_value(serde::get_field(value, "benefit")?)?;
-        let decisions = DecisionLog::from_value(serde::get_field(value, "decisions")?)?;
+        let (digest, arrivals, assignments) = match serde::get_field(value, "digest") {
+            Ok(digest) => (
+                DecisionDigest::from_value(digest)?,
+                u64::from_value(serde::get_field(value, "arrivals")?)?,
+                u64::from_value(serde::get_field(value, "assignments")?)?,
+            ),
+            Err(missing) => {
+                let Ok(log) = serde::get_field(value, "decisions") else {
+                    return Err(missing);
+                };
+                let log = DecisionLog::from_value(log)?;
+                (
+                    log.digest(),
+                    log.len() as u64,
+                    log.total_assignments() as u64,
+                )
+            }
+        };
         let died_at = Vec::<Option<ElementId>>::from_value(serde::get_field(value, "died_at")?)?;
-        Outcome::from_parts(completed, benefit, decisions, died_at)
+        Outcome::from_parts(completed, benefit, digest, arrivals, assignments, died_at)
             .map_err(|e| serde::Error::msg(e.to_string()))
     }
 }
@@ -401,7 +575,11 @@ pub struct Session<'a> {
     assigned: Vec<u32>,
     alive: Vec<bool>,
     died_at: Vec<Option<ElementId>>,
-    decisions: DecisionLog,
+    digest: DecisionDigest,
+    arrivals: u64,
+    assignments: u64,
+    /// The opt-in full record of the stream ([`run_source_logged`]).
+    log: Option<&'a mut DecisionLog>,
     /// The algorithm's decision target, reused across arrivals.
     decision_buf: Vec<SetId>,
     /// Validation scratch reused across arrivals (sorted decision copy),
@@ -437,8 +615,6 @@ impl<'a> Session<'a> {
         let mut died_at = std::mem::take(&mut scratch.died_at);
         died_at.clear();
         died_at.resize(m, None);
-        let mut decisions = std::mem::take(&mut scratch.decisions);
-        decisions.clear();
         let mut decision_buf = std::mem::take(&mut scratch.decision_buf);
         decision_buf.clear();
         let mut sorted = std::mem::take(&mut scratch.sorted);
@@ -448,7 +624,10 @@ impl<'a> Session<'a> {
             assigned,
             alive,
             died_at,
-            decisions,
+            digest: DecisionDigest::new(),
+            arrivals: 0,
+            assignments: 0,
+            log: None,
             decision_buf,
             sorted,
         }
@@ -456,7 +635,7 @@ impl<'a> Session<'a> {
 
     /// Number of arrivals processed so far.
     pub fn arrivals_seen(&self) -> usize {
-        self.decisions.len()
+        self.arrivals as usize
     }
 
     /// Whether `set` is still completable (chosen for every element so far).
@@ -514,19 +693,15 @@ impl<'a> Session<'a> {
         algorithm: &mut A,
     ) -> Result<Vec<SetId>, Error> {
         self.step(arrival, algorithm)?;
-        Ok(self
-            .decisions
-            .get(self.decisions.len() - 1)
-            .expect("step just recorded a decision")
-            .to_vec())
+        Ok(self.decision_buf.clone())
     }
 
     /// Like [`offer`](Self::offer), but does not echo a copy of the
     /// decision back — the replay paths ([`run`], [`batch`]) use this so
     /// a warm session performs zero heap allocations per arrival: the
     /// algorithm writes into the session's recycled decision buffer
-    /// ([`OnlineAlgorithm::decide_into`]) and the decision is appended to
-    /// the flat [`DecisionLog`].
+    /// ([`OnlineAlgorithm::decide_into`]) and the decision is folded into
+    /// the outcome's [`DecisionDigest`].
     ///
     /// # Errors
     ///
@@ -636,7 +811,12 @@ impl<'a> Session<'a> {
                 self.died_at[s.index()] = Some(arrival.element());
             }
         }
-        self.decisions.push(decision);
+        self.digest.fold(decision);
+        self.arrivals += 1;
+        self.assignments += decision.len() as u64;
+        if let Some(log) = self.log.as_deref_mut() {
+            log.push(decision);
+        }
     }
 
     /// Ends the session: a set is completed iff it is alive *and* has
@@ -648,9 +828,9 @@ impl<'a> Session<'a> {
     /// Like [`finish`](Self::finish), but hands the session's reusable
     /// buffers back to `scratch` so the next
     /// [`with_scratch`](Self::with_scratch) session can recycle them. The
-    /// returned [`Outcome`] owns right-sized copies of the decision log and
-    /// death records (one exact-size allocation each, per job — never per
-    /// arrival).
+    /// returned [`Outcome`] owns right-sized copies of the completed sets
+    /// and death records (one exact-size allocation each, per job — never
+    /// per arrival).
     pub fn finish_into(self, scratch: &mut ReplayScratch) -> Outcome {
         self.finish_impl(Some(scratch))
     }
@@ -664,24 +844,24 @@ impl<'a> Session<'a> {
             .iter()
             .map(|&s| self.sets[s.index()].weight())
             .sum();
-        let (decisions, died_at) = match scratch {
+        let died_at = match scratch {
             Some(scratch) => {
-                let decisions = self.decisions.snapshot();
                 let died_at = self.died_at.as_slice().to_vec();
                 scratch.assigned = std::mem::take(&mut self.assigned);
                 scratch.alive = std::mem::take(&mut self.alive);
                 scratch.died_at = std::mem::take(&mut self.died_at);
-                scratch.decisions = std::mem::take(&mut self.decisions);
                 scratch.decision_buf = std::mem::take(&mut self.decision_buf);
                 scratch.sorted = std::mem::take(&mut self.sorted);
-                (decisions, died_at)
+                died_at
             }
-            None => (self.decisions, self.died_at),
+            None => self.died_at,
         };
         Outcome {
             completed,
             benefit,
-            decisions,
+            digest: self.digest,
+            arrivals: self.arrivals,
+            assignments: self.assignments,
             died_at,
         }
     }
@@ -785,10 +965,55 @@ where
     S: ArrivalSource + ?Sized,
     A: OnlineAlgorithm + ?Sized,
 {
+    run_source_logged(source, algorithm, scratch, None)
+}
+
+/// [`run_source_with_scratch`] with the opt-in decision record: a `Some`
+/// log is cleared, then receives every accepted decision in arrival order,
+/// so `log.digest() == outcome.digest()`. This is the one path that keeps
+/// the O(n) stream — for tests, per-arrival analyses and comparisons on
+/// small instances. `None` is exactly [`run_source_with_scratch`].
+///
+/// # Errors
+///
+/// Same contract as [`run_source`]; the log then holds the decisions
+/// accepted before the invalid one.
+///
+/// # Examples
+///
+/// ```
+/// use osp_core::prelude::*;
+///
+/// let mut b = InstanceBuilder::new();
+/// let s = b.add_set(1.0, 1);
+/// b.add_element(1, &[s]);
+/// let inst = b.build()?;
+/// let mut log = DecisionLog::new();
+/// let mut alg = GreedyOnline::new(TieBreak::ByWeight);
+/// let outcome =
+///     run_source_logged(&mut inst.source(), &mut alg, &mut ReplayScratch::new(), Some(&mut log))?;
+/// assert_eq!(log.get(0), Some(&[s][..]));
+/// assert_eq!(log.digest(), outcome.digest());
+/// # Ok::<(), osp_core::Error>(())
+/// ```
+pub fn run_source_logged<S, A>(
+    source: &mut S,
+    algorithm: &mut A,
+    scratch: &mut ReplayScratch,
+    log: Option<&mut DecisionLog>,
+) -> Result<Outcome, Error>
+where
+    S: ArrivalSource + ?Sized,
+    A: OnlineAlgorithm + ?Sized,
+{
     let mut metas = std::mem::take(&mut scratch.set_metas);
     metas.clear();
     metas.extend_from_slice(source.sets());
     let mut session = Session::with_scratch(&metas, algorithm, scratch);
+    if let Some(log) = log {
+        log.clear();
+        session.log = Some(log);
+    }
     let outcome = match session.drain_source(source, algorithm) {
         Ok(()) => Ok(session.finish_into(scratch)),
         Err(e) => Err(e),
@@ -878,16 +1103,29 @@ mod tests {
         let mut alg = Scripted::new(vec![vec![], vec![], vec![]]);
         let out = run(&inst, &mut alg).unwrap();
         assert!(out.completed().is_empty());
-        assert_eq!(out.decisions().len(), 3);
-        assert!(out.decisions().iter().all(|d| d.is_empty()));
+        assert_eq!(out.arrivals(), 3);
+        assert_eq!(out.assignments(), 0);
+    }
+
+    /// A logged run of `script` over `inst`: the outcome and its log.
+    fn logged(inst: &Instance, script: Vec<Vec<SetId>>) -> (Outcome, DecisionLog) {
+        let mut log = DecisionLog::new();
+        let out = run_source_logged(
+            &mut inst.source(),
+            &mut Scripted::new(script),
+            &mut ReplayScratch::new(),
+            Some(&mut log),
+        )
+        .unwrap();
+        (out, log)
     }
 
     #[test]
     fn decision_log_records_per_arrival_slices() {
         let (inst, [s0, _, s2]) = three_set_instance();
-        let mut alg = Scripted::new(vec![vec![s0], vec![], vec![s2]]);
-        let out = run(&inst, &mut alg).unwrap();
-        let log = out.decisions();
+        let (out, log) = logged(&inst, vec![vec![s0], vec![], vec![s2]]);
+        let log = &log;
+        assert_eq!(log.digest(), out.digest());
         assert_eq!(log.len(), 3);
         assert!(!log.is_empty());
         assert_eq!(log.get(0), Some(&[s0][..]));
@@ -1049,7 +1287,7 @@ mod tests {
                 run_with_scratch(&inst, &mut Scripted::new(script.clone()), &mut scratch).unwrap();
             assert_eq!(fresh.completed(), reused.completed());
             assert_eq!(fresh.benefit().to_bits(), reused.benefit().to_bits());
-            assert_eq!(fresh.decisions(), reused.decisions());
+            assert_eq!(fresh.digest(), reused.digest());
             for i in 0..inst.num_sets() {
                 let s = SetId(i as u32);
                 assert_eq!(fresh.died_at(s), reused.died_at(s), "died_at({s:?})");
@@ -1080,7 +1318,105 @@ mod tests {
         let reused =
             run_with_scratch(&small, &mut Scripted::new(small_script), &mut scratch).unwrap();
         assert_eq!(fresh, reused);
-        assert_eq!(reused.decisions().len(), 3);
+        assert_eq!(reused.arrivals(), 3);
+    }
+
+    /// The known answer below, computed outside the crate from the
+    /// documented lane recurrences (lane A, then lane B).
+    const KAT_HEX: &str = "9b45e0cf91de87d2079fe85a1053c4d9";
+
+    #[test]
+    fn digest_of_a_scripted_three_set_run_is_pinned() {
+        // Known answer: decisions [s0], [s0], [s2] feed the words
+        // 1, 0, 1, 0, 1, 2 into both lanes (see `DecisionDigest`).
+        let (inst, [s0, _, s2]) = three_set_instance();
+        let (out, log) = logged(&inst, vec![vec![s0], vec![s0], vec![s2]]);
+        assert_eq!(out.digest().to_string(), KAT_HEX);
+        assert_eq!(log.digest(), out.digest());
+        assert_eq!(out.arrivals(), 3);
+        assert_eq!(out.assignments(), 3);
+        // The digest of no decisions is the pair of bases.
+        assert_eq!(
+            DecisionDigest::new().to_string(),
+            format!("{DIGEST_BASIS_A:016x}{DIGEST_BASIS_B:016x}")
+        );
+        assert_eq!(DecisionLog::new().digest(), DecisionDigest::new());
+    }
+
+    #[test]
+    fn digest_separates_decision_boundaries() {
+        // [s0], [] and [], [s0] carry the same sets in the same order;
+        // only the length words tell them apart.
+        let mut x = DecisionDigest::new();
+        x.fold(&[SetId(0)]);
+        x.fold(&[]);
+        let mut y = DecisionDigest::new();
+        y.fold(&[]);
+        y.fold(&[SetId(0)]);
+        assert_ne!(x, y);
+        // Emission order is part of the stream.
+        let mut p = DecisionDigest::new();
+        p.fold(&[SetId(1), SetId(2)]);
+        let mut q = DecisionDigest::new();
+        q.fold(&[SetId(2), SetId(1)]);
+        assert_ne!(p, q);
+    }
+
+    #[test]
+    fn digest_hex_round_trips_and_rejects_junk() {
+        let (inst, [s0, _, s2]) = three_set_instance();
+        let (out, _) = logged(&inst, vec![vec![s0], vec![], vec![s2]]);
+        let hex = out.digest().to_string();
+        assert_eq!(hex.len(), 32);
+        assert_eq!(hex.parse::<DecisionDigest>().unwrap(), out.digest());
+        for junk in [
+            "",
+            "abc",
+            &hex[1..],
+            &format!("{hex}0"),
+            &hex.replace('a', "g"),
+        ] {
+            if junk != hex {
+                assert!(junk.parse::<DecisionDigest>().is_err(), "{junk:?}");
+            }
+        }
+        assert!("+0000000000000000000000000000000"
+            .parse::<DecisionDigest>()
+            .is_err());
+    }
+
+    #[test]
+    fn logging_does_not_change_the_outcome() {
+        let (inst, [s0, s1, _]) = three_set_instance();
+        let script = vec![vec![s1], vec![s0], vec![]];
+        let plain = run(&inst, &mut Scripted::new(script.clone())).unwrap();
+        let (out, log) = logged(&inst, script);
+        assert_eq!(plain, out);
+        // A reused log is cleared first.
+        let mut reused = log.clone();
+        run_source_logged(
+            &mut inst.source(),
+            &mut Scripted::new(vec![vec![s1], vec![s0], vec![]]),
+            &mut ReplayScratch::new(),
+            Some(&mut reused),
+        )
+        .unwrap();
+        assert_eq!(reused, log);
+    }
+
+    #[test]
+    fn pre_digest_outcome_json_folds_its_log() {
+        // The shape earlier builds wrote: the full log, no digest.
+        let legacy = r#"{"completed":[0,2],"benefit":3.0,
+            "decisions":{"offsets":[0,1,2,3],"data":[0,0,2]},
+            "died_at":[null,0,null]}"#;
+        let out: Outcome = serde_json::from_str(legacy).unwrap();
+        let (inst, [s0, _, s2]) = three_set_instance();
+        let (want, _) = logged(&inst, vec![vec![s0], vec![s0], vec![s2]]);
+        assert_eq!(out, want);
+        // Neither a digest nor a log: missing field.
+        let bare = r#"{"completed":[],"benefit":0.0,"died_at":[]}"#;
+        assert!(serde_json::from_str::<Outcome>(bare).is_err());
     }
 
     #[test]

@@ -94,9 +94,16 @@ pub(super) fn biregular_stubs<R: Rng + ?Sized>(
         // Repair duplicates: for each element window, ensure distinct sets.
         let mut attempts = 0usize;
         let budget = 50 * incidences;
+        // Windows before the first conflicting one stay conflict-free: a
+        // swap touches only the conflicting window and one other, and is
+        // made only when it adds a duplicate to neither. So each scan
+        // resumes at the last conflict's window and finds the same first
+        // conflict a scan from window 0 would, without rescanning the
+        // clean prefix after every swap.
+        let mut first = 0usize;
         loop {
             let mut conflict = None;
-            'scan: for j in 0..n {
+            'scan: for j in first..n {
                 let win = &stubs[j * sigma..(j + 1) * sigma];
                 for a in 0..sigma {
                     for b in a + 1..sigma {
@@ -119,6 +126,7 @@ pub(super) fn biregular_stubs<R: Rng + ?Sized>(
             // the swap does not create a duplicate in either window.
             let other = rng.gen_range(0..incidences);
             let (je, jo) = (pos / sigma, other / sigma);
+            first = je;
             if je == jo {
                 continue;
             }

@@ -47,13 +47,14 @@ use super::{GenError, RandomInstanceConfig};
 /// Partial Fisher–Yates over a persistent identity pool, consuming exactly
 /// the RNG stream of the vendored `rand::seq::index::sample` — and then
 /// *undoing* the swaps (in reverse) so the pool is the identity again for
-/// the next arrival. This is what lets [`UniformSource`] replay
+/// the next arrival. This is what lets [`UniformSource`] and
+/// [`random_instance`](super::random_instance) replay
 /// `index_sample(rng, m, σ)` bit-for-bit without allocating a fresh
 /// `0..m` pool per element.
-fn draw_picks_undo(
+pub(super) fn draw_picks_undo<R: RngCore + ?Sized>(
     pool: &mut [u32],
     swaps: &mut Vec<u32>,
-    rng: &mut StdRng,
+    rng: &mut R,
     sigma: usize,
     mut visit: impl FnMut(u32),
 ) {

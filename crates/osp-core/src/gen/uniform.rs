@@ -1,12 +1,12 @@
 //! The general-purpose random instance family.
 
-use rand::seq::index::sample as index_sample;
 use rand::Rng;
 
 use crate::instance::{Instance, InstanceBuilder};
 use crate::SetId;
 
 use super::models::{CapacityModel, LoadModel, WeightModel};
+use super::stream::draw_picks_undo;
 use super::GenError;
 
 /// Parameters for [`random_instance`].
@@ -55,16 +55,22 @@ pub fn random_instance<R: Rng + ?Sized>(
 ) -> Result<Instance, GenError> {
     validate_config(config)?;
 
-    // Draw memberships first so unused sets can be dropped.
-    let mut memberships: Vec<Vec<usize>> = Vec::with_capacity(config.num_elements);
+    // Draw memberships first so unused sets can be dropped. One persistent
+    // pool replays `rand::seq::index::sample`'s exact draws without its
+    // O(m) allocation per element; picks go into one flat CSR arena.
+    let mut pool: Vec<u32> = (0..config.num_sets as u32).collect();
+    let mut swaps: Vec<u32> = Vec::with_capacity(config.load.max() as usize);
+    let mut picks: Vec<u32> = Vec::new();
+    let mut offsets: Vec<usize> = Vec::with_capacity(config.num_elements + 1);
+    offsets.push(0);
     let mut used = vec![false; config.num_sets];
     for _ in 0..config.num_elements {
         let sigma = config.load.sample(rng) as usize;
-        let picks = index_sample(rng, config.num_sets, sigma).into_vec();
-        for &s in &picks {
-            used[s] = true;
-        }
-        memberships.push(picks);
+        draw_picks_undo(&mut pool, &mut swaps, rng, sigma, |s| {
+            used[s as usize] = true;
+            picks.push(s);
+        });
+        offsets.push(picks.len());
     }
 
     // Re-pack surviving set ids densely.
@@ -82,8 +88,14 @@ pub fn random_instance<R: Rng + ?Sized>(
         let w = config.weights.sample(rng, next);
         b.add_set_unsized(w);
     }
-    for picks in &memberships {
-        let members: Vec<SetId> = picks.iter().map(|&s| SetId(remap[s] as u32)).collect();
+    let mut members: Vec<SetId> = Vec::with_capacity(config.load.max() as usize);
+    for element in offsets.windows(2) {
+        members.clear();
+        members.extend(
+            picks[element[0]..element[1]]
+                .iter()
+                .map(|&s| SetId(remap[s as usize] as u32)),
+        );
         let capacity = config.capacities.sample(rng);
         b.add_element(capacity, &members);
     }
@@ -138,6 +150,76 @@ mod tests {
         assert_eq!(st.uniform_load, Some(4));
         assert!(st.unit_capacity);
         assert!(st.unweighted);
+    }
+
+    /// The generator as it was written against `index::sample` (one fresh
+    /// O(m) pool per element) — the reference the persistent pool must
+    /// reproduce draw for draw.
+    fn reference_instance<R: Rng + ?Sized>(config: &RandomInstanceConfig, rng: &mut R) -> Instance {
+        let mut memberships: Vec<Vec<usize>> = Vec::new();
+        let mut used = vec![false; config.num_sets];
+        for _ in 0..config.num_elements {
+            let sigma = config.load.sample(rng) as usize;
+            let picks = rand::seq::index::sample(rng, config.num_sets, sigma).into_vec();
+            for &s in &picks {
+                used[s] = true;
+            }
+            memberships.push(picks);
+        }
+        let mut remap = vec![usize::MAX; config.num_sets];
+        let mut next = 0usize;
+        for (s, &u) in used.iter().enumerate() {
+            if u {
+                remap[s] = next;
+                next += 1;
+            }
+        }
+        let mut b = InstanceBuilder::new();
+        for _ in 0..next {
+            b.add_set_unsized(config.weights.sample(rng, next));
+        }
+        for picks in &memberships {
+            let members: Vec<SetId> = picks.iter().map(|&s| SetId(remap[s] as u32)).collect();
+            b.add_element(config.capacities.sample(rng), &members);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn persistent_pool_reproduces_index_sample_draws() {
+        let configs = [
+            RandomInstanceConfig::unweighted(50, 200, 4),
+            RandomInstanceConfig::unweighted(7, 40, 7),
+            RandomInstanceConfig {
+                num_sets: 40,
+                num_elements: 120,
+                load: LoadModel::Uniform { lo: 1, hi: 6 },
+                weights: WeightModel::Zipf { exponent: 1.0 },
+                capacities: CapacityModel::Uniform { lo: 1, hi: 3 },
+            },
+        ];
+        for cfg in &configs {
+            for seed in 0..5 {
+                let got = random_instance(cfg, &mut StdRng::seed_from_u64(seed)).unwrap();
+                let want = reference_instance(cfg, &mut StdRng::seed_from_u64(seed));
+                assert_eq!(got, want, "{cfg:?} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn builds_at_a_hundred_thousand_sets() {
+        // One O(m) index pool per element made this O(n·m): 2·10¹⁰ steps.
+        let start = std::time::Instant::now();
+        let cfg = RandomInstanceConfig::unweighted(100_000, 200_000, 4);
+        let inst = random_instance(&cfg, &mut StdRng::seed_from_u64(3)).unwrap();
+        assert_eq!(inst.num_elements(), 200_000);
+        assert!(inst.num_sets() > 90_000);
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(30),
+            "took {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]

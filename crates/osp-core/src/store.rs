@@ -1,9 +1,7 @@
 //! Crash-safe result persistence for the replay service.
 //!
 //! The replay server's content-addressed cache ([`job_digest`] →
-//! [`Outcome`]) lived purely in RAM through PR 7 — a crash lost every
-//! computed outcome and the map grew without bound until shutdown. This
-//! module closes both residuals behind one seam:
+//! [`Outcome`]) is persisted and bounded behind one seam:
 //!
 //! * [`ResultStore`] — the storage trait the service talks to. `get` and
 //!   `put` by digest, plus the observability counters surfaced in
@@ -30,7 +28,10 @@
 //! record that is *incomplete* (the torn tail of a crashed append, or a
 //! length field pointing past [`MAX_FRAME_LEN`]) truncates the journal
 //! back to the last good record boundary, so the next append starts on a
-//! clean frame.
+//! clean frame. Records written before outcomes became O(m) carry the full
+//! decision log instead of a digest; they decode by folding the log into
+//! the digest, so a state dir written by an older build still answers
+//! from cache.
 //!
 //! # Compaction
 //!
@@ -827,6 +828,42 @@ mod tests {
         assert!(store.get(samples[2].0).is_some());
         assert!(store.get(samples[3].0).is_some());
         assert!(store.get(samples[0].0).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pre_digest_journal_records_still_answer_from_cache() {
+        // A record exactly as earlier builds journaled it: the outcome
+        // carries its full `decisions` log and no digest.
+        let dir = tmp_dir("legacy");
+        std::fs::create_dir_all(&dir).expect("state dir");
+        let json = r#"{"a":11,"b":22,"outcome":{"completed":[0,2],"benefit":3.0,"decisions":{"offsets":[0,1,2,3],"data":[0,0,2]},"died_at":[null,0,null]}}"#;
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&((json.len() + 8) as u32).to_le_bytes());
+        frame.extend_from_slice(&fnv1a(json.as_bytes()).to_le_bytes());
+        frame.extend_from_slice(json.as_bytes());
+        std::fs::write(dir.join("journal.osp"), &frame).expect("write legacy journal");
+
+        let mut store = JournalStore::open(&dir, StoreLimits::default()).expect("open");
+        assert!(store.corrupt().is_empty(), "{:?}", store.corrupt());
+        let got = store.get((11, 22)).expect("the legacy record answers");
+        let log = crate::engine::DecisionLog::from_parts(
+            vec![0, 1, 2, 3],
+            vec![crate::SetId(0), crate::SetId(0), crate::SetId(2)],
+        )
+        .expect("valid log");
+        assert_eq!(got.digest(), log.digest(), "the log folds into the digest");
+        assert_eq!((got.arrivals(), got.assignments()), (3, 3));
+        assert_eq!(got.completed(), &[crate::SetId(0), crate::SetId(2)]);
+        assert_eq!(got.benefit(), 3.0);
+        assert_eq!(got.died_at(crate::SetId(1)), Some(crate::ElementId(0)));
+
+        // Re-journaled in the current shape, it reloads to the same outcome.
+        store.put((11, 22), &got);
+        drop(store);
+        let mut store = JournalStore::open(&dir, StoreLimits::default()).expect("reopen");
+        assert!(store.corrupt().is_empty(), "{:?}", store.corrupt());
+        assert_eq!(store.get((11, 22)).as_ref(), Some(&got));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

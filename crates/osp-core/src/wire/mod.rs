@@ -60,20 +60,26 @@ use crate::engine::Outcome;
 use crate::error::Error;
 use crate::spec::{run_spec_with_scratch, JobSpec, SpecResolver};
 
-/// Version of the framed protocol this build speaks. `v2` added the
-/// service front door ([`serve`](crate::serve): submit/status/fetch/
-/// cancel frames); `v3` added the `fleet` admin verb (inspect/adjust the
-/// supervised socket fleet at runtime). The worker job/ping session is
-/// unchanged since `v1`, so clients accept any [`Hello`] version in
+/// Version of the framed protocol this build speaks:
+///
+/// * `v2` added the service front door ([`serve`](crate::serve):
+///   submit/status/fetch/cancel frames);
+/// * `v3` added the `fleet` admin verb (inspect/adjust the supervised
+///   socket fleet at runtime);
+/// * `v4` made outcomes O(m): an [`Outcome`] carries a 128-bit
+///   [`DecisionDigest`](crate::engine::DecisionDigest) with arrival and
+///   assignment counts instead of the full per-arrival `decisions` log.
+///
+/// Clients accept any [`Hello`] version in
 /// `MIN_WIRE_VERSION..=WIRE_VERSION` and fail the handshake
 /// ([`WorkerError::Handshake`](crate::error::WorkerError::Handshake))
 /// outside that range — mixed-build fleets must fail loudly at connect
 /// time, never by misinterpreting frames mid-batch.
-pub const WIRE_VERSION: u32 = 3;
+pub const WIRE_VERSION: u32 = 4;
 
-/// Oldest protocol version this build still interoperates with (the
-/// worker session has not changed since `v1`).
-pub const MIN_WIRE_VERSION: u32 = 1;
+/// Oldest protocol version this build still interoperates with: `v4`,
+/// because every reply frame changed shape there.
+pub const MIN_WIRE_VERSION: u32 = 4;
 
 /// Process exit status for a [`FaultPlan`]-injected death — both
 /// `osp-worker` (`die:<n>`) and `osp-serve` (`die-after-chunk:<n>`) die
@@ -86,7 +92,11 @@ pub const FAULT_EXIT: u8 = 86;
 /// [`Error::Protocol`] instead of an absurd allocation.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
-/// Writes one frame: little-endian `u32` payload length, then the payload.
+/// Writes one frame: little-endian `u32` payload length, then the payload,
+/// handed to the writer as **one** buffer. Writing the length and the
+/// payload separately is the write–write–read pattern on which TCP's
+/// Nagle algorithm holds the payload back until the peer's delayed ACK
+/// (about 40 ms per request on a long-lived connection).
 ///
 /// # Errors
 ///
@@ -99,10 +109,11 @@ pub fn write_frame<W: Write + ?Sized>(writer: &mut W, payload: &[u8]) -> Result<
             payload.len()
         )));
     }
-    let len = (payload.len() as u32).to_le_bytes();
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
     writer
-        .write_all(&len)
-        .and_then(|()| writer.write_all(payload))
+        .write_all(&frame)
         .map_err(|e| Error::Protocol(format!("writing frame: {e}")))
 }
 
@@ -709,6 +720,40 @@ mod tests {
     }
 
     #[test]
+    fn each_frame_is_one_write() {
+        /// Accepts everything, counting `write` calls.
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, b"hello").unwrap();
+        assert_eq!(w.writes, 1);
+        write_frame(&mut w, b"").unwrap();
+        assert_eq!(w.writes, 2);
+        let outcome = crate::spec::run_spec(&job(4), &CoreResolver).unwrap();
+        write_message(&mut w, &reply::encode(&Ok(outcome))).unwrap();
+        assert_eq!(w.writes, 3, "a message is one frame, one write");
+        let mut cursor = Cursor::new(w.bytes);
+        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"hello");
+        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
+        assert!(read_message::<_, reply::Reply>(&mut cursor)
+            .unwrap()
+            .is_some());
+    }
+
+    #[test]
     fn truncated_and_oversized_frames_error_cleanly() {
         // EOF inside the length prefix.
         let mut cursor = Cursor::new(vec![5u8, 0]);
@@ -813,7 +858,7 @@ mod tests {
         let got = reply::decode(got).unwrap();
         assert_eq!(got.completed(), want.completed());
         assert_eq!(got.benefit().to_bits(), want.benefit().to_bits());
-        assert_eq!(got.decisions(), want.decisions());
+        assert_eq!(got.digest(), want.digest());
         assert_eq!(got, want);
     }
 

@@ -141,6 +141,10 @@ impl std::fmt::Display for WorkerAddr {
 /// by [`Stream::connect`]; both halves of the frame conversation run over
 /// the one object (`&Stream` implements `Read` and `Write`, like the
 /// underlying `std` streams).
+///
+/// Every connected and accepted TCP stream has `TCP_NODELAY` set: the
+/// protocol is request/response with one write per frame, so Nagle's
+/// algorithm could only delay a frame until the peer's delayed ACK.
 #[derive(Debug)]
 pub enum Stream {
     /// A connected TCP stream.
@@ -166,10 +170,16 @@ impl Stream {
                         format!("{hostport} resolved to no address"),
                     )
                 })?;
-                TcpStream::connect_timeout(&resolved, timeout).map(Stream::Tcp)
+                Stream::tcp(TcpStream::connect_timeout(&resolved, timeout)?)
             }
             WorkerAddr::Uds(path) => UnixStream::connect(path).map(Stream::Uds),
         }
+    }
+
+    /// Wraps a connected TCP stream, switching Nagle's algorithm off.
+    fn tcp(stream: TcpStream) -> std::io::Result<Stream> {
+        stream.set_nodelay(true)?;
+        Ok(Stream::Tcp(stream))
     }
 
     /// Sets the read deadline for subsequent frame reads (`None` blocks
@@ -374,7 +384,7 @@ impl Listener {
 
     pub(crate) fn accept(&self) -> std::io::Result<Stream> {
         match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| Stream::tcp(s)),
             Listener::Uds(l) => l.accept().map(|(s, _)| Stream::Uds(s)),
         }
     }
@@ -593,6 +603,19 @@ mod tests {
         assert_eq!(server.jobs_answered(), 0);
         server.stop();
         assert!(ping(&addr, Duration::from_millis(500)).is_err());
+    }
+
+    #[test]
+    fn tcp_streams_disable_nagle_on_both_ends() {
+        let (listener, addr) = Listener::bind(&WorkerAddr::Tcp("127.0.0.1:0".into())).unwrap();
+        let nodelay = |stream: Stream| match stream {
+            Stream::Tcp(s) => s.nodelay().unwrap(),
+            Stream::Uds(_) => panic!("a TCP address gave a Unix stream"),
+        };
+        let client = Stream::connect(&addr, Duration::from_secs(5)).unwrap();
+        let server = listener.accept().unwrap();
+        assert!(nodelay(client), "connected end");
+        assert!(nodelay(server), "accepted end");
     }
 
     #[test]

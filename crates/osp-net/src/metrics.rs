@@ -82,7 +82,7 @@ pub fn goodput(trace: &Trace, instance: &Instance, outcome: &Outcome) -> Goodput
         frames_offered: trace.frames().len(),
         weight_delivered: outcome.benefit(),
         weight_offered: trace.frames().iter().map(|f| f.weight).sum(),
-        packets_served: outcome.decisions().iter().map(|d| d.len()).sum(),
+        packets_served: outcome.assignments() as usize,
         packets_offered: trace.total_packets(),
         per_class_delivered: [0; 3],
         per_class_offered: [0; 3],

@@ -190,7 +190,7 @@ mod tests {
                 federated.completed(),
                 "seed {seed}"
             );
-            assert_eq!(centralized.decisions(), federated.decisions());
+            assert_eq!(centralized.digest(), federated.digest());
         }
     }
 

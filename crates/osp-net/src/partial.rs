@@ -6,16 +6,39 @@
 //! > elements are missing?"
 //!
 //! With forward error correction, a frame is decodable once a θ-fraction
-//! of its packets arrive. [`partial_benefit`] re-scores an existing
-//! [`Outcome`] under that rule: the algorithms don't change, only the
-//! payoff — which is exactly how one would evaluate FEC sensitivity.
+//! of its packets arrive. [`partial_benefit`] re-scores an existing run
+//! under that rule: the algorithms don't change, only the payoff — which
+//! is exactly how one would evaluate FEC sensitivity. The payoff needs
+//! every decision, not just the [`Outcome`], so the run is a logged one
+//! ([`run_logged`]).
 
-use osp_core::{Instance, Outcome};
+use osp_core::engine::ReplayScratch;
+use osp_core::{run_source_logged, DecisionLog, Error, Instance, OnlineAlgorithm, Outcome};
+
+/// Replays `algorithm` over `instance` keeping the full [`DecisionLog`]
+/// that [`delivered_counts`] and [`partial_benefit`] read.
+///
+/// # Errors
+///
+/// The engine's contract: the first invalid decision.
+pub fn run_logged<A: OnlineAlgorithm + ?Sized>(
+    instance: &Instance,
+    algorithm: &mut A,
+) -> Result<(Outcome, DecisionLog), Error> {
+    let mut log = DecisionLog::new();
+    let outcome = run_source_logged(
+        &mut instance.source(),
+        algorithm,
+        &mut ReplayScratch::new(),
+        Some(&mut log),
+    )?;
+    Ok((outcome, log))
+}
 
 /// Packets each set actually received (assigned to it) during the run.
-pub fn delivered_counts(instance: &Instance, outcome: &Outcome) -> Vec<u32> {
+pub fn delivered_counts(instance: &Instance, log: &DecisionLog) -> Vec<u32> {
     let mut counts = vec![0u32; instance.num_sets()];
-    for decision in outcome.decisions() {
+    for decision in log {
         for s in decision {
             counts[s.index()] += 1;
         }
@@ -34,7 +57,7 @@ pub fn delivered_counts(instance: &Instance, outcome: &Outcome) -> Vec<u32> {
 ///
 /// ```
 /// use osp_core::prelude::*;
-/// use osp_net::partial::partial_benefit;
+/// use osp_net::partial::{partial_benefit, run_logged};
 ///
 /// let mut b = InstanceBuilder::new();
 /// let s = b.add_set(1.0, 2);
@@ -42,15 +65,15 @@ pub fn delivered_counts(instance: &Instance, outcome: &Outcome) -> Vec<u32> {
 /// b.add_element(1, &[s]);
 /// b.add_element(1, &[s, rival]);
 /// let inst = b.build()?;
-/// let out = run(&inst, &mut GreedyOnline::new(TieBreak::ByMostProgress))?;
+/// let (_, log) = run_logged(&inst, &mut GreedyOnline::new(TieBreak::ByMostProgress))?;
 /// // Greedy keeps s both times; with θ=0.5, even one packet would do.
-/// assert_eq!(partial_benefit(&inst, &out, 1.0), 1.0);
-/// assert_eq!(partial_benefit(&inst, &out, 0.5), 1.0);
+/// assert_eq!(partial_benefit(&inst, &log, 1.0), 1.0);
+/// assert_eq!(partial_benefit(&inst, &log, 0.5), 1.0);
 /// # Ok::<(), osp_core::Error>(())
 /// ```
-pub fn partial_benefit(instance: &Instance, outcome: &Outcome, theta: f64) -> f64 {
+pub fn partial_benefit(instance: &Instance, log: &DecisionLog, theta: f64) -> f64 {
     let theta = theta.clamp(f64::MIN_POSITIVE, 1.0);
-    let counts = delivered_counts(instance, outcome);
+    let counts = delivered_counts(instance, log);
     instance
         .sets()
         .iter()
@@ -67,10 +90,10 @@ pub fn partial_benefit(instance: &Instance, outcome: &Outcome, theta: f64) -> f6
 mod tests {
     use super::*;
     use osp_core::algorithms::{GreedyOnline, TieBreak};
-    use osp_core::{run, InstanceBuilder};
+    use osp_core::InstanceBuilder;
 
     /// Three-packet frame that loses exactly one packet to a heavier rival.
-    fn two_thirds_delivered() -> (Instance, Outcome) {
+    fn two_thirds_delivered() -> (Instance, Outcome, DecisionLog) {
         let mut b = InstanceBuilder::new();
         let frame = b.add_set(1.0, 3);
         let rival = b.add_set(5.0, 1);
@@ -78,39 +101,44 @@ mod tests {
         b.add_element(1, &[frame]);
         b.add_element(1, &[frame, rival]);
         let inst = b.build().unwrap();
-        let out = run(&inst, &mut GreedyOnline::new(TieBreak::ByWeight)).unwrap();
-        (inst, out)
+        let (out, log) = run_logged(&inst, &mut GreedyOnline::new(TieBreak::ByWeight)).unwrap();
+        (inst, out, log)
     }
 
     #[test]
     fn strict_theta_matches_benefit() {
-        let (inst, out) = two_thirds_delivered();
+        let (inst, out, log) = two_thirds_delivered();
         // Frame got 2/3 packets, rival completed.
         assert_eq!(out.benefit(), 5.0);
-        assert_eq!(partial_benefit(&inst, &out, 1.0), 5.0);
+        assert_eq!(partial_benefit(&inst, &log, 1.0), 5.0);
     }
 
     #[test]
     fn lower_theta_recovers_the_frame() {
-        let (inst, out) = two_thirds_delivered();
+        let (inst, _, log) = two_thirds_delivered();
         // θ = 2/3: frame needs ceil(2) = 2 packets — it has exactly 2.
-        assert_eq!(partial_benefit(&inst, &out, 2.0 / 3.0), 6.0);
-        assert_eq!(partial_benefit(&inst, &out, 0.5), 6.0);
+        assert_eq!(partial_benefit(&inst, &log, 2.0 / 3.0), 6.0);
+        assert_eq!(partial_benefit(&inst, &log, 0.5), 6.0);
     }
 
     #[test]
     fn theta_is_clamped() {
-        let (inst, out) = two_thirds_delivered();
+        let (inst, _, log) = two_thirds_delivered();
         // θ ≤ 0 clamps to "at least one packet".
-        assert_eq!(partial_benefit(&inst, &out, 0.0), 6.0);
-        assert_eq!(partial_benefit(&inst, &out, 2.0), 5.0);
+        assert_eq!(partial_benefit(&inst, &log, 0.0), 6.0);
+        assert_eq!(partial_benefit(&inst, &log, 2.0), 5.0);
     }
 
     #[test]
     fn delivered_counts_match_decisions() {
-        let (inst, out) = two_thirds_delivered();
-        let counts = delivered_counts(&inst, &out);
+        let (inst, out, log) = two_thirds_delivered();
+        let counts = delivered_counts(&inst, &log);
         assert_eq!(counts, vec![2, 1]);
+        assert_eq!(log.digest(), out.digest());
+        assert_eq!(
+            counts.iter().map(|&c| u64::from(c)).sum::<u64>(),
+            out.assignments()
+        );
     }
 
     #[test]
@@ -120,7 +148,7 @@ mod tests {
         let winner = b.add_set(9.0, 1);
         b.add_element(1, &[starved, winner]);
         let inst = b.build().unwrap();
-        let out = run(&inst, &mut GreedyOnline::new(TieBreak::ByWeight)).unwrap();
-        assert_eq!(partial_benefit(&inst, &out, 0.01), 9.0);
+        let (_, log) = run_logged(&inst, &mut GreedyOnline::new(TieBreak::ByWeight)).unwrap();
+        assert_eq!(partial_benefit(&inst, &log, 0.01), 9.0);
     }
 }

@@ -171,7 +171,7 @@ mod tests {
         let a = run_spec(&job, &NetResolver).unwrap();
         let b = run_spec(&job, &NetResolver).unwrap();
         assert_eq!(a, b);
-        assert!(!a.decisions().is_empty());
+        assert!(a.arrivals() > 0);
     }
 
     #[test]

@@ -30,14 +30,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let federated = federated_run(&mh, 8, 99)?;
         // The centralized reference: one algorithm sees everything.
         let centralized = run(&mh.instance, &mut HashRandPr::new(8, 99))?;
-        assert_eq!(federated.decisions(), centralized.decisions());
+        assert_eq!(federated.digest(), centralized.digest());
 
         let tail = run(&mh.instance, &mut TailDrop::new())?;
         println!(
             "{hops} hops: {} (time,hop) elements; federated == centralized: {} | \
              delivered — hashPr: {:2}, tail-drop: {:2} (of {})",
             mh.instance.num_elements(),
-            federated.decisions() == centralized.decisions(),
+            federated.digest() == centralized.digest(),
             federated.completed().len(),
             tail.completed().len(),
             config.packets,

@@ -11,7 +11,7 @@
 //! sequential `run_source`, pipelined at 1 thread (the exact serial
 //! fallback `OSP_REPLAY_THREADS=1` selects), and pipelined at 2+
 //! threads — and asserts all three outcomes equal bit-for-bit:
-//! completed sets, benefit bits, the full `DecisionLog` and every
+//! completed sets, benefit bits, the decision digest and every
 //! `died_at`. The thread count only moves the wall clock (and on a
 //! 1-core box not even that); `tests/parallel_replay.rs` pins the same
 //! invariance across the whole algorithm × generator grid.

@@ -120,7 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let results = client.fetch(first)?;
     verify(&sequential, &results)?;
-    println!("identity:    served ≡ sequential bit-for-bit ✓ (Outcome, DecisionLog, died_at)");
+    println!("identity:    served ≡ sequential bit-for-bit ✓ (completed, benefit, decision digest, died_at)");
     if !status.excluded.is_empty() {
         println!(
             "fleet:       excluded mid-batch: {}",

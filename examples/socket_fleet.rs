@@ -129,7 +129,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "jobs:        {} specs (5 algorithm families × 6 trials), answered in order",
         jobs.len()
     );
-    println!("identity:    fleet ≡ sequential bit-for-bit ✓ (Outcome, DecisionLog, died_at)");
+    println!("identity:    fleet ≡ sequential bit-for-bit ✓ (completed, benefit, decision digest, died_at)");
     println!("completed:   {completed} sets across the work-list");
     println!(
         "wall clock:  sequential {t_seq:.2}s, fleet {t_fleet:.2}s over {} lane(s)",

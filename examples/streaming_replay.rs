@@ -55,7 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t_replay = t.elapsed().as_secs_f64();
 
     // What the materializing pipeline would have had to hold: the CSR
-    // arena alone, before the decision log on top.
+    // arena. The outcome itself is O(m) — a digest stands in for the
+    // decision stream.
     let would_be = m * 16 + arrivals * (4 + 4 + sigma as usize * 4);
     println!("arrivals:          {arrivals}");
     println!(
@@ -77,6 +78,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "randPr benefit:    {:.0} of {} sets completed",
         outcome.benefit(),
         m
+    );
+    println!(
+        "decision digest:   {} over {} arrivals",
+        outcome.digest(),
+        outcome.arrivals()
     );
     Ok(())
 }

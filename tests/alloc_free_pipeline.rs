@@ -64,12 +64,12 @@ fn main() {
     // the chunk arenas to their steady-state footprint, so neither
     // measured run below sees a first-touch grow.
     let (_, warm) = measured_pipelined_run(&cfg, 6000, &mut alg, &mut scratch);
-    assert_eq!(warm.decisions().len(), 6000, "warm-up stream length");
+    assert_eq!(warm.arrivals(), 6000, "warm-up stream length");
 
     let (allocs_small, out_small) = measured_pipelined_run(&cfg, 2000, &mut alg, &mut scratch);
     let (allocs_large, out_large) = measured_pipelined_run(&cfg, 6000, &mut alg, &mut scratch);
-    assert_eq!(out_small.decisions().len(), 2000);
-    assert_eq!(out_large.decisions().len(), 6000);
+    assert_eq!(out_small.arrivals(), 2000);
+    assert_eq!(out_large.arrivals(), 6000);
 
     // Steady state: the per-run overhead (thread, channels, table,
     // snapshot) is constant — tripling the stream adds no per-arrival

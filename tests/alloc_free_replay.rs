@@ -7,8 +7,8 @@
 //! again must not touch the allocator at all — for every built-in
 //! algorithm. This pins the tentpole claim of the CSR arena +
 //! `decide_into` pipeline: arrivals are slices into one contiguous pool,
-//! decisions go into recycled buffers, and the decision log grows in a
-//! warm CSR arena.
+//! decisions go into recycled buffers, and each decision folds into the
+//! outcome's digest in place.
 //!
 //! The target is built with `harness = false` (see `Cargo.toml`) so the
 //! process has exactly one thread: the default libtest harness keeps its
@@ -98,6 +98,7 @@ fn main() {
         // warm-up run of the same deterministic state machine, where the
         // algorithm is deterministic per `begin`).
         let out = session.finish_into(&mut scratch);
+        assert_eq!(out.arrivals(), instance.num_elements() as u64, "{name}");
         if !matches!(name, "randPr" | "randPr+active" | "random_assign") {
             assert_eq!(out, warm, "{name}: warm replay diverged");
         }

@@ -88,7 +88,7 @@ fn main() {
             "{name}: {allocs} allocation(s) during {arrivals} warm streamed arrivals"
         );
         // And the replay is still a faithful one.
-        assert_eq!(outcome.decisions().len(), arrivals, "{name}: log length");
+        assert_eq!(outcome.arrivals(), arrivals as u64, "{name}: arrival count");
     }
 
     check("uniform", || UniformSource::new(&uniform_cfg, 31).unwrap());

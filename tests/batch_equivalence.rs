@@ -6,18 +6,22 @@
 //! built-in algorithm (`greedy`, `randPr`, `hashPr`, `random_assign`,
 //! `oracle`) over a grid of generator models, [`ReplayPool`] outcomes are
 //! **bit-identical** to sequential [`engine::run`] — completed sets,
-//! benefit, per-arrival decisions and `died_at` — at shard counts 1, 2
-//! and 8.
+//! benefit, the decision digest and counts, and `died_at` — at shard
+//! counts 1, 2 and 8.
+//!
+//! [`engine::run`]: osp_core::engine::run
 
 use osp_core::algorithms::{
     GreedyOnline, HashRandPr, OracleOnline, RandPr, RandomAssign, TieBreak,
 };
+use osp_core::engine::ReplayScratch;
 use osp_core::gen::{
     biregular_instance, fixed_size_instance, random_instance, CapacityModel, LoadModel,
     RandomInstanceConfig, WeightModel,
 };
 use osp_core::{
-    derive_seed, run, Instance, OnlineAlgorithm, Outcome, ReplayJob, ReplayPool, SetId,
+    derive_seed, run, run_source_logged, DecisionLog, Instance, OnlineAlgorithm, Outcome,
+    ReplayJob, ReplayPool, SetId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -103,9 +107,14 @@ fn assert_outcomes_identical(label: &str, sequential: &Outcome, batched: &Outcom
         batched.benefit()
     );
     assert_eq!(
-        sequential.decisions(),
-        batched.decisions(),
-        "{label}: decisions diverged"
+        (sequential.arrivals(), sequential.assignments()),
+        (batched.arrivals(), batched.assignments()),
+        "{label}: decision counts diverged"
+    );
+    assert_eq!(
+        sequential.digest(),
+        batched.digest(),
+        "{label}: decision digest diverged"
     );
     for i in 0..sets {
         let s = SetId(i as u32);
@@ -196,16 +205,24 @@ fn mixed_worklist_is_order_stable_across_shard_counts() {
 
 #[test]
 fn decision_log_equivalence() {
-    // The flat CSR [`DecisionLog`] must record exactly what the legacy
-    // per-arrival path produces: for every algorithm family and generator
-    // model, drive a session "by hand" through the allocating `decide`
-    // shim (one `Vec<SetId>` per arrival, applied via `apply_external`)
-    // and compare it slice-for-slice against the engine's flat log.
+    // A logged run's flat CSR [`DecisionLog`] must record exactly what the
+    // legacy per-arrival path produces: for every algorithm family and
+    // generator model, drive a session "by hand" through the allocating
+    // `decide` shim (one `Vec<SetId>` per arrival, applied via
+    // `apply_external`) and compare it slice-for-slice against the log,
+    // and the log's digest against the outcome's.
     for (model, instance) in instance_grid() {
         let target = oracle_target(&instance);
         for (family, family_name) in FAMILY_NAMES.iter().enumerate() {
             let seed = derive_seed(7000 + family as u64, 0);
-            let engine_out = run(&instance, algorithm(family, seed, &target).as_mut()).unwrap();
+            let mut log = DecisionLog::new();
+            let engine_out = run_source_logged(
+                &mut instance.source(),
+                algorithm(family, seed, &target).as_mut(),
+                &mut ReplayScratch::new(),
+                Some(&mut log),
+            )
+            .unwrap();
 
             let mut alg = algorithm(family, seed, &target);
             let mut session = osp_core::Session::new(instance.sets(), alg.as_mut());
@@ -221,8 +238,18 @@ fn decision_log_equivalence() {
             let manual_out = session.finish();
 
             let label = format!("{model} / {family_name}");
-            let log = engine_out.decisions();
             assert_eq!(log.len(), legacy.len(), "{label}: log length diverged");
+            assert_eq!(
+                log.digest(),
+                engine_out.digest(),
+                "{label}: digest diverged"
+            );
+            assert_eq!(log.len() as u64, engine_out.arrivals(), "{label}: arrivals");
+            assert_eq!(
+                log.total_assignments() as u64,
+                engine_out.assignments(),
+                "{label}: assignments"
+            );
             for (i, want) in legacy.iter().enumerate() {
                 assert_eq!(
                     log.get(i),

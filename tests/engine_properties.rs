@@ -52,10 +52,19 @@ proptest! {
             Box::new(GreedyOnline::new(TieBreak::ByFewestRemaining)),
         ];
         for alg in algs.iter_mut() {
-            let out = run(&inst, alg.as_mut()).unwrap();
+            let mut log = DecisionLog::new();
+            let out = run_source_logged(
+                &mut inst.source(),
+                alg.as_mut(),
+                &mut ReplayScratch::new(),
+                Some(&mut log),
+            )
+            .unwrap();
+            prop_assert_eq!(log.digest(), out.digest());
+            prop_assert_eq!(log.len(), inst.num_elements());
 
             // Decisions respect capacity and membership.
-            for (arrival, decision) in inst.arrivals().iter().zip(out.decisions()) {
+            for (arrival, decision) in inst.arrivals().iter().zip(&log) {
                 prop_assert!(decision.len() <= arrival.capacity() as usize);
                 for s in decision {
                     prop_assert!(arrival.contains(*s));
@@ -64,7 +73,7 @@ proptest! {
 
             // Completed <=> assigned at every element.
             let mut assigned = vec![0u32; inst.num_sets()];
-            for d in out.decisions() {
+            for d in &log {
                 for s in d {
                     assigned[s.index()] += 1;
                 }

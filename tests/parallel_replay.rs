@@ -7,8 +7,9 @@
 //! order, a thread count leaking into decisions. This suite pins the
 //! contract: for every built-in algorithm over the generator-model grid,
 //! [`run_source_parallel`] outcomes are **bit-identical** to sequential
-//! [`run`] — completed sets, benefit, per-arrival decisions and
-//! `died_at` — at thread counts 1, 2 and 8, and the sharded decision
+//! [`run`] — completed sets, benefit, the decision digest and `died_at` —
+//! at thread counts 1, 2 and 8, with the digest equal to that of a logged
+//! sequential run's [`DecisionLog`], and the sharded decision
 //! kernel agrees with serial scoring on arrivals wide enough to
 //! trigger it.
 
@@ -23,8 +24,8 @@ use osp_core::gen::{
 };
 use osp_core::source::ArrivalSource;
 use osp_core::{
-    derive_seed, run, run_source, Instance, OnlineAlgorithm, Outcome, ParallelConfig, ReplayPool,
-    ReplayScratch, SetId,
+    derive_seed, run, run_source, run_source_logged, DecisionLog, Instance, OnlineAlgorithm,
+    Outcome, ParallelConfig, ReplayPool, ReplayScratch, SetId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -121,9 +122,14 @@ fn assert_outcomes_identical(label: &str, sequential: &Outcome, parallel: &Outco
         parallel.benefit()
     );
     assert_eq!(
-        sequential.decisions(),
-        parallel.decisions(),
-        "{label}: decisions diverged"
+        (sequential.arrivals(), sequential.assignments()),
+        (parallel.arrivals(), parallel.assignments()),
+        "{label}: decision counts diverged"
+    );
+    assert_eq!(
+        sequential.digest(),
+        parallel.digest(),
+        "{label}: decision digest diverged"
     );
     for i in 0..sets {
         let s = SetId(i as u32);
@@ -139,13 +145,22 @@ fn assert_outcomes_identical(label: &str, sequential: &Outcome, parallel: &Outco
 #[test]
 fn parallel_replay_is_bit_identical_to_sequential_run() {
     // The acceptance grid: every algorithm family × generator model ×
-    // thread count, against the sequential `run` reference.
+    // thread count, against the sequential reference — a logged run, so
+    // each digest is also checked against the full decision record.
+    let mut log = DecisionLog::new();
     for (model, instance) in instance_grid() {
         let target = oracle_target(&instance);
         for (family, family_name) in FAMILY_NAMES.iter().enumerate() {
             for trial in 0..TRIALS {
                 let seed = derive_seed(family as u64, trial);
-                let sequential = run(&instance, algorithm(family, seed, &target).as_mut()).unwrap();
+                let sequential = run_source_logged(
+                    &mut instance.source(),
+                    algorithm(family, seed, &target).as_mut(),
+                    &mut ReplayScratch::new(),
+                    Some(&mut log),
+                )
+                .unwrap();
+                assert_eq!(log.digest(), sequential.digest(), "{model} / {family_name}");
                 for threads in THREAD_COUNTS {
                     let mut scratch = ReplayScratch::new();
                     // A small chunk forces several chunk hand-offs even on
@@ -161,6 +176,7 @@ fn parallel_replay_is_bit_identical_to_sequential_run() {
                     let label =
                         format!("{model} / {family_name} / trial {trial} / {threads} threads");
                     assert_outcomes_identical(&label, &sequential, &parallel, instance.num_sets());
+                    assert_eq!(parallel.digest(), log.digest(), "{label}: logged digest");
                 }
             }
         }

@@ -110,7 +110,12 @@ fn assert_outcomes_identical(label: &str, want: &Outcome, got: &Outcome, sets: u
         want.benefit(),
         got.benefit()
     );
-    assert_eq!(want.decisions(), got.decisions(), "{label}: decisions");
+    assert_eq!(
+        (want.arrivals(), want.assignments()),
+        (got.arrivals(), got.assignments()),
+        "{label}: decision counts"
+    );
+    assert_eq!(want.digest(), got.digest(), "{label}: decision digest");
     for i in 0..sets {
         let s = SetId(i as u32);
         assert_eq!(want.died_at(s), got.died_at(s), "{label}: died_at({s:?})");

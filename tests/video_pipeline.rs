@@ -113,17 +113,17 @@ fn buffered_router_dominates_bufferless_and_saturates() {
 
 #[test]
 fn partial_credit_is_monotone_in_theta() {
-    use osp::net::partial::partial_benefit;
+    use osp::net::partial::{partial_benefit, run_logged};
     let mut rng = StdRng::seed_from_u64(4);
     let trace = video_trace(&config(10), &mut rng);
     let mapped = trace_to_instance(&trace);
-    let out = run(&mapped.instance, &mut TailDrop::new()).unwrap();
+    let (out, log) = run_logged(&mapped.instance, &mut TailDrop::new()).unwrap();
     let mut last = f64::INFINITY;
     for theta in [0.25, 0.5, 0.75, 1.0] {
-        let b = partial_benefit(&mapped.instance, &out, theta);
+        let b = partial_benefit(&mapped.instance, &log, theta);
         assert!(b <= last, "benefit must fall as θ rises");
         last = b;
     }
     // θ=1 equals the strict benefit.
-    assert_eq!(partial_benefit(&mapped.instance, &out, 1.0), out.benefit());
+    assert_eq!(partial_benefit(&mapped.instance, &log, 1.0), out.benefit());
 }

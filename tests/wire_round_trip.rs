@@ -120,7 +120,15 @@ fn outcome() -> impl Strategy<Value = Outcome> {
                 .enumerate()
                 .map(|(i, dead)| dead.then_some(ElementId(i as u32)))
                 .collect();
-            Outcome::from_parts(ids, benefit, log, died_at).expect("constructed valid")
+            Outcome::from_parts(
+                ids,
+                benefit,
+                log.digest(),
+                log.len() as u64,
+                log.total_assignments() as u64,
+                died_at,
+            )
+            .expect("constructed valid")
         })
 }
 
@@ -140,8 +148,25 @@ proptest! {
         let back: Outcome = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back.completed(), want.completed());
         prop_assert_eq!(back.benefit().to_bits(), want.benefit().to_bits());
-        prop_assert_eq!(back.decisions(), want.decisions());
+        prop_assert_eq!(back.digest(), want.digest());
+        prop_assert_eq!(back.arrivals(), want.arrivals());
+        prop_assert_eq!(back.assignments(), want.assignments());
         prop_assert_eq!(&back, &want);
+    }
+
+    #[test]
+    fn pre_digest_outcomes_decode_by_folding_their_log(log in decision_log(), benefit in -1e3f64..1e3) {
+        // The outcome shape of wire v3 and earlier: the full log, no digest.
+        let legacy = format!(
+            r#"{{"completed":[],"benefit":{},"decisions":{},"died_at":[]}}"#,
+            serde_json::to_string(&benefit).unwrap(),
+            serde_json::to_string(&log).unwrap(),
+        );
+        let back: Outcome = serde_json::from_str(&legacy).unwrap();
+        prop_assert_eq!(back.digest(), log.digest());
+        prop_assert_eq!(back.arrivals(), log.len() as u64);
+        prop_assert_eq!(back.assignments(), log.total_assignments() as u64);
+        prop_assert_eq!(back.benefit().to_bits(), benefit.to_bits());
     }
 
     #[test]
@@ -216,6 +241,29 @@ proptest! {
             prop_assert!(matches!(e, Error::Protocol(_)));
         }
     }
+}
+
+#[test]
+fn outcome_frame_size_does_not_depend_on_the_stream_length() {
+    // Same set system (m), four times the arrivals: the outcome frame is
+    // O(m), so only the death records' element ids may grow a few digits.
+    let frame = |n: usize| {
+        let job = JobSpec {
+            scenario: ScenarioSpec::Uniform(RandomInstanceConfig::unweighted(400, n, 2)),
+            algorithm: AlgorithmSpec::RandPr,
+            seed: 5,
+        };
+        let outcome = run_spec(&job, &CoreResolver).unwrap();
+        assert_eq!(outcome.arrivals(), n as u64);
+        let mut buf = Vec::new();
+        write_message(&mut buf, &outcome).unwrap();
+        buf.len()
+    };
+    let (short, long) = (frame(2_000), frame(8_000));
+    assert!(
+        long < short + short / 4,
+        "outcome frame grew with n: {short} B at n=2000, {long} B at n=8000"
+    );
 }
 
 #[test]
