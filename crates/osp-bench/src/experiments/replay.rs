@@ -827,7 +827,8 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         &[10_000usize, 1_000_000][..],
         &[10_000, 1_000_000, 10_000_000][..],
     );
-    let prologue_threads = osp_core::engine::prologue::threads_from_env();
+    let prologue_threads =
+        osp_core::env_parallelism(osp_core::engine::prologue::PROLOGUE_THREADS_VAR);
     let mut all_kernel_identical = true;
     for &m in kernel_grid {
         let h = PolyHash::new(kernel_independence, kernel_seed);
@@ -964,7 +965,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             self.0.decide_into(arrival, view, out);
         }
     }
-    let replay_threads = osp_core::engine::parallel::threads_from_env();
+    let replay_threads = osp_core::env_parallelism(osp_core::engine::parallel::REPLAY_THREADS_VAR);
     let pipe_config = osp_core::ParallelConfig::with_threads(replay_threads);
     let mut all_pipeline_identical = true;
     {

@@ -17,6 +17,7 @@
 use osp_gf::hash::{PolyHash, MERSENNE_61};
 
 use crate::algorithm::{EngineView, OnlineAlgorithm};
+use crate::engine::batch::env_parallelism;
 use crate::engine::parallel::{fill_sharded, SHARDED_DECIDE_MIN};
 use crate::engine::prologue;
 use crate::instance::{Arrival, SetMeta};
@@ -181,7 +182,7 @@ impl OnlineAlgorithm for HashRandPr {
             self.priorities.clear();
             return;
         }
-        self.begin_with_threads(sets, prologue::threads_from_env());
+        self.begin_with_threads(sets, env_parallelism(prologue::PROLOGUE_THREADS_VAR));
     }
 
     fn decide_into(&mut self, arrival: &Arrival<'_>, view: &EngineView<'_>, out: &mut Vec<SetId>) {

@@ -4,6 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::algorithm::{EngineView, OnlineAlgorithm};
+use crate::engine::batch::env_parallelism;
 use crate::engine::parallel::{fill_sharded, SHARDED_DECIDE_MIN};
 use crate::engine::prologue;
 use crate::instance::{Arrival, SetMeta};
@@ -146,7 +147,7 @@ impl OnlineAlgorithm for RandPr {
     }
 
     fn begin(&mut self, sets: &[SetMeta]) {
-        self.begin_with_threads(sets, prologue::threads_from_env());
+        self.begin_with_threads(sets, env_parallelism(prologue::PROLOGUE_THREADS_VAR));
     }
 
     fn decide_into(&mut self, arrival: &Arrival<'_>, view: &EngineView<'_>, out: &mut Vec<SetId>) {

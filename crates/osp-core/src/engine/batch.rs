@@ -84,9 +84,9 @@ fn machine_parallelism() -> usize {
 /// workspace routes through — `OSP_REPLAY_SHARDS`
 /// ([`ReplayPool::from_env`]), `OSP_WORKERS` (the process pool's worker
 /// count), `OSP_PROLOGUE_THREADS`
-/// ([`prologue::threads_from_env`](super::prologue::threads_from_env))
+/// ([`PROLOGUE_THREADS_VAR`](super::prologue::PROLOGUE_THREADS_VAR))
 /// and `OSP_REPLAY_THREADS`
-/// ([`parallel::threads_from_env`](super::parallel::threads_from_env)).
+/// ([`REPLAY_THREADS_VAR`](super::parallel::REPLAY_THREADS_VAR)).
 /// Reads the named variable and applies, deterministically,
 ///
 /// * unset / empty / non-numeric / out-of-range → the machine default

@@ -74,12 +74,6 @@ const PIPELINE_CHUNK: usize = 1024;
 /// the consumer drains the other).
 const PIPELINE_RING: usize = 2;
 
-/// The replay thread count from `OSP_REPLAY_THREADS` under the
-/// [`env_parallelism`] policy.
-pub fn threads_from_env() -> usize {
-    env_parallelism(REPLAY_THREADS_VAR)
-}
-
 /// Tuning for the pipelined entry points, decoupled from the process
 /// environment so tests and benchmarks can pin any configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,9 +89,10 @@ pub struct ParallelConfig {
 
 impl ParallelConfig {
     /// The configuration [`run_source_parallel`] uses: thread count from
-    /// `OSP_REPLAY_THREADS` ([`threads_from_env`]), default chunking.
+    /// `OSP_REPLAY_THREADS` under the [`env_parallelism`] policy, default
+    /// chunking.
     pub fn from_env() -> Self {
-        ParallelConfig::with_threads(threads_from_env())
+        ParallelConfig::with_threads(env_parallelism(REPLAY_THREADS_VAR))
     }
 
     /// An explicit thread count with default chunking.

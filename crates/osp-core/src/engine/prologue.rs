@@ -26,12 +26,6 @@ use super::batch::env_parallelism;
 /// The environment variable sizing the prologue fan-out.
 pub const PROLOGUE_THREADS_VAR: &str = "OSP_PROLOGUE_THREADS";
 
-/// The prologue thread count from `OSP_PROLOGUE_THREADS` under the
-/// [`env_parallelism`] policy.
-pub fn threads_from_env() -> usize {
-    env_parallelism(PROLOGUE_THREADS_VAR)
-}
-
 /// Builds an `m`-slot table by sharding disjoint contiguous index ranges
 /// across `threads` scoped threads.
 ///
@@ -71,7 +65,7 @@ where
     T: Copy + Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    build_table(m, placeholder, threads_from_env(), fill)
+    build_table(m, placeholder, env_parallelism(PROLOGUE_THREADS_VAR), fill)
 }
 
 #[cfg(test)]

@@ -225,6 +225,26 @@ impl MemStore {
             || (self.limits.max_bytes != 0 && self.bytes > self.limits.max_bytes)
     }
 
+    /// Inserts (or overwrites) an entry whose canonical JSON is
+    /// `json_len` bytes long, then evicts down to the caps.
+    fn insert(&mut self, digest: (u64, u64), outcome: &Outcome, json_len: usize) {
+        let bytes = json_len as u64 + 16;
+        if let Some(old) = self.entries.get(&digest) {
+            self.bytes -= old.bytes;
+        }
+        self.bytes += bytes;
+        self.entries.insert(
+            digest,
+            Entry {
+                outcome: outcome.clone(),
+                bytes,
+                tick: 0,
+            },
+        );
+        self.touch(digest);
+        self.enforce_caps();
+    }
+
     /// Live entries ordered by last touch, oldest first — the order a
     /// snapshot is written in, so LRU recency survives a restart.
     fn entries_by_tick(&self) -> Vec<((u64, u64), &Outcome)> {
@@ -246,24 +266,10 @@ impl ResultStore for MemStore {
     }
 
     fn put(&mut self, digest: (u64, u64), outcome: &Outcome) {
-        let Ok(json) = serde_json::to_string(outcome) else {
-            return;
-        };
-        let bytes = json.len() as u64 + 16;
-        if let Some(old) = self.entries.get(&digest) {
-            self.bytes -= old.bytes;
+        let mut json = ByteCount(0);
+        if serde_json::to_writer(&mut json, outcome).is_ok() {
+            self.insert(digest, outcome, json.0);
         }
-        self.bytes += bytes;
-        self.entries.insert(
-            digest,
-            Entry {
-                outcome: outcome.clone(),
-                bytes,
-                tick: 0,
-            },
-        );
-        self.touch(digest);
-        self.enforce_caps();
     }
 
     fn len(&self) -> usize {
@@ -283,8 +289,25 @@ impl ResultStore for MemStore {
     }
 }
 
+/// Counts the bytes written to it: an outcome's canonical-JSON length
+/// without keeping the text.
+struct ByteCount(usize);
+
+impl Write for ByteCount {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0 += buf.len();
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 /// One journal record: the digest lanes plus the outcome, serialized as
-/// canonical JSON inside a checksummed frame.
+/// canonical JSON inside a checksummed frame. [`encode_record`] writes
+/// this shape by hand around the outcome's JSON, so the outcome is
+/// rendered once per `put`.
 #[derive(Serialize, Deserialize)]
 struct Record {
     a: u64,
@@ -412,7 +435,7 @@ impl JournalStore {
         {
             let mut out = File::create(&tmp)?;
             for (digest, outcome) in self.mem.entries_by_tick() {
-                if let Some(frame) = encode_record(digest, outcome) {
+                if let Some((frame, _)) = encode_record(digest, outcome) {
                     out.write_all(&frame)?;
                 }
             }
@@ -433,8 +456,8 @@ impl ResultStore for JournalStore {
     }
 
     fn put(&mut self, digest: (u64, u64), outcome: &Outcome) {
-        self.mem.put(digest, outcome);
-        if let Some(frame) = encode_record(digest, outcome) {
+        if let Some((frame, json_len)) = encode_record(digest, outcome) {
+            self.mem.insert(digest, outcome, json_len);
             if self.journal.write_all(&frame).is_ok() {
                 self.journal_bytes += frame.len() as u64;
                 // Push the bytes to the OS now: the page cache survives
@@ -473,25 +496,26 @@ impl ResultStore for JournalStore {
 }
 
 /// Encodes one record as its on-disk frame: `u32`-LE payload length,
-/// then 8-byte LE FNV-1a checksum over the JSON, then the JSON bytes.
-/// `None` if the outcome does not serialize (dropped, never panicked on).
-fn encode_record(digest: (u64, u64), outcome: &Outcome) -> Option<Vec<u8>> {
-    let record = Record {
-        a: digest.0,
-        b: digest.1,
-        outcome: outcome.clone(),
-    };
-    let json = serde_json::to_string(&record).ok()?;
-    let json = json.as_bytes();
-    let payload_len = json.len() + 8;
+/// then 8-byte LE FNV-1a checksum over the JSON, then the JSON bytes of a
+/// [`Record`]. Also returns the length of the outcome's own JSON inside
+/// it, the entry's size in [`MemStore`]. `None` if the outcome does not
+/// serialize (dropped, never panicked on).
+fn encode_record(digest: (u64, u64), outcome: &Outcome) -> Option<(Vec<u8>, usize)> {
+    // Length and checksum placeholders, then the record's JSON.
+    let mut frame = vec![0; 12];
+    write!(frame, r#"{{"a":{},"b":{},"outcome":"#, digest.0, digest.1).ok()?;
+    let start = frame.len();
+    serde_json::to_writer(&mut frame, outcome).ok()?;
+    let json_len = frame.len() - start;
+    frame.push(b'}');
+    let payload_len = frame.len() - 4;
     if payload_len > MAX_FRAME_LEN {
         return None;
     }
-    let mut frame = Vec::with_capacity(4 + payload_len);
-    frame.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    frame.extend_from_slice(&fnv1a(json).to_le_bytes());
-    frame.extend_from_slice(json);
-    Some(frame)
+    let checksum = fnv1a(&frame[12..]);
+    frame[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    frame[4..12].copy_from_slice(&checksum.to_le_bytes());
+    Some((frame, json_len))
 }
 
 /// The result of scanning a journal byte-for-byte.
@@ -579,9 +603,8 @@ fn decode_payload(payload: &[u8]) -> Result<((u64, u64), Outcome), String> {
             "checksum mismatch (stored {want:#018x}, computed {got:#018x})"
         ));
     }
-    let text = std::str::from_utf8(json).map_err(|e| format!("payload not UTF-8: {e}"))?;
     let record: Record =
-        serde_json::from_str(text).map_err(|e| format!("payload not a record: {e}"))?;
+        serde_json::from_slice(json).map_err(|e| format!("payload not a record: {e}"))?;
     Ok(((record.a, record.b), record.outcome))
 }
 
@@ -632,6 +655,30 @@ mod tests {
         store.put(samples[0].0, &samples[0].1);
         assert_eq!(store.bytes(), before);
         assert_eq!(store.len(), 3);
+    }
+
+    #[test]
+    fn journal_records_keep_the_derived_record_bytes() {
+        for (digest, outcome) in samples(3)
+            .into_iter()
+            .chain([((u64::MAX, 0), samples(1)[0].1.clone())])
+        {
+            let (frame, json_len) = encode_record(digest, &outcome).expect("encode");
+            let record = Record {
+                a: digest.0,
+                b: digest.1,
+                outcome: outcome.clone(),
+            };
+            let want = serde_json::to_string(&record).unwrap();
+            assert_eq!(&frame[12..], want.as_bytes());
+            assert_eq!(frame[..4], ((want.len() + 8) as u32).to_le_bytes());
+            assert_eq!(frame[4..12], fnv1a(want.as_bytes()).to_le_bytes());
+            assert_eq!(json_len, serde_json::to_string(&outcome).unwrap().len());
+            // A journaled entry weighs what a memory-only one does.
+            let mut mem = MemStore::new(StoreLimits::UNBOUNDED);
+            mem.put(digest, &outcome);
+            assert_eq!(mem.bytes(), json_len as u64 + 16);
+        }
     }
 
     #[test]
@@ -878,7 +925,7 @@ mod tests {
             let samples = samples(4);
             let mut bytes = Vec::new();
             for (digest, outcome) in &samples {
-                bytes.extend_from_slice(&encode_record(*digest, outcome).expect("encode"));
+                bytes.extend_from_slice(&encode_record(*digest, outcome).expect("encode").0);
             }
             (bytes, samples)
         }

@@ -92,6 +92,11 @@ pub const FAULT_EXIT: u8 = 86;
 /// [`Error::Protocol`] instead of an absurd allocation.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
+/// The most [`read_frame`] reserves before any payload byte has arrived
+/// (1 MiB). A longer frame's buffer grows as its bytes come in, so a
+/// header alone cannot make the reader allocate [`MAX_FRAME_LEN`].
+const FRAME_RESERVE: usize = 1 << 20;
+
 /// Writes one frame: little-endian `u32` payload length, then the payload,
 /// handed to the writer as **one** buffer. Writing the length and the
 /// payload separately is the write–write–read pattern on which TCP's
@@ -104,17 +109,31 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// underlying writer fails.
 pub fn write_frame<W: Write + ?Sized>(writer: &mut W, payload: &[u8]) -> Result<(), Error> {
     if payload.len() > MAX_FRAME_LEN {
-        return Err(Error::Protocol(format!(
-            "frame of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
-            payload.len()
-        )));
+        return Err(oversized(payload.len()));
     }
     let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&[0; 4]);
     frame.extend_from_slice(payload);
+    send_frame(writer, frame)
+}
+
+/// Fills in the length prefix of `frame` (4 placeholder bytes, then the
+/// payload) and writes it in one `write_all`.
+fn send_frame<W: Write + ?Sized>(writer: &mut W, mut frame: Vec<u8>) -> Result<(), Error> {
+    let len = frame.len() - 4;
+    if len > MAX_FRAME_LEN {
+        return Err(oversized(len));
+    }
+    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
     writer
         .write_all(&frame)
         .map_err(|e| Error::Protocol(format!("writing frame: {e}")))
+}
+
+fn oversized(len: usize) -> Error {
+    Error::Protocol(format!(
+        "frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"
+    ))
 }
 
 /// Reads one frame's payload; `Ok(None)` on a clean end-of-stream at a
@@ -148,14 +167,21 @@ pub fn read_frame<R: Read + ?Sized>(reader: &mut R) -> Result<Option<Vec<u8>>, E
             "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap"
         )));
     }
-    let mut payload = vec![0u8; len];
-    reader
-        .read_exact(&mut payload)
+    let mut payload = Vec::with_capacity(len.min(FRAME_RESERVE));
+    let read = reader
+        .take(len as u64)
+        .read_to_end(&mut payload)
         .map_err(|e| Error::Protocol(format!("truncated frame payload ({len} bytes): {e}")))?;
+    if read != len {
+        return Err(Error::Protocol(format!(
+            "truncated frame payload: {read} of {len} bytes"
+        )));
+    }
     Ok(Some(payload))
 }
 
-/// Serializes a message and writes it as one frame.
+/// Serializes a message straight into a frame buffer, behind a 4-byte
+/// length placeholder, and writes it as one frame.
 ///
 /// # Errors
 ///
@@ -164,12 +190,14 @@ pub fn write_message<W: Write + ?Sized, T: Serialize>(
     writer: &mut W,
     message: &T,
 ) -> Result<(), Error> {
-    let json =
-        serde_json::to_string(message).map_err(|e| Error::Protocol(format!("encoding: {e}")))?;
-    write_frame(writer, json.as_bytes())
+    let mut frame = vec![0; 4];
+    serde_json::to_writer(&mut frame, message)
+        .map_err(|e| Error::Protocol(format!("encoding: {e}")))?;
+    send_frame(writer, frame)
 }
 
-/// Reads one frame and deserializes it; `Ok(None)` on clean end-of-stream.
+/// Reads one frame and deserializes its payload bytes; `Ok(None)` on
+/// clean end-of-stream.
 ///
 /// # Errors
 ///
@@ -178,9 +206,7 @@ pub fn read_message<R: Read + ?Sized, T: Deserialize>(reader: &mut R) -> Result<
     let Some(payload) = read_frame(reader)? else {
         return Ok(None);
     };
-    let text = std::str::from_utf8(&payload)
-        .map_err(|e| Error::Protocol(format!("frame payload is not UTF-8: {e}")))?;
-    serde_json::from_str(text)
+    serde_json::from_slice(&payload)
         .map(Some)
         .map_err(|e| Error::Protocol(format!("decoding frame: {e}")))
 }

@@ -54,7 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Leg 3: the pipelined session proper — generation and replay
     // overlap, chunk arenas recycle through a bounded ring.
-    let threads = osp::core::engine::parallel::threads_from_env().max(2);
+    let threads =
+        osp::core::env_parallelism(osp::core::engine::parallel::REPLAY_THREADS_VAR).max(2);
     let t = Instant::now();
     let pipelined = run_source_parallel_with(
         &mut UniformSource::new(&cfg, seed)?,

@@ -11,6 +11,10 @@
 //! buffers and the algorithm's begin-time state, a second replay's entire
 //! arrival loop must not touch the allocator.
 //!
+//! It also holds the wire reader to its allocation bound: a frame header
+//! declaring [`MAX_FRAME_LEN`] bytes, followed by end-of-stream, fails
+//! with a protocol error after allocating under 2 MiB, not 64.
+//!
 //! The target is built with `harness = false` (see `Cargo.toml`) so the
 //! process has exactly one thread and nothing can race allocations into
 //! the measured window of the process-global counter.
@@ -22,6 +26,7 @@ use osp::core::gen::{
 };
 use osp::core::prelude::*;
 use osp::core::source::ArrivalSource;
+use osp::core::wire::{read_frame, MAX_FRAME_LEN};
 use osp::core::ReplayScratch;
 use osp::net::{video_trace, TraceSource, VideoTraceConfig};
 use rand::rngs::StdRng;
@@ -29,7 +34,7 @@ use rand::SeedableRng;
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::{allocations, CountingAllocator};
+use counting_alloc::{allocated_bytes, allocations, CountingAllocator};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -98,4 +103,19 @@ fn main() {
     });
     check("instance", || materialized.source());
     check("trace", || TraceSource::new(&trace).unwrap());
+
+    // A header alone must not make the reader allocate the frame it
+    // declares.
+    let header = (MAX_FRAME_LEN as u32).to_le_bytes();
+    let before = allocated_bytes();
+    let result = read_frame(&mut &header[..]);
+    let spent = allocated_bytes() - before;
+    assert!(
+        matches!(result, Err(osp::core::Error::Protocol(_))),
+        "a header with no payload must be a protocol error, got {result:?}"
+    );
+    assert!(
+        spent < 2 << 20,
+        "reading a bare {MAX_FRAME_LEN}-byte header allocated {spent} bytes"
+    );
 }

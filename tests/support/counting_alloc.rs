@@ -12,20 +12,26 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct CountingAllocator;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -37,4 +43,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// Allocator calls observed so far (monotonic).
 pub fn allocations() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
+}
+
+/// Bytes requested from the allocator so far (monotonic; a `realloc`
+/// counts its new size).
+#[allow(dead_code)] // read by `alloc_free_streaming` only
+pub fn allocated_bytes() -> u64 {
+    ALLOC_BYTES.load(Ordering::Relaxed)
 }

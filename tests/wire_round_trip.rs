@@ -266,6 +266,71 @@ fn outcome_frame_size_does_not_depend_on_the_stream_length() {
     );
 }
 
+/// Known answers from the codec as it was before its hot paths were
+/// rewritten. The cache key (`job_digest` hashes the spec's JSON), the
+/// journal record and the served bytes must not move by one byte.
+#[test]
+fn cache_keys_and_served_bytes_are_pinned() {
+    use osp::core::serve::ServeReply;
+    use osp::core::{derive_seed, job_digest, JobResult};
+
+    let served = JobSpec {
+        scenario: ScenarioSpec::Uniform(RandomInstanceConfig::unweighted(8_000, 16_000, 4)),
+        algorithm: AlgorithmSpec::RandPr,
+        seed: derive_seed(1, 0),
+    };
+    let skewed = JobSpec {
+        scenario: ScenarioSpec::FixedSize {
+            num_sets: 50,
+            set_size: 4,
+            num_elements: 120,
+            skew: 1.2,
+        },
+        algorithm: AlgorithmSpec::HashRandPr { independence: 16 },
+        seed: u64::MAX,
+    };
+    assert_eq!(
+        job_digest(&served).unwrap(),
+        (0x46f3_d323_b2b9_de02, 0x84d5_107b_e0c4_7173)
+    );
+    assert_eq!(
+        job_digest(&skewed).unwrap(),
+        (0xad0d_9d85_c4a6_1bae, 0x2670_746f_819a_81fb)
+    );
+
+    let log = DecisionLog::from_parts(vec![0, 2, 2, 3], vec![SetId(0), SetId(2), SetId(1)])
+        .expect("valid log");
+    let outcome = Outcome::from_parts(
+        vec![SetId(0), SetId(2)],
+        0.1 + 0.2,
+        log.digest(),
+        log.len() as u64,
+        log.total_assignments() as u64,
+        vec![None, Some(ElementId(1)), None],
+    )
+    .expect("valid outcome");
+    let outcome_json = concat!(
+        r#"{"completed":[0,2],"benefit":0.30000000000000004,"#,
+        r#""digest":"5119084f5912a3174deacdbdf83b1046","#,
+        r#""arrivals":3,"assignments":3,"died_at":[null,1,null]}"#,
+    );
+    assert_eq!(serde_json::to_string(&outcome).unwrap(), outcome_json);
+    let reply = ServeReply::Results(vec![
+        JobResult::Pending,
+        JobResult::Ok(outcome),
+        JobResult::Err("spec \"x\"\n\tfailed: σ≥1 \u{1}".to_string()),
+    ]);
+    let reply_json = format!(
+        r#"{{"results":[{{"pending":true}},{{"ok":{outcome_json}}},{{"err":"spec \"x\"\n\tfailed: σ≥1 \u0001"}}]}}"#
+    );
+    assert_eq!(serde_json::to_string(&reply).unwrap(), reply_json);
+    // A frame is the length prefix, then exactly those bytes.
+    let mut frame = Vec::new();
+    write_message(&mut frame, &reply).unwrap();
+    assert_eq!(frame[..4], (reply_json.len() as u32).to_le_bytes());
+    assert_eq!(&frame[4..], reply_json.as_bytes());
+}
+
 #[test]
 fn oversized_frame_declaration_is_rejected_without_allocating() {
     // A garbage length prefix claiming 4 GiB must fail fast.
