@@ -13,7 +13,7 @@
 //!    which needs a loopback worker fleet, the `kernel` section,
 //!    which carries the batched-kernel and prologue identity claims,
 //!    and the `pipeline` section, which carries the pipelined-session
-//!    and sharded-decide identity claims) must additionally be
+//!    identity claim) must additionally be
 //!    *present with rows* in every candidate once the baseline has
 //!    them — an absent table would otherwise pass vacuously.
 //! 2. **Algorithmic speedups** — for tables whose comparison is
@@ -76,21 +76,17 @@ const RATIO_GUARDED_TABLES: [&str; 4] =
 /// identity claims plus the ratio-guarded eval_batch speedup, so a run
 /// that dropped the table would quietly un-guard all three. The
 /// `pipeline` section is required for the same reason: its rows claim
-/// the pipelined session and the sharded decision kernel are
-/// bit-identical to sequential `run_source` (walls stay unguarded —
-/// the thread count is a machine property, and `OSP_REPLAY_THREADS=1`
-/// legitimately selects the serial fallback).
+/// the pipelined session is bit-identical to the serial replay loop
+/// (walls stay unguarded — the core count is a machine property).
 const REQUIRED_TABLES: [&str; 4] = ["distributed", "socket", "kernel", "pipeline"];
 
 /// Headers holding boolean identity verdicts.
 const IDENTITY_HEADERS: [&str; 2] = ["bit-identical", "agree"];
 
-/// Headers holding guarded ratios. (`unroll gain` is deliberately *not*
-/// guarded: below the unroll dispatch threshold both legs run the same
-/// code, so that ratio is ~1.0 and noise-dominated — informational only.
-/// The streaming table's `wall speedup` is likewise unguarded by name:
-/// it mixes allocator behavior into the ratio, so only the deterministic
-/// `mem ratio` cell carries the streaming guarantee.)
+/// Headers holding guarded ratios. (The streaming table's `wall speedup`
+/// is deliberately unguarded by name: it mixes allocator behavior into
+/// the ratio, so only the deterministic `mem ratio` cell carries the
+/// streaming guarantee.)
 const RATIO_HEADERS: [&str; 2] = ["speedup", "mem ratio"];
 
 /// Parses a `"1.36×"` (or plain `"1.36"`) speedup cell.
@@ -425,35 +421,37 @@ mod tests {
     fn pipeline_section_identity_enforced_presence_required_walls_unguarded() {
         let mk = |speedup: &str, identical: &str| {
             report_with(
-                "pipeline: one streamed replay — serial vs pipelined session vs pipelined + \
-                 sharded decide",
+                "pipeline: one streamed replay — serial loop vs pipelined session",
                 &[
                     "workload × algorithm",
+                    "serial s",
+                    "pipelined s",
                     "speedup",
-                    "threads",
+                    "nproc",
                     "bit-identical",
                 ],
                 vec![vec![
-                    "m=500 n=1000000 σ=4 × randPr",
+                    "m=500000 n=1000000 σ=4 × randPr",
+                    "1.10",
+                    "0.45",
                     speedup,
-                    "8",
+                    "2",
                     identical,
                 ]],
             )
         };
-        // A pipelined or sharded outcome diverging from sequential
-        // run_source is a rule-1 violation…
-        let v = check(&mk("1.80×", "true"), &mk("1.80×", "false"));
+        // A pipelined outcome diverging from the serial loop is a rule-1
+        // violation…
+        let v = check(&mk("2.40×", "true"), &mk("2.40×", "false"));
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("bit-identical"));
-        // …the wall speedup is machine-bound (1-core runners and the
-        // OSP_REPLAY_THREADS=1 serial-fallback lane both read ~1×) and
-        // deliberately unguarded…
-        assert!(check(&mk("1.80×", "true"), &mk("0.40×", "true")).is_empty());
+        // …the wall speedup is machine-bound (a 1-core runner reads ~1×)
+        // and deliberately unguarded, even above RATIO_GUARD_MIN…
+        assert!(check(&mk("2.40×", "true"), &mk("0.40×", "true")).is_empty());
         // …and a candidate that silently dropped the section fails the
         // presence rule rather than passing vacuously.
         let absent = report_with("engine_run: x", &["workload", "bit-identical"], vec![]);
-        let v = check(&mk("1.80×", "true"), &absent);
+        let v = check(&mk("2.40×", "true"), &absent);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("required section 'pipeline'"));
         // Baselines without the section require nothing.

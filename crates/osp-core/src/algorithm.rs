@@ -92,14 +92,10 @@ pub trait OnlineAlgorithm {
         out
     }
 
-    /// Announces how many threads the algorithm may fan candidate
-    /// *scoring* across inside one decision (the sharded decision kernel
-    /// of [`engine::parallel`](crate::engine::parallel)). Implementations
-    /// that honor it must keep decisions bit-identical at every thread
-    /// count — the built-ins do so by sharding only the score *fill* and
-    /// running the selection over the full scored buffer with the exact
-    /// serial comparator sequence. The default ignores the hint (serial
-    /// decisions), so existing implementations are unaffected.
+    /// Ignored: the engine never calls it and no built-in algorithm
+    /// overrides it. Decisions are made on one thread. The method remains
+    /// only so existing implementations that override it keep compiling;
+    /// it is slated for removal.
     fn set_decision_threads(&mut self, _threads: usize) {}
 }
 
@@ -118,9 +114,5 @@ impl<T: OnlineAlgorithm + ?Sized> OnlineAlgorithm for Box<T> {
 
     fn decide(&mut self, arrival: &Arrival<'_>, view: &EngineView<'_>) -> Vec<SetId> {
         (**self).decide(arrival, view)
-    }
-
-    fn set_decision_threads(&mut self, threads: usize) {
-        (**self).set_decision_threads(threads);
     }
 }

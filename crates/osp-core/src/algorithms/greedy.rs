@@ -7,11 +7,10 @@
 //! ties by ascending set id, so they are fully deterministic.
 
 use crate::algorithm::{EngineView, OnlineAlgorithm};
-use crate::engine::parallel::{fill_sharded, SHARDED_DECIDE_MIN};
 use crate::instance::{Arrival, SetMeta};
 use crate::SetId;
 
-use super::{retain_top_b_by_key, retain_top_b_scored};
+use super::retain_top_b_by_key;
 
 /// Ranking policy for [`GreedyOnline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,22 +71,12 @@ impl TieBreak {
 #[derive(Debug, Clone)]
 pub struct GreedyOnline {
     policy: TieBreak,
-    /// Recycled candidate-scoring buffer for the sharded decision kernel
-    /// (grows to the widest sharded arrival once, then stays warm).
-    scored: Vec<((u64, u32), SetId)>,
-    /// Sharded-decide fan-out announced by the pipelined replay
-    /// ([`OnlineAlgorithm::set_decision_threads`]); 1 = serial scoring.
-    decide_threads: usize,
 }
 
 impl GreedyOnline {
     /// Creates the greedy baseline with the given ranking policy.
     pub fn new(policy: TieBreak) -> Self {
-        GreedyOnline {
-            policy,
-            scored: Vec::new(),
-            decide_threads: 1,
-        }
+        GreedyOnline { policy }
     }
 
     /// The ranking policy in use.
@@ -126,35 +115,7 @@ impl OnlineAlgorithm for GreedyOnline {
                 .filter(|&s| view.is_active(s)),
         );
         let b = arrival.capacity() as usize;
-        if self.decide_threads > 1 && out.len() >= SHARDED_DECIDE_MIN {
-            // Sharded decide: rank the staged candidates into
-            // position-aligned scored pairs across scoped threads, then
-            // select with the exact serial comparator sequence —
-            // bit-identical to the ranked lookup below (the rank of a
-            // candidate is a pure function of the pre-decision view).
-            let policy = self.policy;
-            let threads = self.decide_threads;
-            retain_top_b_scored(out, b, &mut self.scored, |candidates, scored| {
-                fill_sharded(
-                    scored,
-                    candidates.len(),
-                    ((0, 0), SetId(0)),
-                    threads,
-                    &|start, slots| {
-                        for (j, slot) in slots.iter_mut().enumerate() {
-                            let s = candidates[start + j];
-                            *slot = (rank(policy, s, view), s);
-                        }
-                    },
-                );
-            });
-        } else {
-            retain_top_b_by_key(out, b, |s| rank(self.policy, s, view));
-        }
-    }
-
-    fn set_decision_threads(&mut self, threads: usize) {
-        self.decide_threads = threads.max(1);
+        retain_top_b_by_key(out, b, |s| rank(self.policy, s, view));
     }
 }
 

@@ -18,7 +18,6 @@ use osp_gf::hash::{PolyHash, MERSENNE_61};
 
 use crate::algorithm::{EngineView, OnlineAlgorithm};
 use crate::engine::batch::env_parallelism;
-use crate::engine::parallel::{fill_sharded, SHARDED_DECIDE_MIN};
 use crate::engine::prologue;
 use crate::instance::{Arrival, SetMeta};
 use crate::priority::{Priority, Rw};
@@ -75,13 +74,9 @@ pub struct HashRandPr {
     /// Lazy mode: skip the O(m) `begin`-time table and score each
     /// arrival's candidates on the fly with `eval_batch`.
     lazy: bool,
-    /// Recycled candidate-scoring buffer for the lazy path and the
-    /// sharded decision kernel (grows to the widest arrival once, then
-    /// the hot path stays allocation-free).
+    /// Recycled candidate-scoring buffer for the lazy path (grows to the
+    /// widest arrival once, then the hot path stays allocation-free).
     scored: Vec<(Priority, SetId)>,
-    /// Sharded-decide fan-out announced by the pipelined replay
-    /// ([`OnlineAlgorithm::set_decision_threads`]); 1 = serial scoring.
-    decide_threads: usize,
 }
 
 impl HashRandPr {
@@ -99,7 +94,6 @@ impl HashRandPr {
             priorities: Vec::new(),
             lazy: false,
             scored: Vec::new(),
-            decide_threads: 1,
         }
     }
 
@@ -188,78 +182,34 @@ impl OnlineAlgorithm for HashRandPr {
     fn decide_into(&mut self, arrival: &Arrival<'_>, view: &EngineView<'_>, out: &mut Vec<SetId>) {
         out.extend_from_slice(arrival.members());
         let b = arrival.capacity() as usize;
-        let threads = if out.len() >= SHARDED_DECIDE_MIN {
-            self.decide_threads
-        } else {
-            1
-        };
         if !self.lazy {
-            if threads > 1 {
-                // Sharded decide: fill the position-aligned scored pairs
-                // from the table across scoped threads, then select with
-                // the exact serial comparator sequence — bit-identical to
-                // the lookup path below.
-                let priorities = &self.priorities;
-                retain_top_b_scored(out, b, &mut self.scored, |candidates, scored| {
-                    fill_sharded(
-                        scored,
-                        candidates.len(),
-                        (Priority::zero(), SetId(0)),
-                        threads,
-                        &|start, slots| {
-                            for (j, slot) in slots.iter_mut().enumerate() {
-                                let s = candidates[start + j];
-                                *slot = (priorities[s.index()], s);
-                            }
-                        },
-                    );
-                });
-            } else {
-                retain_top_b_by_key(out, b, |s| self.priorities[s.index()]);
-            }
+            retain_top_b_by_key(out, b, |s| self.priorities[s.index()]);
             return;
         }
         // Table-free path: hash the staged candidates in eval_batch
-        // chunks through stack buffers into the recycled `scored` pairs
-        // (serially, or in disjoint contiguous ranges across scoped
-        // threads once the candidate count crosses the sharding
-        // threshold — each range runs the same chunked kernel, so the
-        // buffer contents are identical), then retain the top b.
-        // `retain_top_b_scored` runs the same selection over the same
-        // comparator results as the table path's `retain_top_b_by_key`,
-        // so the survivors (and their order) are bit-identical.
+        // chunks through stack buffers into the recycled `scored` pairs,
+        // then retain the top b. `retain_top_b_scored` runs the same
+        // selection over the same comparator results as the table path's
+        // `retain_top_b_by_key`, so the survivors (and their order) are
+        // bit-identical.
         let hash = &self.hash;
-        let scored = &mut self.scored;
-        retain_top_b_scored(out, b, scored, |candidates, scored| {
-            let score_range = |start: usize, slots: &mut [(Priority, SetId)]| {
-                let mut keys = [0u64; BATCH_CHUNK];
-                let mut raws = [0u64; BATCH_CHUNK];
-                let mut i = start;
-                for chunk in slots.chunks_mut(BATCH_CHUNK) {
-                    let k = chunk.len();
-                    for (j, key) in keys[..k].iter_mut().enumerate() {
-                        *key = candidates[i + j].index() as u64;
-                    }
-                    hash.eval_batch(&keys[..k], &mut raws[..k]);
-                    for (j, slot) in chunk.iter_mut().enumerate() {
-                        let s = candidates[i + j];
-                        *slot = (priority_from_raw(raws[j], view.set(s).weight()), s);
-                    }
-                    i += k;
+        retain_top_b_scored(out, b, &mut self.scored, |candidates, scored| {
+            let mut keys = [0u64; BATCH_CHUNK];
+            let mut raws = [0u64; BATCH_CHUNK];
+            for chunk in candidates.chunks(BATCH_CHUNK) {
+                let k = chunk.len();
+                for (key, s) in keys.iter_mut().zip(chunk) {
+                    *key = s.index() as u64;
                 }
-            };
-            fill_sharded(
-                scored,
-                candidates.len(),
-                (Priority::zero(), SetId(0)),
-                threads,
-                &score_range,
-            );
+                hash.eval_batch(&keys[..k], &mut raws[..k]);
+                scored.extend(
+                    chunk
+                        .iter()
+                        .zip(&raws[..k])
+                        .map(|(&s, &raw)| (priority_from_raw(raw, view.set(s).weight()), s)),
+                );
+            }
         });
-    }
-
-    fn set_decision_threads(&mut self, threads: usize) {
-        self.decide_threads = threads.max(1);
     }
 }
 
@@ -411,6 +361,39 @@ mod tests {
             let lazy = run(&inst, &mut HashRandPr::new_lazy(8, seed)).unwrap();
             assert_eq!(eager.digest(), lazy.digest(), "seed {seed}");
             assert_eq!(eager.completed(), lazy.completed(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn lazy_mode_matches_eager_on_arrivals_wider_than_a_batch_chunk() {
+        // Arrivals listing several full BATCH_CHUNK runs plus a partial
+        // one, so the lazy scoring crosses chunk boundaries and the
+        // eval_batch lane tails, at the default and the paper-realistic
+        // independence. Zero-weight sets hit the Priority::zero() lane.
+        let m = 3 * BATCH_CHUNK + 17;
+        let narrow = 2 * BATCH_CHUNK + 5;
+        let mut b = InstanceBuilder::new();
+        let ids: Vec<SetId> = (0..m)
+            .map(|i| {
+                let w = if i % 13 == 0 {
+                    0.0
+                } else {
+                    0.5 + (i % 5) as f64
+                };
+                b.add_set(w, if i < narrow { 4 } else { 3 })
+            })
+            .collect();
+        b.add_element(2, &ids);
+        b.add_element(5, &ids[..narrow]);
+        b.add_element(1, &ids);
+        b.add_element(3, &ids);
+        let inst = b.build().unwrap();
+        for independence in [8usize, 64] {
+            for seed in 0..4u64 {
+                let eager = run(&inst, &mut HashRandPr::new(independence, seed)).unwrap();
+                let lazy = run(&inst, &mut HashRandPr::new_lazy(independence, seed)).unwrap();
+                assert_eq!(eager, lazy, "independence {independence}, seed {seed}");
+            }
         }
     }
 

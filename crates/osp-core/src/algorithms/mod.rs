@@ -32,14 +32,12 @@ use crate::SetId;
 /// single `select_nth_unstable_by` call with the descending-key
 /// comparator. The resulting permutation is a deterministic function of
 /// the item count and the *key order alone* (the selection is purely
-/// comparison-based), so every caller that presents the same keys in the
-/// same positions — a table lookup ([`retain_top_b_by_key`]), a bulk
-/// score pass ([`retain_top_b_scored`]), or a sharded parallel score fill
-/// ([`fill_sharded`](crate::engine::parallel::fill_sharded), the third
-/// caller) — gets the same survivors in the same order, which is what
-/// keeps decisions bit-identical across scoring strategies and thread
-/// counts. Keys must be totally ordered and unique (all callers guarantee
-/// uniqueness via tiebreak tokens).
+/// comparison-based), so both callers that present the same keys in the
+/// same positions — a table lookup ([`retain_top_b_by_key`]) and a bulk
+/// score pass ([`retain_top_b_scored`]) — get the same survivors in the
+/// same order, which is what keeps decisions bit-identical across scoring
+/// strategies. Keys must be totally ordered and unique (all callers
+/// guarantee uniqueness via tiebreak tokens).
 #[inline]
 pub(crate) fn select_top_b<T, K: Ord>(items: &mut [T], b: usize, mut key: impl FnMut(&T) -> K) {
     // Highest keys first; selects the top b in O(len) average time.
@@ -65,16 +63,14 @@ pub(crate) fn retain_top_b_by_key<K: Ord>(
 /// [`retain_top_b_by_key`] for callers that score candidates in bulk
 /// instead of looking keys up per comparison. When pruning is needed
 /// (`out.len() > b` — the same early-exit as the table path), `score` is
-/// called once to fill `scored` with one `(key, id)` pair per candidate,
-/// position-aligned with `out` (pushed serially or written in parallel
-/// ranges by [`fill_sharded`](crate::engine::parallel::fill_sharded) —
-/// either way the buffer contents are identical); the top `b` pairs are
-/// then selected with the *same* [`select_top_b`] comparator decisions
-/// the table path makes (keys compare identically regardless of where
-/// they are stored), so the surviving ids — and their order — are
-/// bit-identical to scoring through a precomputed table. `scored` is
-/// caller-owned scratch so the per-arrival hot path stays allocation-free
-/// once it has grown to the widest arrival.
+/// called once to push one `(key, id)` pair per candidate into `scored`,
+/// position-aligned with `out`; the top `b` pairs are then selected with
+/// the *same* [`select_top_b`] comparator decisions the table path makes
+/// (keys compare identically regardless of where they are stored), so
+/// the surviving ids — and their order — are bit-identical to scoring
+/// through a precomputed table. `scored` is caller-owned scratch so the
+/// per-arrival hot path stays allocation-free once it has grown to the
+/// widest arrival.
 pub(crate) fn retain_top_b_scored<K: Ord + Copy>(
     out: &mut Vec<SetId>,
     b: usize,
@@ -160,16 +156,14 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// All three callers of the [`select_top_b`] comparator core — the
-        /// table-lookup path, the serial bulk-score path, and the sharded
-        /// parallel score fill — must produce the same survivor *sequence*
-        /// (the order is observable in the `DecisionLog`), at any thread
-        /// count.
+        /// Both callers of the [`select_top_b`] comparator core — the
+        /// table-lookup path and the bulk-score path — must produce the
+        /// same survivor *sequence* (the order is observable in the
+        /// decision digest).
         #[test]
-        fn three_retain_paths_pin_the_same_survivor_sequence(
+        fn two_retain_paths_pin_the_same_survivor_sequence(
             raw in proptest::collection::vec(0u64..1_000, 1..80),
             b in 1usize..24,
-            threads in 1usize..6,
         ) {
             // Make keys unique (the callers' tiebreak-token guarantee)
             // while keeping plenty of near-collisions from the raw draw.
@@ -183,31 +177,13 @@ mod tests {
             let mut by_key = ids.clone();
             retain_top_b_by_key(&mut by_key, b, |s| keys[s.index()]);
 
-            let mut serial = ids.clone();
+            let mut scored_ids = ids.clone();
             let mut scored: Vec<(u64, SetId)> = Vec::new();
-            retain_top_b_scored(&mut serial, b, &mut scored, |candidates, scored| {
+            retain_top_b_scored(&mut scored_ids, b, &mut scored, |candidates, scored| {
                 scored.extend(candidates.iter().map(|&s| (keys[s.index()], s)));
             });
 
-            let mut sharded = ids.clone();
-            let mut scored2: Vec<(u64, SetId)> = Vec::new();
-            retain_top_b_scored(&mut sharded, b, &mut scored2, |candidates, scored| {
-                crate::engine::parallel::fill_sharded(
-                    scored,
-                    candidates.len(),
-                    (0u64, SetId(0)),
-                    threads,
-                    &|start, slots| {
-                        for (j, slot) in slots.iter_mut().enumerate() {
-                            let s = candidates[start + j];
-                            *slot = (keys[s.index()], s);
-                        }
-                    },
-                );
-            });
-
-            proptest::prop_assert_eq!(&serial, &by_key);
-            proptest::prop_assert_eq!(&sharded, &by_key);
+            proptest::prop_assert_eq!(&scored_ids, &by_key);
         }
     }
 }

@@ -5,13 +5,12 @@ use rand::{Rng, SeedableRng};
 
 use crate::algorithm::{EngineView, OnlineAlgorithm};
 use crate::engine::batch::env_parallelism;
-use crate::engine::parallel::{fill_sharded, SHARDED_DECIDE_MIN};
 use crate::engine::prologue;
 use crate::instance::{Arrival, SetMeta};
 use crate::priority::{Priority, Rw};
 use crate::SetId;
 
-use super::{retain_top_b_by_key, retain_top_b_scored};
+use super::retain_top_b_by_key;
 
 /// Draws consumed from the priority stream for one set: `R_w` rejects
 /// non-finite / non-positive weights without touching the RNG, and every
@@ -62,12 +61,6 @@ pub struct RandPr {
     rng: StdRng,
     priorities: Vec<Priority>,
     active_filter: bool,
-    /// Recycled candidate-scoring buffer for the sharded decision kernel
-    /// (grows to the widest sharded arrival once, then stays warm).
-    scored: Vec<(Priority, SetId)>,
-    /// Sharded-decide fan-out announced by the pipelined replay
-    /// ([`OnlineAlgorithm::set_decision_threads`]); 1 = serial scoring.
-    decide_threads: usize,
 }
 
 impl RandPr {
@@ -77,8 +70,6 @@ impl RandPr {
             rng: StdRng::seed_from_u64(seed),
             priorities: Vec::new(),
             active_filter: false,
-            scored: Vec::new(),
-            decide_threads: 1,
         }
     }
 
@@ -165,34 +156,7 @@ impl OnlineAlgorithm for RandPr {
         } else {
             out.extend_from_slice(arrival.members());
         }
-        if self.decide_threads > 1 && out.len() >= SHARDED_DECIDE_MIN {
-            // Sharded decide: fill the position-aligned scored pairs from
-            // the table across scoped threads, then select with the exact
-            // serial comparator sequence — bit-identical to the lookup
-            // path below.
-            let priorities = &self.priorities;
-            let threads = self.decide_threads;
-            retain_top_b_scored(out, b, &mut self.scored, |candidates, scored| {
-                fill_sharded(
-                    scored,
-                    candidates.len(),
-                    (Priority::zero(), SetId(0)),
-                    threads,
-                    &|start, slots| {
-                        for (j, slot) in slots.iter_mut().enumerate() {
-                            let s = candidates[start + j];
-                            *slot = (priorities[s.index()], s);
-                        }
-                    },
-                );
-            });
-        } else {
-            retain_top_b_by_key(out, b, |s| self.priorities[s.index()]);
-        }
-    }
-
-    fn set_decision_threads(&mut self, threads: usize) {
-        self.decide_threads = threads.max(1);
+        retain_top_b_by_key(out, b, |s| self.priorities[s.index()]);
     }
 }
 

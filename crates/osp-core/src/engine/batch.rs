@@ -74,7 +74,7 @@ fn splitmix_finalize(state: u64) -> u64 {
 
 /// The machine default: `std::thread::available_parallelism`, 1 if the
 /// platform cannot say.
-fn machine_parallelism() -> usize {
+pub(crate) fn machine_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
@@ -83,10 +83,8 @@ fn machine_parallelism() -> usize {
 /// The one environment-sizing policy every thread-count variable in the
 /// workspace routes through — `OSP_REPLAY_SHARDS`
 /// ([`ReplayPool::from_env`]), `OSP_WORKERS` (the process pool's worker
-/// count), `OSP_PROLOGUE_THREADS`
-/// ([`PROLOGUE_THREADS_VAR`](super::prologue::PROLOGUE_THREADS_VAR))
-/// and `OSP_REPLAY_THREADS`
-/// ([`REPLAY_THREADS_VAR`](super::parallel::REPLAY_THREADS_VAR)).
+/// count) and `OSP_PROLOGUE_THREADS`
+/// ([`PROLOGUE_THREADS_VAR`](super::prologue::PROLOGUE_THREADS_VAR)).
 /// Reads the named variable and applies, deterministically,
 ///
 /// * unset / empty / non-numeric / out-of-range → the machine default
@@ -109,6 +107,31 @@ fn parse_parallelism(value: Option<&str>, fallback: usize) -> usize {
         Some(Ok(n)) => n,
         Some(Err(_)) | None => fallback.max(1),
     }
+}
+
+/// The one scoped-thread splitter in the engine: cuts `slots` into at
+/// most `threads` disjoint contiguous ranges and runs `fill(start, range)`
+/// on each from its own scoped thread, where `range[j]` is slot
+/// `start + j`. [`ReplayPool`]'s shards and the
+/// [`prologue`](super::prologue) table build both ride it. With one
+/// thread (or at most one slot) it is a single `fill(0, slots)` call on
+/// the caller's thread.
+pub(crate) fn split_ranges<T, F>(slots: &mut [T], threads: usize, fill: &F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let threads = threads.max(1).min(slots.len().max(1));
+    if threads == 1 {
+        fill(0, slots);
+        return;
+    }
+    let chunk = slots.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        for (shard, range) in slots.chunks_mut(chunk).enumerate() {
+            scope.spawn(move || fill(shard * chunk, range));
+        }
+    });
 }
 
 /// Derives the seed of job `index` from a `root` seed in O(1).
@@ -206,11 +229,11 @@ impl ReplayPool {
         self.shards
     }
 
-    /// The one sharding kernel both public entry points ride: splits
-    /// `items` into contiguous chunks (one per shard), gives every shard
-    /// its own state from `init`, applies `f` to each item, and returns
-    /// the results **in item order** regardless of which shard computed
-    /// what. With one shard (or one item) it degenerates to a plain
+    /// The one sharding kernel every lane rides: [`split_ranges`] hands
+    /// each shard a contiguous run of result slots, the shard builds its
+    /// own state from `init` and applies `f` to the matching items, and
+    /// the results come back **in item order** regardless of which shard
+    /// computed what. With one shard (or one item) it is a plain
     /// sequential loop on the caller's thread.
     fn shard_map<T, S, R, I, F>(&self, items: &[T], init: I, f: F) -> Vec<R>
     where
@@ -219,40 +242,21 @@ impl ReplayPool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize, &T) -> R + Sync,
     {
-        if self.shards == 1 || items.len() <= 1 {
-            let mut state = init();
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, t)| f(&mut state, i, t))
-                .collect();
-        }
-        let chunk = items.len().div_ceil(self.shards);
-        let mut results: Vec<Vec<R>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .enumerate()
-                .map(|(shard, slice)| {
-                    let f = &f;
-                    let init = &init;
-                    let base = shard * chunk;
-                    scope.spawn(move || {
-                        let mut state = init();
-                        slice
-                            .iter()
-                            .enumerate()
-                            .map(|(j, t)| f(&mut state, base + j, t))
-                            .collect::<Vec<R>>()
-                    })
-                })
-                .collect();
-            results = handles
-                .into_iter()
-                .map(|h| h.join().expect("replay shard panicked"))
-                .collect();
-        });
-        results.into_iter().flatten().collect()
+        let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
+        split_ranges(
+            &mut results,
+            self.shards,
+            &|start, slots: &mut [Option<R>]| {
+                let mut state = init();
+                for (j, slot) in slots.iter_mut().enumerate() {
+                    *slot = Some(f(&mut state, start + j, &items[start + j]));
+                }
+            },
+        );
+        results
+            .into_iter()
+            .map(|r| r.expect("every slot is filled"))
+            .collect()
     }
 
     /// Deterministic parallel map: applies `f` to every item and returns
@@ -330,37 +334,6 @@ impl ReplayPool {
             let mut source = sources(job.source, job.seed);
             let mut alg = algorithms(job.algorithm, job.seed);
             run_source_with_scratch(&mut source, alg.as_mut(), scratch)
-        })
-    }
-
-    /// The composed lane: batch fan-out × intra-replay parallelism. Every
-    /// [`SourceJob`] replays through the pipelined session
-    /// ([`run_source_parallel_with`](super::parallel::run_source_parallel_with))
-    /// with `config` threads, while this pool still shards the *job list*
-    /// — `OSP_REPLAY_SHARDS` jobs in flight, each overlapping its arrival
-    /// generation with its decision loop on `OSP_REPLAY_THREADS` threads.
-    /// Outcomes are bit-identical to [`run_sources`](Self::run_sources)
-    /// (and therefore to sequential [`run_source`](super::run_source)) at
-    /// every shard × thread combination, because both axes preserve the
-    /// bit-identity contract independently.
-    ///
-    /// Sources must be `Send`: each job's source crosses into that job's
-    /// producer thread.
-    pub fn run_sources_pipelined<'a, SF, AF>(
-        &self,
-        jobs: &[SourceJob],
-        sources: &SF,
-        algorithms: &AF,
-        config: &super::parallel::ParallelConfig,
-    ) -> Vec<Result<Outcome, Error>>
-    where
-        SF: Fn(usize, u64) -> Box<dyn ArrivalSource + Send + 'a> + Sync,
-        AF: Fn(usize, u64) -> Box<dyn OnlineAlgorithm> + Sync,
-    {
-        self.shard_map(jobs, ReplayScratch::new, |scratch, _, job| {
-            let mut source = sources(job.source, job.seed);
-            let mut alg = algorithms(job.algorithm, job.seed);
-            super::parallel::run_source_parallel_with(&mut source, alg.as_mut(), config, scratch)
         })
     }
 

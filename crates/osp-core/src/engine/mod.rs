@@ -21,12 +21,12 @@
 //! * [`run_source_parallel`] (and its instance twin [`run_parallel`])
 //!   replay **one** huge stream with intra-replay parallelism
 //!   ([`parallel`]): a producer thread drains the source into a
-//!   double-buffered chunk ring while the consumer runs the same
-//!   [`Session::step`] loop, and arrivals whose candidate count crosses
-//!   [`parallel::SHARDED_DECIDE_MIN`] shard their score fill across
-//!   scoped threads ([`parallel::fill_sharded`]). Thread count from
-//!   `OSP_REPLAY_THREADS` ([`batch::env_parallelism`] policy; 1 = the
-//!   serial path), bit-identical to [`run_source`] at any count.
+//!   double-buffered chunk ring while the caller's thread runs the same
+//!   [`Session::step`] loop. They pipeline on machines with at least two
+//!   cores and take the serial path otherwise;
+//!   [`parallel::run_source_pipelined`] always pipelines, on a caller's
+//!   [`batch::ReplayScratch`]. Bit-identical to [`run_source`] either
+//!   way.
 //! * [`batch`] fans a work-list across threads ([`batch::ReplayPool`])
 //!   with per-shard reusable [`batch::ReplayScratch`] buffers — both the
 //!   `(instance × seed × algorithm)` lane ([`batch::ReplayPool::run_jobs`])
@@ -79,21 +79,19 @@
 //!   `fleet` verb ([`dispatch::FleetHandle`]). Pinned by
 //!   `tests/crash_recovery.rs` against the real binaries.
 //!
-//! Alongside the entry points sit two intra-replay seams. The
-//! [`prologue`] seam parallelizes `begin()`: every built-in algorithm
+//! Alongside the entry points sits one more intra-replay seam, the
+//! [`prologue`], which parallelizes `begin()`: every built-in algorithm
 //! builds an O(m) per-set table whose slot `i` is a pure function of
 //! `(seed, i)` (§3.1's system-wide hash for `hashPr`; counter-based
 //! SplitMix64 jump-ahead for `randPr`), so [`prologue::build_table`]
 //! shards disjoint index ranges across scoped threads
 //! (`OSP_PROLOGUE_THREADS`, same [`batch::env_parallelism`] policy;
 //! 1 = the serial path) and any shard count writes exactly the same
-//! bytes. The [`parallel`] seam extends the discipline to the replay
-//! itself: the arrival loop stays sequential — decisions are
-//! order-dependent — but arrival *generation* overlaps it (the
-//! pipelined session) and wide decisions shard their score fill
-//! ([`parallel::fill_sharded`]) while the selection keeps the exact
-//! serial comparator sequence, so every golden outcome stays
-//! bit-identical.
+//! bytes. It rides the same scoped-thread splitter as
+//! [`batch::ReplayPool`]'s shards. The arrival loop itself stays
+//! sequential — decisions are order-dependent — so the only other
+//! thread in one replay is the pipeline's producer, and every golden
+//! outcome stays bit-identical.
 //!
 //! All paths enforce the model's rules (§2): each decision must pick at
 //! most `b(u)` distinct sets from `C(u)`. A set is **completed** iff it was
@@ -126,7 +124,7 @@ use crate::instance::{Arrival, Instance, SetMeta};
 use crate::source::ArrivalSource;
 
 pub use batch::{derive_seed, ReplayPool, ReplayScratch};
-pub use parallel::{run_parallel, run_source_parallel, ParallelConfig};
+pub use parallel::{run_parallel, run_source_parallel, run_source_pipelined};
 
 /// Lane A's starting state: the FNV-1a 64-bit offset basis.
 const DIGEST_BASIS_A: u64 = 0xcbf2_9ce4_8422_2325;

@@ -1,45 +1,25 @@
-//! Intra-replay parallelism: the pipelined session and the sharded
-//! decision kernel — parallelism *within* one huge replay, as opposed to
-//! the across-jobs lanes ([`ReplayPool`](super::batch::ReplayPool),
-//! process/socket pools).
+//! Intra-replay parallelism: the pipelined session — parallelism *within*
+//! one huge replay, as opposed to the across-jobs lanes
+//! ([`ReplayPool`](super::batch::ReplayPool), process/socket pools).
 //!
-//! Two mechanisms, both preserving the bit-identity contract exactly:
+//! A producer thread drains the [`ArrivalSource`] into a double-buffered
+//! ring of chunk arenas (arrivals copied into a reused CSR arena per
+//! chunk — the same flat layout [`Instance`] uses, so the steady state
+//! allocates nothing) while the caller's thread runs the existing
+//! [`Session::step`] loop over the previous chunk. Decisions are
+//! order-dependent, so the arrival loop itself stays sequential; what the
+//! pipeline hides is generation cost behind decision cost. The arrivals
+//! the consumer replays are byte-for-byte the arrivals the source
+//! yielded, so outcomes are bit-identical to
+//! [`run_source`](super::run_source) by construction.
 //!
-//! 1. **Pipelined session** ([`run_source_parallel`]): a producer thread
-//!    drains the [`ArrivalSource`] into a double-buffered ring of chunk
-//!    arenas (arrivals copied into a reused CSR arena per chunk — the
-//!    same flat layout [`Instance`] uses, so the steady
-//!    state allocates nothing) while the consumer thread runs the
-//!    existing [`Session::step`] loop over the previous chunk. Decisions
-//!    are order-dependent, so the arrival loop itself stays sequential —
-//!    but generation cost (20–60% of wall for fused generator sources)
-//!    is hidden behind decision cost. The arrivals the consumer replays
-//!    are byte-for-byte the arrivals the source yielded, so outcomes are
-//!    bit-identical to [`run_source`](super::run_source) by
-//!    construction.
-//!
-//! 2. **Sharded decision kernel** ([`fill_sharded`], threshold
-//!    [`SHARDED_DECIDE_MIN`]): when one arrival's candidate count crosses
-//!    the threshold, the built-in algorithms score candidates in
-//!    disjoint contiguous ranges across scoped threads (the
-//!    [`prologue::build_table`](super::prologue::build_table) fan-out
-//!    shape, applied per arrival) into one position-aligned scored
-//!    buffer, then select the winners over the *full* buffer with the
-//!    exact serial
-//!    [`select_top_b`](crate::algorithms) comparator sequence. Because
-//!    only the score *fill* is sharded — never the selection — survivors
-//!    and their order are bit-identical to the serial path at ANY thread
-//!    count.
-//!
-//! Thread counts come from `OSP_REPLAY_THREADS` under the workspace-wide
-//! [`env_parallelism`] policy (unset → machine default, `0` → 1, junk →
-//! machine default); one thread is exactly the historical serial path
-//! ([`run_source_with_scratch`] is called directly — no producer thread,
-//! no chunk copies). Batch and intra-replay parallelism compose via
-//! [`ReplayPool::run_sources_pipelined`](super::batch::ReplayPool::run_sources_pipelined):
-//! `OSP_REPLAY_SHARDS` jobs × `OSP_REPLAY_THREADS` threads per job.
-//! `tests/parallel_replay.rs` pins thread counts {1, 2, 8} bit-identical
-//! across the full algorithm × generator conformance grid.
+//! One producer and one consumer is the only shape: there is no thread
+//! count to tune. [`run_source_parallel`] and [`run_parallel`] pipeline
+//! when the machine has at least two cores and run the plain serial path
+//! ([`run_source_with_scratch`]) otherwise; [`run_source_pipelined`]
+//! always pipelines, on a caller-provided [`ReplayScratch`].
+//! `tests/parallel_replay.rs` pins the pipeline bit-identical to
+//! sequential replay across the full algorithm × generator grid.
 
 use std::sync::mpsc::sync_channel;
 
@@ -49,21 +29,8 @@ use crate::ids::{ElementId, SetId};
 use crate::instance::{Arrival, Instance};
 use crate::source::ArrivalSource;
 
-use super::batch::{env_parallelism, ReplayScratch};
+use super::batch::{machine_parallelism, ReplayScratch};
 use super::{run_source_with_scratch, Outcome, Session};
-
-/// The environment variable sizing intra-replay parallelism.
-pub const REPLAY_THREADS_VAR: &str = "OSP_REPLAY_THREADS";
-
-/// Candidate count at which the built-in algorithms switch one decision's
-/// score fill from the serial loop to the sharded kernel. Measured on the
-/// scoring-bound path (lazy `hashPr`, one polynomial evaluation per
-/// candidate): below ~4096 candidates the scoped-thread fan-out costs
-/// more than the scoring it parallelizes; table-lookup algorithms cross
-/// even later, but dispatching them identically keeps the policy simple —
-/// and either path produces bit-identical survivors, so the threshold is
-/// a pure performance knob.
-pub const SHARDED_DECIDE_MIN: usize = 4096;
 
 /// Arrivals staged per pipeline chunk: large enough to amortize the
 /// channel round trip to well under a nanosecond per arrival, small
@@ -73,36 +40,6 @@ const PIPELINE_CHUNK: usize = 1024;
 /// Chunk arenas in flight (double buffering: the producer fills one while
 /// the consumer drains the other).
 const PIPELINE_RING: usize = 2;
-
-/// Tuning for the pipelined entry points, decoupled from the process
-/// environment so tests and benchmarks can pin any configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Total threads for one replay: `<= 1` is the exact serial path;
-    /// `>= 2` runs the producer/consumer pipeline, and the same value is
-    /// announced to the algorithm as its sharded-decide fan-out
-    /// ([`OnlineAlgorithm::set_decision_threads`]).
-    pub threads: usize,
-    /// Arrivals staged per pipeline chunk (clamped to at least 1).
-    pub chunk: usize,
-}
-
-impl ParallelConfig {
-    /// The configuration [`run_source_parallel`] uses: thread count from
-    /// `OSP_REPLAY_THREADS` under the [`env_parallelism`] policy, default
-    /// chunking.
-    pub fn from_env() -> Self {
-        ParallelConfig::with_threads(env_parallelism(REPLAY_THREADS_VAR))
-    }
-
-    /// An explicit thread count with default chunking.
-    pub fn with_threads(threads: usize) -> Self {
-        ParallelConfig {
-            threads,
-            chunk: PIPELINE_CHUNK,
-        }
-    }
-}
 
 /// One pipeline chunk: up to `chunk` arrivals copied out of the source
 /// into a flat CSR arena (element ids + capacities + an offset-indexed
@@ -151,9 +88,8 @@ impl Chunk {
     }
 }
 
-/// Replays a frozen [`Instance`] through the pipelined session with
-/// `OSP_REPLAY_THREADS` threads — the intra-replay-parallel twin of
-/// [`run`](super::run). Bit-identical to it at every thread count.
+/// Replays a frozen [`Instance`] through [`run_source_parallel`] — the
+/// intra-replay-parallel twin of [`run`](super::run), bit-identical to it.
 ///
 /// # Errors
 ///
@@ -180,11 +116,11 @@ pub fn run_parallel<A: OnlineAlgorithm + ?Sized>(
     run_source_parallel(&mut instance.source(), algorithm)
 }
 
-/// Drives `algorithm` over `source` through the pipelined session with
-/// `OSP_REPLAY_THREADS` threads — the intra-replay-parallel twin of
-/// [`run_source`](super::run_source). Bit-identical to it at every
-/// thread count: the consumer replays exactly the arrivals the producer
-/// copied, in order, through the same [`Session`] logic.
+/// Drives `algorithm` over `source`, pipelined when
+/// `std::thread::available_parallelism()` reports at least two cores and
+/// through the plain serial loop otherwise — the intra-replay-parallel
+/// twin of [`run_source`](super::run_source), bit-identical to it either
+/// way.
 ///
 /// # Errors
 ///
@@ -195,41 +131,68 @@ where
     S: ArrivalSource + Send + ?Sized,
     A: OnlineAlgorithm + ?Sized,
 {
-    let mut scratch = ReplayScratch::new();
-    run_source_parallel_with(source, algorithm, &ParallelConfig::from_env(), &mut scratch)
+    run_source_on(
+        source,
+        algorithm,
+        &mut ReplayScratch::new(),
+        machine_parallelism(),
+    )
 }
 
-/// [`run_source_parallel`] with an explicit [`ParallelConfig`] and
-/// caller-provided [`ReplayScratch`] — the seam conformance tests and the
-/// pool's composed lane ride, so any thread count can be pinned without
-/// touching the process environment.
-///
-/// `config.threads <= 1` is **exactly** the serial path: the call
-/// degenerates to [`run_source_with_scratch`] (no producer thread, no
-/// chunk copies). Otherwise one producer thread fills chunk arenas while
-/// the caller's thread consumes them, and `config.threads` is announced
-/// to the algorithm via
-/// [`OnlineAlgorithm::set_decision_threads`] so wide arrivals can shard
-/// their score fill.
+/// Always runs the pipelined session, on caller-provided [`ReplayScratch`]
+/// — the entry tests, the example and the bench ride, so the pipeline is
+/// exercised whatever the machine's core count. One producer thread fills
+/// chunk arenas while the caller's thread consumes them; the consumer
+/// replays exactly the arrivals the producer copied, in order, through
+/// the same [`Session`] logic.
 ///
 /// # Errors
 ///
 /// Same contract as [`run_source`](super::run_source).
-pub fn run_source_parallel_with<S, A>(
+pub fn run_source_pipelined<S, A>(
     source: &mut S,
     algorithm: &mut A,
-    config: &ParallelConfig,
     scratch: &mut ReplayScratch,
 ) -> Result<Outcome, Error>
 where
     S: ArrivalSource + Send + ?Sized,
     A: OnlineAlgorithm + ?Sized,
 {
-    algorithm.set_decision_threads(config.threads.max(1));
-    if config.threads <= 1 {
+    pipeline(source, algorithm, scratch, PIPELINE_CHUNK)
+}
+
+/// The core-count dispatch of [`run_source_parallel`]: fewer than two
+/// cores is exactly the serial path (no producer thread, no chunk copies).
+fn run_source_on<S, A>(
+    source: &mut S,
+    algorithm: &mut A,
+    scratch: &mut ReplayScratch,
+    cores: usize,
+) -> Result<Outcome, Error>
+where
+    S: ArrivalSource + Send + ?Sized,
+    A: OnlineAlgorithm + ?Sized,
+{
+    if cores < 2 {
         return run_source_with_scratch(source, algorithm, scratch);
     }
-    let chunk_arrivals = config.chunk.max(1);
+    run_source_pipelined(source, algorithm, scratch)
+}
+
+/// The chunked pipeline behind [`run_source_pipelined`], with the chunk
+/// size (arrivals per arena, at least 1) as a parameter so unit tests can
+/// force many hand-offs on short streams.
+fn pipeline<S, A>(
+    source: &mut S,
+    algorithm: &mut A,
+    scratch: &mut ReplayScratch,
+    chunk_arrivals: usize,
+) -> Result<Outcome, Error>
+where
+    S: ArrivalSource + Send + ?Sized,
+    A: OnlineAlgorithm + ?Sized,
+{
+    let chunk_arrivals = chunk_arrivals.max(1);
     let mut metas = std::mem::take(&mut scratch.set_metas);
     metas.clear();
     metas.extend_from_slice(source.sets());
@@ -297,45 +260,10 @@ where
     outcome
 }
 
-/// Fills `buf` (cleared and resized to `n`) by sharding disjoint
-/// contiguous index ranges across `threads` scoped threads — the
-/// in-place, buffer-recycling twin of
-/// [`prologue::build_table`](super::prologue::build_table), applied *per
-/// decision* instead of per run.
-///
-/// `fill(start, slots)` must write every slot of `slots`, where
-/// `slots[j]` is entry `start + j`, as a pure function of the entry
-/// indices — which is what makes the buffer contents independent of the
-/// thread count, and therefore the subsequent (serial) selection
-/// bit-identical at any fan-out. `buf` is pre-filled with `placeholder`
-/// only so the slices exist to hand out; every slot is overwritten.
-///
-/// `threads <= 1` (or a range too small to split) degenerates to one
-/// `fill(0, ..)` call on the caller's thread — the serial path.
-pub fn fill_sharded<T, F>(buf: &mut Vec<T>, n: usize, placeholder: T, threads: usize, fill: &F)
-where
-    T: Copy + Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    buf.clear();
-    buf.resize(n, placeholder);
-    let threads = threads.max(1).min(n.max(1));
-    if threads == 1 {
-        fill(0, buf);
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (shard, slots) in buf.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || fill(shard * chunk, slots));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{GreedyOnline, RandPr, TieBreak};
+    use crate::algorithms::{GreedyOnline, HashRandPr, RandPr, TieBreak};
     use crate::engine::{run, run_source};
     use crate::gen::{RandomInstanceConfig, UniformSource};
     use crate::instance::InstanceBuilder;
@@ -373,40 +301,46 @@ mod tests {
     #[test]
     fn pipeline_matches_serial_across_chunk_sizes() {
         // Chunk sizes around the stream length exercise the partial-chunk
-        // and exact-boundary end conditions.
+        // and exact-boundary end conditions, and chunk 1 hands off every
+        // arrival separately. One scratch across all runs also checks that
+        // recycled arenas and buffers carry nothing from run to run.
         let cfg = RandomInstanceConfig::unweighted(20, 60, 3);
-        let want = run_source(
-            &mut UniformSource::new(&cfg, 7).unwrap(),
-            &mut RandPr::from_seed(1),
-        )
-        .unwrap();
-        for chunk in [1usize, 7, 60, 64, 100] {
-            let mut scratch = ReplayScratch::new();
-            let config = ParallelConfig { threads: 2, chunk };
-            let got = run_source_parallel_with(
-                &mut UniformSource::new(&cfg, 7).unwrap(),
-                &mut RandPr::from_seed(1),
-                &config,
-                &mut scratch,
-            )
-            .unwrap();
-            assert_eq!(got, want, "chunk={chunk}");
+        let algorithms: [fn() -> Box<dyn OnlineAlgorithm>; 3] = [
+            || Box::new(RandPr::from_seed(1)),
+            || Box::new(HashRandPr::new_lazy(8, 1)),
+            || Box::new(GreedyOnline::new(TieBreak::ByFewestRemaining)),
+        ];
+        let mut scratch = ReplayScratch::new();
+        for alg in algorithms {
+            let want =
+                run_source(&mut UniformSource::new(&cfg, 7).unwrap(), alg().as_mut()).unwrap();
+            for chunk in [1usize, 7, 60, 64, 100] {
+                let got = pipeline(
+                    &mut UniformSource::new(&cfg, 7).unwrap(),
+                    alg().as_mut(),
+                    &mut scratch,
+                    chunk,
+                )
+                .unwrap();
+                assert_eq!(got, want, "{} at chunk={chunk}", alg().name());
+            }
         }
     }
 
     #[test]
     fn one_thread_is_the_exact_serial_path() {
         let inst = tiny_instance();
-        let mut scratch = ReplayScratch::new();
-        let got = run_source_parallel_with(
-            &mut inst.source(),
-            &mut GreedyOnline::new(TieBreak::ByWeight),
-            &ParallelConfig::with_threads(1),
-            &mut scratch,
-        )
-        .unwrap();
         let want = run(&inst, &mut GreedyOnline::new(TieBreak::ByWeight)).unwrap();
-        assert_eq!(got, want);
+        for cores in [0usize, 1, 2] {
+            let got = run_source_on(
+                &mut inst.source(),
+                &mut GreedyOnline::new(TieBreak::ByWeight),
+                &mut ReplayScratch::new(),
+                cores,
+            )
+            .unwrap();
+            assert_eq!(got, want, "cores={cores}");
+        }
     }
 
     #[test]
@@ -414,6 +348,13 @@ mod tests {
         let inst = InstanceBuilder::new().build().unwrap();
         let out = run_parallel(&inst, &mut RandPr::from_seed(0)).unwrap();
         assert_eq!(out.benefit(), 0.0);
+        assert_eq!(out.arrivals(), 0);
+        let out = run_source_pipelined(
+            &mut inst.source(),
+            &mut RandPr::from_seed(0),
+            &mut ReplayScratch::new(),
+        )
+        .unwrap();
         assert_eq!(out.arrivals(), 0);
     }
 
@@ -430,21 +371,20 @@ mod tests {
             b.add_element(1, &[s0, s1]);
         }
         let inst = b.build().unwrap();
-        let mut scratch = ReplayScratch::new();
-        let got = run_source_parallel_with(
+        let got = pipeline(
             &mut inst.source(),
             &mut OracleOnline::new(vec![s0, s1]),
-            &ParallelConfig {
-                threads: 2,
-                chunk: 8,
-            },
-            &mut scratch,
+            &mut ReplayScratch::new(),
+            8,
         );
         assert!(matches!(got, Err(Error::DecisionOverCapacity { .. })));
     }
 
     #[test]
     fn fill_sharded_writes_every_slot_at_any_thread_count() {
+        // A sharded fill into a recycled buffer goes through the engine's
+        // one splitter; every slot must be written at any fan-out,
+        // including more threads than slots.
         let fill = |start: usize, slots: &mut [u64]| {
             for (j, slot) in slots.iter_mut().enumerate() {
                 *slot = (start + j) as u64 * 5 + 2;
@@ -453,32 +393,10 @@ mod tests {
         let want: Vec<u64> = (0..101u64).map(|i| i * 5 + 2).collect();
         let mut buf = Vec::new();
         for threads in [0usize, 1, 2, 3, 8, 101, 300] {
-            fill_sharded(&mut buf, 101, 0u64, threads, &fill);
+            buf.clear();
+            buf.resize(101, 0u64);
+            super::super::batch::split_ranges(&mut buf, threads, &fill);
             assert_eq!(buf, want, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn fill_sharded_recycles_without_growing() {
-        let fill = |start: usize, slots: &mut [u32]| {
-            for (j, slot) in slots.iter_mut().enumerate() {
-                *slot = (start + j) as u32;
-            }
-        };
-        let mut buf = Vec::new();
-        fill_sharded(&mut buf, 500, 0u32, 4, &fill);
-        let cap = buf.capacity();
-        for n in [100usize, 500, 1] {
-            fill_sharded(&mut buf, n, 0u32, 4, &fill);
-            assert_eq!(buf.len(), n);
-            assert_eq!(buf.capacity(), cap, "n={n} must not reallocate");
-        }
-    }
-
-    #[test]
-    fn config_from_threads_keeps_default_chunk() {
-        let cfg = ParallelConfig::with_threads(8);
-        assert_eq!(cfg.threads, 8);
-        assert_eq!(cfg.chunk, PIPELINE_CHUNK);
     }
 }

@@ -12,16 +12,17 @@
 //! contract: any shard count writes exactly the same bytes.
 //!
 //! [`build_table`] is the one seam both algorithms ride — disjoint
-//! contiguous index ranges handed to `std::thread::scope` workers, the
-//! same fan-out shape as [`ReplayPool`](super::batch::ReplayPool) uses
-//! across jobs. Thread count comes from the `OSP_PROLOGUE_THREADS`
-//! variable under the workspace-wide [`env_parallelism`] policy (unset →
+//! contiguous index ranges handed to scoped threads by the engine's one
+//! splitter, the same one [`ReplayPool`](super::batch::ReplayPool) shards
+//! jobs with. The algorithms' `begin` takes the thread count from the
+//! `OSP_PROLOGUE_THREADS` variable under the workspace-wide
+//! [`env_parallelism`](super::batch::env_parallelism) policy (unset →
 //! machine default, `0` → 1, junk → machine default); one thread is
 //! exactly the historical serial path (the fill closure runs on the
 //! caller's thread over the full range). `tests/batch_equivalence.rs`
 //! pins shard counts {1, 2, 8} bit-identical for both algorithms.
 
-use super::batch::env_parallelism;
+use super::batch::split_ranges;
 
 /// The environment variable sizing the prologue fan-out.
 pub const PROLOGUE_THREADS_VAR: &str = "OSP_PROLOGUE_THREADS";
@@ -44,28 +45,8 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     let mut table = vec![placeholder; m];
-    let threads = threads.max(1).min(m.max(1));
-    if threads == 1 {
-        fill(0, &mut table);
-        return table;
-    }
-    let chunk = m.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (shard, slots) in table.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || fill(shard * chunk, slots));
-        }
-    });
+    split_ranges(&mut table, threads, fill);
     table
-}
-
-/// [`build_table`] with the thread count taken from
-/// `OSP_PROLOGUE_THREADS` — what the algorithms' `begin` uses.
-pub fn build_table_env<T, F>(m: usize, placeholder: T, fill: &F) -> Vec<T>
-where
-    T: Copy + Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    build_table(m, placeholder, env_parallelism(PROLOGUE_THREADS_VAR), fill)
 }
 
 #[cfg(test)]

@@ -129,6 +129,43 @@ pub(super) fn validate_config(config: &RandomInstanceConfig) -> Result<(), GenEr
             config.num_sets
         )));
     }
+    // The models' samplers assert these; a spec must fail here with a
+    // typed error instead of panicking a worker mid-generation.
+    let load = match config.load {
+        LoadModel::Fixed(k) => (k, k),
+        LoadModel::Uniform { lo, hi } => (lo, hi),
+    };
+    let capacity = match config.capacities {
+        CapacityModel::Unit => (1, 1),
+        CapacityModel::Fixed(b) => (b, b),
+        CapacityModel::Uniform { lo, hi } => (lo, hi),
+    };
+    for (what, (lo, hi)) in [("load", load), ("capacity", capacity)] {
+        if lo == 0 || lo > hi {
+            return Err(GenError::Infeasible(format!(
+                "{what} range {lo}..={hi} must satisfy 1 <= lo <= hi"
+            )));
+        }
+    }
+    match config.weights {
+        WeightModel::Unit => {}
+        WeightModel::Uniform { lo, hi } => {
+            // NaN fails every comparison, so it is rejected here too.
+            let valid = lo >= 0.0 && lo <= hi && hi.is_finite();
+            if !valid {
+                return Err(GenError::Infeasible(format!(
+                    "weight range [{lo}, {hi}] must satisfy 0 <= lo <= hi < inf"
+                )));
+            }
+        }
+        WeightModel::Zipf { exponent } => {
+            if exponent.is_nan() || exponent <= 0.0 {
+                return Err(GenError::Infeasible(format!(
+                    "Zipf exponent {exponent} must be positive"
+                )));
+            }
+        }
+    }
     Ok(())
 }
 

@@ -69,8 +69,8 @@ pub use engine::dispatch::{
     StderrSink,
 };
 pub use engine::{
-    run, run_parallel, run_source, run_source_logged, run_source_parallel, run_source_with_scratch,
-    run_with_scratch, DecisionDigest, DecisionLog, Outcome, ParallelConfig, Session,
+    run, run_parallel, run_source, run_source_logged, run_source_parallel, run_source_pipelined,
+    run_source_with_scratch, run_with_scratch, DecisionDigest, DecisionLog, Outcome, Session,
 };
 pub use error::{Error, WorkerError};
 pub use ids::{ElementId, SetId};

@@ -12,8 +12,8 @@ pub use crate::algorithms::{
 pub use crate::engine::batch::{derive_seed, ReplayJob, ReplayPool, ReplayScratch, SourceJob};
 pub use crate::engine::dispatch::{derived_jobs, Dispatcher, ProcessPool, SpecPool};
 pub use crate::engine::{
-    run, run_parallel, run_source, run_source_logged, run_source_parallel, run_source_with_scratch,
-    run_with_scratch, DecisionDigest, DecisionLog, Outcome, ParallelConfig, Session,
+    run, run_parallel, run_source, run_source_logged, run_source_parallel, run_source_pipelined,
+    run_source_with_scratch, run_with_scratch, DecisionDigest, DecisionLog, Outcome, Session,
 };
 pub use crate::error::Error;
 pub use crate::ids::{ElementId, SetId};

@@ -745,6 +745,73 @@ mod tests {
     }
 
     #[test]
+    fn malformed_generator_models_are_invalid_specs_not_panics() {
+        // Each of these used to reach an assert in the models' samplers
+        // and panic inside run_spec.
+        let base = RandomInstanceConfig::unweighted(20, 50, 3);
+        let malformed = [
+            RandomInstanceConfig {
+                capacities: CapacityModel::Fixed(0),
+                ..base
+            },
+            RandomInstanceConfig {
+                capacities: CapacityModel::Uniform { lo: 3, hi: 1 },
+                ..base
+            },
+            RandomInstanceConfig {
+                capacities: CapacityModel::Uniform { lo: 0, hi: 2 },
+                ..base
+            },
+            RandomInstanceConfig {
+                weights: WeightModel::Uniform { lo: 3.0, hi: 1.0 },
+                ..base
+            },
+            RandomInstanceConfig {
+                weights: WeightModel::Uniform { lo: -1.0, hi: 1.0 },
+                ..base
+            },
+            RandomInstanceConfig {
+                weights: WeightModel::Uniform {
+                    lo: f64::NAN,
+                    hi: 1.0,
+                },
+                ..base
+            },
+            RandomInstanceConfig {
+                weights: WeightModel::Zipf { exponent: 0.0 },
+                ..base
+            },
+            RandomInstanceConfig {
+                weights: WeightModel::Zipf { exponent: f64::NAN },
+                ..base
+            },
+            RandomInstanceConfig {
+                load: LoadModel::Fixed(0),
+                ..base
+            },
+            RandomInstanceConfig {
+                load: LoadModel::Uniform { lo: 3, hi: 2 },
+                ..base
+            },
+            RandomInstanceConfig {
+                load: LoadModel::Uniform { lo: 0, hi: 2 },
+                ..base
+            },
+        ];
+        for cfg in malformed {
+            let job = JobSpec {
+                scenario: ScenarioSpec::Uniform(cfg),
+                algorithm: AlgorithmSpec::RandPr,
+                seed: 1,
+            };
+            assert!(
+                matches!(run_spec(&job, &CoreResolver), Err(Error::InvalidSpec(_))),
+                "{cfg:?}"
+            );
+        }
+    }
+
+    #[test]
     fn labels_are_stable() {
         assert_eq!(AlgorithmSpec::RandPr.label(), "randPr");
         assert_eq!(

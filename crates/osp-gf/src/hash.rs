@@ -21,10 +21,9 @@ pub const MERSENNE_61: u64 = (1 << 61) - 1;
 ///
 /// Compiled only under `debug_assertions` so the release hot path carries
 /// zero bookkeeping; the counter is thread-local, so concurrent table
-/// builds don't race it. [`eval`](PolyHash::eval),
-/// [`eval_horner`](PolyHash::eval_horner) and
+/// builds don't race it. [`eval`](PolyHash::eval) and
 /// [`eval_batch`](PolyHash::eval_batch) each count one evaluation per key
-/// (the internal dispatch between them never double-counts).
+/// (`eval_batch`'s scalar tail never double-counts).
 #[cfg(debug_assertions)]
 pub mod eval_count {
     use std::cell::Cell;
@@ -142,84 +141,23 @@ impl PolyHash {
 
     /// Evaluates the hash at `x`, returning a value in `[0, 2^61 − 1)`.
     ///
-    /// Fast path: the Horner recurrence unrolled into **four independent
-    /// lazy-reduction accumulators**. Writing `i = 4q + r`, the polynomial
-    /// splits as `P(x) = Σ_r x^r · P_r(x⁴)`; each residue class `P_r` is
-    /// evaluated by Horner in the stride-4 point `y = x⁴`, and the four
-    /// chains carry no data dependency on each other — the CPU can overlap
-    /// their multiply/fold latencies (ILP) instead of serializing one long
-    /// Horner chain. Each step keeps its accumulator below `2^62` with two
-    /// branchless `fold61` folds (entering a step `acc < 2^62` and
-    /// `y < 2^62`, so `acc·y + c < 2^125`; one fold brings that under
-    /// `2^65`, a second under `2^62`), and the value is canonicalized once
-    /// at the end.
-    ///
-    /// [`eval_horner`](Self::eval_horner) keeps the single-chain lazy
-    /// Horner as the mid reference and
-    /// [`eval_naive`](Self::eval_naive) the obviously-correct one; the
-    /// osp-gf proptests pin all three to agree everywhere.
+    /// Single-chain Horner with lazy Mersenne reduction: each step keeps
+    /// the accumulator below `2^62` with two branchless `fold61` folds
+    /// (entering a step `acc < 2^62` and `x < 2^61`, so `acc·x + c <
+    /// 2^124`; one fold brings that under `2^64`, a second under `2^62`),
+    /// and the value is canonicalized once at the end.
+    /// [`eval_naive`](Self::eval_naive) is the obviously-correct
+    /// reference; the osp-gf proptests pin the two to agree everywhere.
     pub fn eval(&self, x: u64) -> u64 {
         count_evals(1);
         self.eval_uncounted(x)
     }
 
-    /// [`eval`](Self::eval) minus the debug evaluation counter — the
-    /// shared body for the public entry points, so internal dispatch
-    /// (`eval` → Horner below the unroll threshold, `eval_batch`'s
-    /// sub-lane-width tail) never counts a key twice.
+    /// [`eval`](Self::eval) minus the debug evaluation counter — also
+    /// [`eval_batch`](Self::eval_batch)'s scalar tail, which has already
+    /// counted its keys.
+    #[inline]
     fn eval_uncounted(&self, x: u64) -> u64 {
-        let n = self.coeffs.len();
-        if n < 16 {
-            // The unroll pays a fixed y = x⁴ setup plus a 4-term
-            // recombination; measured on the committed baseline box the
-            // crossover sits around 14 coefficients, so short polynomials
-            // (including the default 8-wise family) stay on the
-            // single-chain Horner.
-            return self.eval_horner_uncounted(x);
-        }
-        let x = (x % MERSENNE_61) as u128;
-        let x2 = fold61(fold61(x * x)); // < 2^62
-        let y = fold61(fold61(x2 * x2)); // x⁴, < 2^62
-        let x3 = fold61(fold61(x2 * x)); // < 2^62
-                                         // Seed each chain with its class's highest coefficient (the
-                                         // partial top chunk; missing classes start at zero, which Horner
-                                         // treats as a leading zero coefficient).
-        let q = n / 4;
-        let (head, tail) = self.coeffs.split_at(4 * q);
-        let mut acc = [0u128; 4];
-        for (r, &c) in tail.iter().enumerate() {
-            acc[r] = c as u128;
-        }
-        // invariant: every acc[r] < 2^62
-        for chunk in head.chunks_exact(4).rev() {
-            acc[0] = fold61(fold61(acc[0] * y + chunk[0] as u128));
-            acc[1] = fold61(fold61(acc[1] * y + chunk[1] as u128));
-            acc[2] = fold61(fold61(acc[2] * y + chunk[2] as u128));
-            acc[3] = fold61(fold61(acc[3] * y + chunk[3] as u128));
-        }
-        // Recombine: P = P₀(y) + x·P₁(y) + x²·P₂(y) + x³·P₃(y). Each
-        // product is double-folded below 2^62, so the sum stays below
-        // 2^64 and one canonical reduction finishes the job.
-        let combined = acc[0]
-            + fold61(fold61(acc[1] * x))
-            + fold61(fold61(acc[2] * x2))
-            + fold61(fold61(acc[3] * x3));
-        reduce128(combined)
-    }
-
-    /// Single-chain Horner with lazy Mersenne reduction — the PR-2 fast
-    /// path, kept as the mid-tier conformance reference between
-    /// [`eval`](Self::eval) (4-way unrolled) and
-    /// [`eval_naive`](Self::eval_naive) (precomputed powers). Also the
-    /// dispatch target for polynomials too short to amortize the unroll.
-    #[inline]
-    pub fn eval_horner(&self, x: u64) -> u64 {
-        count_evals(1);
-        self.eval_horner_uncounted(x)
-    }
-
-    #[inline]
-    fn eval_horner_uncounted(&self, x: u64) -> u64 {
         let x = (x % MERSENNE_61) as u128;
         let mut acc: u128 = 0; // invariant: acc < 2^62
         for &c in self.coeffs.iter().rev() {
@@ -233,19 +171,18 @@ impl PolyHash {
     /// measurably more than 2× faster at 64-wise independence.
     ///
     /// This is the kernel entry every bulk-scoring path rides: hashPr's
-    /// `begin`-time table fill, the table-free lazy scoring mode, and the
-    /// sharded decision kernel's per-range fills (osp-core
-    /// `engine::parallel`), which call it from several scoped threads at
-    /// once over disjoint key ranges — `&self` and stack-resident lane
-    /// state keep it trivially reentrant.
+    /// `begin`-time table fill, which the osp-core prologue calls from
+    /// several scoped threads at once over disjoint key ranges (`&self`
+    /// and stack-resident lane state keep it trivially reentrant), and
+    /// the table-free lazy scoring mode.
     ///
     /// Keys are processed in transposed lanes of 8 (then 4, then a scalar
     /// tail), each lane running its own Horner recurrence one *shared*
     /// coefficient at a time. The cross-key lanes supply the
-    /// instruction-level parallelism that [`eval`](Self::eval) obtains
-    /// from its stride-4 unroll — but because no lane depends on another,
-    /// the reduction can get lazier than the scalar path's two folds per
-    /// step: accumulators live in `u64`, each step performs a **single**
+    /// instruction-level parallelism that a single Horner chain lacks,
+    /// and because no lane depends on another, the reduction can get
+    /// lazier than the scalar path's two folds per step: accumulators
+    /// live in `u64`, each step performs a **single**
     /// branchless fold (`(lo & M) + ((lo >> 61) | (hi << 3))`, a
     /// funnel-shift on the 128-bit product halves), and a full
     /// re-normalization runs only once every 6 steps. Bounds: keys are
@@ -384,9 +321,8 @@ mod tests {
     #[test]
     fn fast_path_agrees_with_naive_on_boundaries() {
         let m = MERSENNE_61;
-        // Field-boundary coefficients: 0, 1, p−1 in every position — at
-        // lengths below, at, and above the unrolled dispatch threshold,
-        // including every `len % 4` residue of the partial top chunk.
+        // Field-boundary coefficients: 0, 1, p−1 in every position, at
+        // short and long lengths.
         let hashes = [
             PolyHash::from_coeffs(vec![m - 1, m - 1, m - 1, m - 1]),
             PolyHash::from_coeffs(vec![0, 0, 0, m - 1]),
@@ -403,22 +339,19 @@ mod tests {
         for h in &hashes {
             for x in [0u64, 1, 2, m - 2, m - 1, m, m + 1, u64::MAX] {
                 assert_eq!(h.eval(x), h.eval_naive(x), "{h:?} at {x}");
-                assert_eq!(h.eval_horner(x), h.eval_naive(x), "{h:?} at {x}");
                 assert!(h.eval(x) < m);
             }
         }
     }
 
     #[test]
-    fn unrolled_handles_every_length_residue() {
-        // One randomized family per length 1..=20 (crossing the unroll
-        // threshold and all chunk residues): the three evaluators agree.
+    fn eval_agrees_with_naive_at_every_length() {
+        // One randomized family per length 1..=20: the two evaluators
+        // agree.
         for len in 1usize..=20 {
             let h = PolyHash::new(len, 1000 + len as u64);
             for x in (0..2000u64).step_by(37).chain([MERSENNE_61 - 1, u64::MAX]) {
-                let want = h.eval_naive(x);
-                assert_eq!(h.eval(x), want, "len {len} at {x}");
-                assert_eq!(h.eval_horner(x), want, "len {len} at {x}");
+                assert_eq!(h.eval(x), h.eval_naive(x), "len {len} at {x}");
             }
         }
     }
@@ -426,8 +359,8 @@ mod tests {
     #[test]
     fn eval_batch_matches_eval_for_every_remainder() {
         // Key counts covering every lane-dispatch shape (8s, a 4, a
-        // scalar tail) and lengths straddling the scalar unroll
-        // crossover; keys include field boundaries.
+        // scalar tail) at short and long lengths; keys include field
+        // boundaries.
         for len in [1usize, 4, 8, 15, 16, 17, 19, 64] {
             let h = PolyHash::new(len, 500 + len as u64);
             let keys: Vec<u64> = (0..23u64)
@@ -468,12 +401,12 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn eval_count_hook_counts_each_key_once() {
-        let h = PolyHash::new(8, 3); // short: eval dispatches to Horner
-        let wide = PolyHash::new(64, 3); // long: eval takes the unroll
+        let h = PolyHash::new(8, 3);
+        let wide = PolyHash::new(64, 3);
         eval_count::reset();
         h.eval(1);
         wide.eval(2);
-        h.eval_horner(3);
+        h.unit(3);
         assert_eq!(eval_count::get(), 3);
         eval_count::reset();
         let xs: Vec<u64> = (0..13).collect(); // 8 + 4 + 1 scalar tail

@@ -155,13 +155,10 @@ proptest! {
         seed in 0u64..5000,
         x in 0u64..u64::MAX,
     ) {
-        // The 4-way unrolled fast path, the single-chain lazy Horner and
-        // the precomputed-powers reference must agree on every family
-        // member and every point (the independence range crosses the
-        // unroll dispatch threshold and all stride-4 residues).
+        // The lazy-reduction Horner and the precomputed-powers reference
+        // must agree on every family member and every point.
         let h = PolyHash::new(independence, seed);
         prop_assert_eq!(h.eval(x), h.eval_naive(x));
-        prop_assert_eq!(h.eval_horner(x), h.eval_naive(x));
         prop_assert!(h.eval(x) < MERSENNE_61);
     }
 
@@ -171,15 +168,12 @@ proptest! {
         x in 0u64..u64::MAX,
     ) {
         // Coefficients drawn from the field's boundary values, where lazy
-        // reduction is most likely to go wrong — vector lengths long
-        // enough to exercise the unrolled accumulators and their partial
-        // top chunk in every residue class.
+        // reduction is most likely to go wrong.
         let boundary = [0u64, 1, 2, MERSENNE_61 - 2, MERSENNE_61 - 1];
         let coeffs: Vec<u64> = picks.iter().map(|&i| boundary[i]).collect();
         let h = PolyHash::from_coeffs(coeffs);
         for key in [x, 0, 1, MERSENNE_61 - 1, MERSENNE_61, u64::MAX] {
             prop_assert_eq!(h.eval(key), h.eval_naive(key));
-            prop_assert_eq!(h.eval_horner(key), h.eval_naive(key));
         }
     }
 
@@ -189,10 +183,9 @@ proptest! {
         seed in 0u64..5000,
         keys in proptest::collection::vec(0u64..u64::MAX, 0..30),
     ) {
-        // The transposed multi-key kernel against both the scalar fast
-        // path and the precomputed-powers reference — independence
-        // straddles the n<16 Horner dispatch crossover, and key counts
-        // 0..30 hit every 8-lane/4-lane/scalar-tail remainder class.
+        // The transposed multi-key kernel against both scalar `eval` and
+        // the precomputed-powers reference — key counts 0..30 hit every
+        // 8-lane/4-lane/scalar-tail remainder class.
         let h = PolyHash::new(independence, seed);
         let mut got = vec![0u64; keys.len()];
         h.eval_batch(&keys, &mut got);

@@ -1,36 +1,33 @@
-//! Conformance layer for intra-replay parallelism: the pipelined session
-//! and the sharded decision kernel.
+//! Conformance layer for intra-replay parallelism: the pipelined session.
 //!
 //! The headline risk is the same silent nondeterminism the batch suite
 //! guards against, now *inside* one replay: a chunk boundary dropping or
-//! reordering arrivals, a sharded score fill perturbing the selection
-//! order, a thread count leaking into decisions. This suite pins the
-//! contract: for every built-in algorithm over the generator-model grid,
-//! [`run_source_parallel`] outcomes are **bit-identical** to sequential
+//! reordering arrivals, or a recycled chunk arena leaking members from
+//! one arrival into the next. This suite pins the contract: for every
+//! built-in algorithm over the generator-model grid,
+//! [`run_source_pipelined`] outcomes are **bit-identical** to sequential
 //! [`run`] — completed sets, benefit, the decision digest and `died_at` —
-//! at thread counts 1, 2 and 8, with the digest equal to that of a logged
-//! sequential run's [`DecisionLog`], and the sharded decision
-//! kernel agrees with serial scoring on arrivals wide enough to
-//! trigger it.
+//! with the digest equal to that of a logged sequential run's
+//! [`DecisionLog`], including streams that span several chunks and
+//! arrivals thousands of members wide. The chunk hand-off edge cases
+//! (chunks of 1, partial and exact-boundary tails) are unit tests of the
+//! chunked core in `engine::parallel`.
 
 use osp_core::algorithms::{
     GreedyOnline, HashRandPr, OracleOnline, RandPr, RandomAssign, TieBreak,
 };
-use osp_core::engine::batch::SourceJob;
-use osp_core::engine::parallel::{run_source_parallel_with, SHARDED_DECIDE_MIN};
 use osp_core::gen::{
     biregular_instance, fixed_size_instance, random_instance, BiregularSource, CapacityModel,
     FixedSizeSource, LoadModel, RandomInstanceConfig, UniformSource, WeightModel,
 };
 use osp_core::source::ArrivalSource;
 use osp_core::{
-    derive_seed, run, run_source, run_source_logged, DecisionLog, Instance, OnlineAlgorithm,
-    Outcome, ParallelConfig, ReplayPool, ReplayScratch, SetId,
+    derive_seed, run, run_source, run_source_logged, run_source_pipelined, DecisionLog, Instance,
+    OnlineAlgorithm, Outcome, ReplayPool, ReplayScratch, SetId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const TRIALS: u64 = 6;
 
 /// A named, seeded constructor for a boxed streamed source.
@@ -144,10 +141,12 @@ fn assert_outcomes_identical(label: &str, sequential: &Outcome, parallel: &Outco
 
 #[test]
 fn parallel_replay_is_bit_identical_to_sequential_run() {
-    // The acceptance grid: every algorithm family × generator model ×
-    // thread count, against the sequential reference — a logged run, so
-    // each digest is also checked against the full decision record.
+    // The acceptance grid: every algorithm family × generator model,
+    // against the sequential reference — a logged run, so each digest is
+    // also checked against the full decision record. One scratch serves
+    // every pipelined run, so recycled buffers are exercised too.
     let mut log = DecisionLog::new();
+    let mut scratch = ReplayScratch::new();
     for (model, instance) in instance_grid() {
         let target = oracle_target(&instance);
         for (family, family_name) in FAMILY_NAMES.iter().enumerate() {
@@ -161,23 +160,15 @@ fn parallel_replay_is_bit_identical_to_sequential_run() {
                 )
                 .unwrap();
                 assert_eq!(log.digest(), sequential.digest(), "{model} / {family_name}");
-                for threads in THREAD_COUNTS {
-                    let mut scratch = ReplayScratch::new();
-                    // A small chunk forces several chunk hand-offs even on
-                    // these ~100-arrival streams.
-                    let config = ParallelConfig { threads, chunk: 16 };
-                    let parallel = run_source_parallel_with(
-                        &mut instance.source(),
-                        algorithm(family, seed, &target).as_mut(),
-                        &config,
-                        &mut scratch,
-                    )
-                    .unwrap();
-                    let label =
-                        format!("{model} / {family_name} / trial {trial} / {threads} threads");
-                    assert_outcomes_identical(&label, &sequential, &parallel, instance.num_sets());
-                    assert_eq!(parallel.digest(), log.digest(), "{label}: logged digest");
-                }
+                let parallel = run_source_pipelined(
+                    &mut instance.source(),
+                    algorithm(family, seed, &target).as_mut(),
+                    &mut scratch,
+                )
+                .unwrap();
+                let label = format!("{model} / {family_name} / trial {trial}");
+                assert_outcomes_identical(&label, &sequential, &parallel, instance.num_sets());
+                assert_eq!(parallel.digest(), log.digest(), "{label}: logged digest");
             }
         }
     }
@@ -185,9 +176,10 @@ fn parallel_replay_is_bit_identical_to_sequential_run() {
 
 #[test]
 fn pipelined_streamed_sources_match_sequential_run_source() {
-    // The fused generator sources (the pipeline's raison d'être) at every
-    // thread count, including lazy hashPr whose scoring rides eval_batch.
-    let uniform_cfg = RandomInstanceConfig::unweighted(50, 400, 4);
+    // The fused generator sources (the pipeline's raison d'être),
+    // including lazy hashPr whose scoring rides eval_batch. The uniform
+    // stream spans three chunks, so chunk hand-offs happen at full size.
+    let uniform_cfg = RandomInstanceConfig::unweighted(200, 2_500, 4);
     let zipf_cfg = RandomInstanceConfig {
         num_sets: 40,
         num_elements: 300,
@@ -229,33 +221,21 @@ fn pipelined_streamed_sources_match_sequential_run_source() {
             Box::new(|s| Box::new(RandomAssign::from_seed(s))),
         ),
     ];
+    let mut scratch = ReplayScratch::new();
     for (source_name, source) in &builders {
         for (alg_name, alg) in &algorithms {
             let seed = derive_seed(77, 0);
             let sequential = run_source(&mut source(seed), alg(seed).as_mut()).unwrap();
-            for threads in THREAD_COUNTS {
-                let mut scratch = ReplayScratch::new();
-                let config = ParallelConfig { threads, chunk: 64 };
-                let parallel = run_source_parallel_with(
-                    &mut source(seed),
-                    alg(seed).as_mut(),
-                    &config,
-                    &mut scratch,
-                )
-                .unwrap();
-                assert_eq!(
-                    sequential, parallel,
-                    "{source_name} / {alg_name} / {threads} threads diverged"
-                );
-            }
+            let parallel =
+                run_source_pipelined(&mut source(seed), alg(seed).as_mut(), &mut scratch).unwrap();
+            assert_eq!(sequential, parallel, "{source_name} / {alg_name} diverged");
         }
     }
 }
 
-/// A star instance wide enough to cross [`SHARDED_DECIDE_MIN`]: every
-/// arrival lists all `m` sets, so the sharded decision kernel actually
-/// runs (the conformance grids above stay below the threshold and pin
-/// the dispatch's *serial* side).
+/// A star instance with thousands of members per arrival: every arrival
+/// lists all `m` sets, so the chunk arenas' member pools must grow far
+/// beyond what the narrow grids above ever need.
 fn wide_star(m: usize) -> Instance {
     let mut b = osp_core::InstanceBuilder::new();
     let ids: Vec<SetId> = (0..m)
@@ -277,8 +257,11 @@ fn wide_star(m: usize) -> Instance {
 }
 
 #[test]
-fn sharded_decision_kernel_matches_serial_on_wide_arrivals() {
-    let inst = wide_star(SHARDED_DECIDE_MIN + 501);
+fn pipeline_matches_serial_on_wide_arrivals() {
+    // The star's arrivals list 4597 members each; a narrow instance
+    // replayed afterwards on the same scratch checks the grown arenas
+    // carry nothing over.
+    let inst = wide_star(4597);
     let algorithms: Vec<FixedAlgorithm> = vec![
         (
             "greedy",
@@ -288,25 +271,21 @@ fn sharded_decision_kernel_matches_serial_on_wide_arrivals() {
         ("hashPr", Box::new(|| Box::new(HashRandPr::new(8, 3)))),
         (
             "hashPr-lazy",
-            Box::new(|| Box::new(HashRandPr::new_lazy(8, 3))),
+            Box::new(|| Box::new(HashRandPr::new_lazy(64, 3))),
         ),
     ];
+    let (_, narrow) = instance_grid().swap_remove(0);
+    let mut scratch = ReplayScratch::new();
     for (alg_name, alg) in &algorithms {
-        let sequential = run(&inst, alg().as_mut()).unwrap();
-        for threads in THREAD_COUNTS {
-            let mut scratch = ReplayScratch::new();
-            let parallel = run_source_parallel_with(
-                &mut inst.source(),
-                alg().as_mut(),
-                &ParallelConfig::with_threads(threads),
-                &mut scratch,
-            )
-            .unwrap();
+        for (label, instance) in [("wide star", &inst), ("narrow", &narrow)] {
+            let sequential = run(instance, alg().as_mut()).unwrap();
+            let parallel =
+                run_source_pipelined(&mut instance.source(), alg().as_mut(), &mut scratch).unwrap();
             assert_outcomes_identical(
-                &format!("wide star / {alg_name} / {threads} threads"),
+                &format!("{label} / {alg_name}"),
                 &sequential,
                 &parallel,
-                inst.num_sets(),
+                instance.num_sets(),
             );
         }
     }
@@ -314,52 +293,38 @@ fn sharded_decision_kernel_matches_serial_on_wide_arrivals() {
 
 #[test]
 fn batch_and_intra_replay_parallelism_compose() {
-    // The pool's pipelined lane: OSP_REPLAY_SHARDS-style job fan-out ×
-    // per-job pipeline threads, against plain sequential run_source.
+    // Job fan-out over ReplayPool shards, each job pipelined on its own
+    // scratch, against plain sequential run_source.
     let cfg = RandomInstanceConfig::unweighted(30, 200, 4);
-    let jobs: Vec<SourceJob> = (0..10)
-        .map(|i| SourceJob {
-            source: 0,
-            algorithm: 0,
-            seed: derive_seed(5, i),
-        })
-        .collect();
-    let reference: Vec<Outcome> = jobs
+    let seeds: Vec<u64> = (0..10).map(|i| derive_seed(5, i)).collect();
+    let reference: Vec<Outcome> = seeds
         .iter()
-        .map(|job| {
+        .map(|&seed| {
             run_source(
-                &mut UniformSource::new(&cfg, job.seed).unwrap(),
-                &mut RandPr::from_seed(job.seed),
+                &mut UniformSource::new(&cfg, seed).unwrap(),
+                &mut RandPr::from_seed(seed),
             )
             .unwrap()
         })
         .collect();
     for shards in [1usize, 2, 4] {
-        for threads in THREAD_COUNTS {
-            let got = ReplayPool::new(shards).run_sources_pipelined(
-                &jobs,
-                &|_, seed| Box::new(UniformSource::new(&cfg, seed).unwrap()),
-                &|_, seed| Box::new(RandPr::from_seed(seed)),
-                &ParallelConfig { threads, chunk: 32 },
-            );
-            assert_eq!(got.len(), reference.len());
-            for (i, (want, got)) in reference.iter().zip(&got).enumerate() {
-                assert_eq!(
-                    want,
-                    got.as_ref().unwrap(),
-                    "job {i} diverged at {shards} shards × {threads} threads"
-                );
-            }
-        }
+        let got = ReplayPool::new(shards).map(&seeds, |_, &seed| {
+            run_source_pipelined(
+                &mut UniformSource::new(&cfg, seed).unwrap(),
+                &mut RandPr::from_seed(seed),
+                &mut ReplayScratch::new(),
+            )
+            .unwrap()
+        });
+        assert_eq!(got, reference, "{shards} shards");
     }
 }
 
 #[test]
 fn run_parallel_and_run_source_parallel_agree_with_run() {
-    // The env-driven entry points themselves (whatever OSP_REPLAY_THREADS
-    // happens to be in this test process — the policy maps every value,
-    // including unset, to some thread count, and all of them must be
-    // bit-identical).
+    // The core-count-driven entry points themselves: they pipeline on
+    // this machine or run serially, and either way must be
+    // bit-identical.
     let (_, instance) = instance_grid().swap_remove(1);
     let want = run(&instance, &mut RandPr::from_seed(9)).unwrap();
     let via_instance = osp_core::run_parallel(&instance, &mut RandPr::from_seed(9)).unwrap();

@@ -199,6 +199,49 @@ fn socket_pool_is_bit_identical_to_sequential_at_fleet_sizes_1_2_4() {
 }
 
 #[test]
+fn malformed_spec_fails_only_its_own_job() {
+    // A zero-capacity generator model (which the samplers used to assert
+    // on, killing the worker thread) sits in the middle of a healthy
+    // batch. It must come back as its own typed per-job error; no worker
+    // is excluded, and every other job is bit-identical to sequential
+    // replay.
+    let cfg = RandomInstanceConfig::unweighted(30, 80, 4);
+    let mut jobs = derived_jobs(&ScenarioSpec::Uniform(cfg), &AlgorithmSpec::RandPr, 819, 8);
+    let bad = 3;
+    jobs[bad].scenario = ScenarioSpec::Uniform(RandomInstanceConfig {
+        capacities: CapacityModel::Fixed(0),
+        ..cfg
+    });
+    let servers = fleet(2);
+    let recorder = Recorder::default();
+    let out = pool_over(&servers).run_specs_with_events(&jobs, &recorder);
+    assert_eq!(out.len(), jobs.len());
+    for (i, (job, got)) in jobs.iter().zip(&out).enumerate() {
+        if i == bad {
+            match got {
+                Err(Error::Worker(WorkerError::Remote(why))) => {
+                    assert!(why.contains("capacity range"), "job {i}: {why}");
+                }
+                other => panic!("job {i}: want a remote InvalidSpec, got {other:?}"),
+            }
+        } else {
+            let want = run_spec(job, &NetResolver).unwrap();
+            assert_outcomes_identical(&format!("job {i}"), &want, got.as_ref().unwrap());
+        }
+    }
+    let events = recorder.0.lock().unwrap();
+    assert!(
+        !events
+            .iter()
+            .any(|e| matches!(e, DispatchEvent::WorkerExcluded { .. })),
+        "no lane may be excluded: {events:?}"
+    );
+    for server in servers {
+        server.stop();
+    }
+}
+
+#[test]
 fn injected_mid_batch_kill_re_dispatches_bit_identically() {
     // The acceptance scenario: 3 workers, one carrying a seeded
     // FaultPlan that kills it after 5 answered jobs — mid-batch, with
