@@ -49,8 +49,8 @@
 //! 9. **pipeline** — ONE huge streamed replay two ways: the serial loop
 //!    (`run_source_with_scratch`) and the pipelined session
 //!    (`run_source_pipelined`, producer thread + chunk ring), both on the
-//!    same warm `ReplayScratch`, best of 3 alternating rounds with the
-//!    spread reported. Rows sit in the paper's regime (randPr, m = n/2,
+//!    same warm `ReplayScratch`, best of 3 rounds (the leg that runs
+//!    first swaps every round) with the spread reported. Rows sit in the paper's regime (randPr, m = n/2,
 //!    σ = 4, so k ≈ 8 and the benefit stays nontrivial) at
 //!    n ∈ {10⁶, 10⁷}. The pipelined leg must be bit-identical to the
 //!    serial one (the guarded cells); walls depend on the core count,
@@ -907,10 +907,12 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     }
     report.table(kernel_table);
     report.note(
-        "kernel: eval_batch is the transposed multi-key evaluator (8/4-lane groups, one \
+        "kernel: eval_batch is the transposed multi-key evaluator (8/4-lane groups, then \
+         a 2- or 1-lane group or a zero-padded 4-lane group for the last 1–3 keys; one \
          branchless fold per Horner step, renormalization every 6 steps) feeding the range \
-         fill and the lazy candidate scoring; its speedup over scalar eval is \
-         single-threaded and algorithmic, so it is ratio-guarded like poly_hash_eval. \
+         fill and the lazy candidate scoring; scalar eval is the same kernel at one lane, \
+         so the speedup is the cross-key lanes' instruction-level parallelism, \
+         single-threaded and algorithmic, and ratio-guarded like poly_hash_eval. \
          The begin columns time hashPr's m-slot table fill serially vs across the \
          OSP_PROLOGUE_THREADS prologue seam — that ratio is machine-bound (expect ~1× \
          on a 1-core runner), so only its bit-identical cell is guarded.",
@@ -964,20 +966,33 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             let (mut t_serial, mut t_pipe) = (Vec::new(), Vec::new());
             let mut benefit = 0.0;
             let mut identical = true;
-            for _ in 0..rounds {
-                // Source construction stays outside the timed window: it
-                // is the same O(m) work in both legs, and only the replay
-                // itself is pipelined.
+            // Source construction stays outside the timed window: it is
+            // the same O(m) work in both legs, and only the replay itself
+            // is pipelined.
+            let leg = |pipelined: bool, scratch: &mut ReplayScratch| {
                 let mut src = UniformSource::new(&cfg, pipe_seed).unwrap();
                 let mut alg = RandPr::from_seed(pipe_seed);
-                let (t, serial) =
-                    timed(|| run_source_with_scratch(&mut src, &mut alg, &mut scratch).unwrap());
-                t_serial.push(t);
-                let mut src = UniformSource::new(&cfg, pipe_seed).unwrap();
-                let mut alg = RandPr::from_seed(pipe_seed);
-                let (t, pipelined) =
-                    timed(|| run_source_pipelined(&mut src, &mut alg, &mut scratch).unwrap());
-                t_pipe.push(t);
+                timed(|| {
+                    if pipelined {
+                        run_source_pipelined(&mut src, &mut alg, scratch).unwrap()
+                    } else {
+                        run_source_with_scratch(&mut src, &mut alg, scratch).unwrap()
+                    }
+                })
+            };
+            for round in 0..rounds {
+                // The leg that runs first swaps every round, so a
+                // first-run or thermal bias does not always fall on the
+                // same leg.
+                let ((ts, serial), (tp, pipelined)) = if round % 2 == 0 {
+                    let s = leg(false, &mut scratch);
+                    (s, leg(true, &mut scratch))
+                } else {
+                    let p = leg(true, &mut scratch);
+                    (leg(false, &mut scratch), p)
+                };
+                t_serial.push(ts);
+                t_pipe.push(tp);
                 identical &= pipelined == serial;
                 benefit = serial.benefit();
             }
@@ -1004,7 +1019,8 @@ pub fn run(scale: Scale, seed: u64) -> Report {
          source into a recycled chunk ring while the caller's thread steps the session \
          (run_source_pipelined); the serial leg is run_source_with_scratch. Both legs \
          replay the same streamed UniformSource on one warm ReplayScratch, best of 3 \
-         alternating rounds, source construction untimed; spread is (max − min) / min. \
+         rounds with the leg that runs first swapped every round, source construction \
+         untimed; spread is (max − min) / min. \
          Outcomes are bit-identical to the serial loop (the guarded cells; \
          tests/parallel_replay.rs pins the full grid). run_source_parallel pipelines \
          only when the machine reports at least two cores, and the walls depend on the \

@@ -265,7 +265,10 @@ mod tests {
     use super::*;
     use crate::algorithms::{GreedyOnline, HashRandPr, RandPr, TieBreak};
     use crate::engine::{run, run_source};
-    use crate::gen::{RandomInstanceConfig, UniformSource};
+    use crate::gen::{
+        BiregularSource, CapacityModel, FixedSizeSource, LoadModel, RandomInstanceConfig,
+        UniformSource, WeightModel,
+    };
     use crate::instance::InstanceBuilder;
 
     fn tiny_instance() -> Instance {
@@ -300,29 +303,55 @@ mod tests {
 
     #[test]
     fn pipeline_matches_serial_across_chunk_sizes() {
-        // Chunk sizes around the stream length exercise the partial-chunk
-        // and exact-boundary end conditions, and chunk 1 hands off every
-        // arrival separately. One scratch across all runs also checks that
-        // recycled arenas and buffers carry nothing from run to run.
-        let cfg = RandomInstanceConfig::unweighted(20, 60, 3);
+        // Chunk sizes around the stream lengths (60, 90, 100) exercise the
+        // partial-chunk and exact-boundary end conditions, and chunk 1
+        // hands off every arrival separately. Small chunks recycle each
+        // arena many times, so a field a refill fails to reset (capacities
+        // drawn from 1..=3, members of varying width) shows up as a
+        // diverged outcome. One scratch across all runs also checks that
+        // recycled buffers carry nothing from run to run.
+        type SourceFn = fn() -> Box<dyn ArrivalSource + Send>;
+        let sources: [(&str, SourceFn); 4] = [
+            ("uniform", || {
+                let cfg = RandomInstanceConfig::unweighted(20, 60, 3);
+                Box::new(UniformSource::new(&cfg, 7).unwrap())
+            }),
+            ("zipf", || {
+                let cfg = RandomInstanceConfig {
+                    num_sets: 40,
+                    num_elements: 100,
+                    load: LoadModel::Uniform { lo: 1, hi: 6 },
+                    weights: WeightModel::Zipf { exponent: 1.0 },
+                    capacities: CapacityModel::Uniform { lo: 1, hi: 3 },
+                };
+                Box::new(UniformSource::new(&cfg, 7).unwrap())
+            }),
+            ("bi-regular", || {
+                Box::new(BiregularSource::new(120, 3, 6, 7).unwrap())
+            }),
+            ("fixed-size", || {
+                Box::new(FixedSizeSource::new(40, 4, 90, 1.2, 7).unwrap())
+            }),
+        ];
         let algorithms: [fn() -> Box<dyn OnlineAlgorithm>; 3] = [
             || Box::new(RandPr::from_seed(1)),
             || Box::new(HashRandPr::new_lazy(8, 1)),
             || Box::new(GreedyOnline::new(TieBreak::ByFewestRemaining)),
         ];
         let mut scratch = ReplayScratch::new();
-        for alg in algorithms {
-            let want =
-                run_source(&mut UniformSource::new(&cfg, 7).unwrap(), alg().as_mut()).unwrap();
-            for chunk in [1usize, 7, 60, 64, 100] {
-                let got = pipeline(
-                    &mut UniformSource::new(&cfg, 7).unwrap(),
-                    alg().as_mut(),
-                    &mut scratch,
-                    chunk,
-                )
-                .unwrap();
-                assert_eq!(got, want, "{} at chunk={chunk}", alg().name());
+        for (source_name, source) in sources {
+            for alg in algorithms {
+                let want = run_source(&mut *source(), alg().as_mut()).unwrap();
+                for chunk in [1usize, 7, 60, 64, 90, 100] {
+                    let got =
+                        pipeline(&mut *source(), alg().as_mut(), &mut scratch, chunk).unwrap();
+                    assert_eq!(
+                        got,
+                        want,
+                        "{source_name} / {} at chunk={chunk}",
+                        alg().name()
+                    );
+                }
             }
         }
     }

@@ -22,8 +22,8 @@ pub const MERSENNE_61: u64 = (1 << 61) - 1;
 /// Compiled only under `debug_assertions` so the release hot path carries
 /// zero bookkeeping; the counter is thread-local, so concurrent table
 /// builds don't race it. [`eval`](PolyHash::eval) and
-/// [`eval_batch`](PolyHash::eval_batch) each count one evaluation per key
-/// (`eval_batch`'s scalar tail never double-counts).
+/// [`eval_batch`](PolyHash::eval_batch) each count one evaluation per key,
+/// whichever lane group evaluates it.
 #[cfg(debug_assertions)]
 pub mod eval_count {
     use std::cell::Cell;
@@ -141,29 +141,17 @@ impl PolyHash {
 
     /// Evaluates the hash at `x`, returning a value in `[0, 2^61 − 1)`.
     ///
-    /// Single-chain Horner with lazy Mersenne reduction: each step keeps
-    /// the accumulator below `2^62` with two branchless `fold61` folds
-    /// (entering a step `acc < 2^62` and `x < 2^61`, so `acc·x + c <
-    /// 2^124`; one fold brings that under `2^64`, a second under `2^62`),
-    /// and the value is canonicalized once at the end.
+    /// Horner with lazy Mersenne reduction: one lane of the kernel behind
+    /// [`eval_batch`](Self::eval_batch) (one branchless fold per step, a
+    /// full normalization every 6 steps, canonicalized once at the end),
+    /// so the two agree bit for bit by construction.
     /// [`eval_naive`](Self::eval_naive) is the obviously-correct
     /// reference; the osp-gf proptests pin the two to agree everywhere.
     pub fn eval(&self, x: u64) -> u64 {
         count_evals(1);
-        self.eval_uncounted(x)
-    }
-
-    /// [`eval`](Self::eval) minus the debug evaluation counter — also
-    /// [`eval_batch`](Self::eval_batch)'s scalar tail, which has already
-    /// counted its keys.
-    #[inline]
-    fn eval_uncounted(&self, x: u64) -> u64 {
-        let x = (x % MERSENNE_61) as u128;
-        let mut acc: u128 = 0; // invariant: acc < 2^62
-        for &c in self.coeffs.iter().rev() {
-            acc = fold61(fold61(acc * x + c as u128));
-        }
-        reduce128(acc)
+        let mut out = [0u64];
+        Self::eval_lanes::<1>(&self.coeffs, &[x], &mut out);
+        out[0]
     }
 
     /// Evaluates the hash at every key of `xs`, writing `out[i] =
@@ -176,13 +164,13 @@ impl PolyHash {
     /// and stack-resident lane state keep it trivially reentrant), and
     /// the table-free lazy scoring mode.
     ///
-    /// Keys are processed in transposed lanes of 8 (then 4, then a scalar
-    /// tail), each lane running its own Horner recurrence one *shared*
-    /// coefficient at a time. The cross-key lanes supply the
+    /// Keys are processed in transposed lanes of 8, then 4; the last 1–3
+    /// keys run as a 1- or 2-lane group, or (three keys) a 4-lane group
+    /// padded with a zero key. Each lane runs its own Horner recurrence
+    /// one *shared* coefficient at a time. The cross-key lanes supply the
     /// instruction-level parallelism that a single Horner chain lacks,
-    /// and because no lane depends on another, the reduction can get
-    /// lazier than the scalar path's two folds per step: accumulators
-    /// live in `u64`, each step performs a **single**
+    /// and because no lane depends on another, the reduction stays lazy:
+    /// accumulators live in `u64`, each step performs a **single**
     /// branchless fold (`(lo & M) + ((lo >> 61) | (hi << 3))`, a
     /// funnel-shift on the 128-bit product halves), and a full
     /// re-normalization runs only once every 6 steps. Bounds: keys are
@@ -192,9 +180,10 @@ impl PolyHash {
     /// `u64` lane — while the 128-bit product `acc·x + c` stays below
     /// `2^125`, so its high half is below `2^61` and the funnel shift is
     /// exact. Every fold preserves the value modulo `2^61 − 1`, and
-    /// `reduce128` canonicalizes each lane at the end, which is what
-    /// makes the result *bit*-identical to [`eval`](Self::eval) rather
-    /// than merely congruent.
+    /// `reduce128` canonicalizes each lane at the end, so every lane
+    /// count yields the canonical value: the result is *bit*-identical to
+    /// [`eval`](Self::eval) (the 1-lane group) rather than merely
+    /// congruent.
     ///
     /// # Panics
     ///
@@ -230,9 +219,19 @@ impl PolyHash {
             Self::eval_lanes::<4>(&self.coeffs, &xs[i..i + 4], &mut out[i..i + 4]);
             i += 4;
         }
-        while i < n {
-            out[i] = self.eval_uncounted(xs[i]);
-            i += 1;
+        match n - i {
+            0 => {}
+            1 => Self::eval_lanes::<1>(&self.coeffs, &xs[i..], &mut out[i..]),
+            2 => Self::eval_lanes::<2>(&self.coeffs, &xs[i..], &mut out[i..]),
+            _ => {
+                // Three keys ride a 4-lane group padded with a zero key:
+                // one more lane costs less than a separate third chain.
+                let mut keys = [0u64; 4];
+                let mut vals = [0u64; 4];
+                keys[..3].copy_from_slice(&xs[i..]);
+                Self::eval_lanes::<4>(&self.coeffs, &keys, &mut vals);
+                out[i..].copy_from_slice(&vals[..3]);
+            }
         }
     }
 
@@ -358,21 +357,25 @@ mod tests {
 
     #[test]
     fn eval_batch_matches_eval_for_every_remainder() {
-        // Key counts covering every lane-dispatch shape (8s, a 4, a
-        // scalar tail) at short and long lengths; keys include field
-        // boundaries.
+        // Key counts covering every lane-dispatch shape (8s, a 4, then a
+        // 1-, 2- or padded 3-key tail) at short and long lengths; keys
+        // include field boundaries. The naive reference checks each key,
+        // since eval is itself the 1-lane kernel.
         for len in [1usize, 4, 8, 15, 16, 17, 19, 64] {
             let h = PolyHash::new(len, 500 + len as u64);
             let keys: Vec<u64> = (0..23u64)
                 .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
                 .chain([0, 1, MERSENNE_61 - 1, MERSENNE_61, u64::MAX])
                 .collect();
-            for count in [0usize, 1, 3, 4, 5, 7, 8, 9, 12, 13, 16, 21, 28] {
+            for count in [
+                0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 21, 28,
+            ] {
                 let xs = &keys[..count];
                 let mut out = vec![0u64; count];
                 h.eval_batch(xs, &mut out);
                 for (&x, &got) in xs.iter().zip(&out) {
                     assert_eq!(got, h.eval(x), "len {len}, count {count}, key {x}");
+                    assert_eq!(got, h.eval_naive(x), "len {len}, count {count}, key {x}");
                 }
             }
         }
@@ -409,11 +412,11 @@ mod tests {
         h.unit(3);
         assert_eq!(eval_count::get(), 3);
         eval_count::reset();
-        let xs: Vec<u64> = (0..13).collect(); // 8 + 4 + 1 scalar tail
-        let mut out = vec![0u64; 13];
+        let xs: Vec<u64> = (0..15).collect(); // 8 + 4 + a padded 3
+        let mut out = vec![0u64; 15];
         h.eval_batch(&xs, &mut out);
         wide.eval_batch(&xs, &mut out);
-        assert_eq!(eval_count::get(), 26);
+        assert_eq!(eval_count::get(), 30);
     }
 
     #[test]

@@ -185,7 +185,7 @@ proptest! {
     ) {
         // The transposed multi-key kernel against both scalar `eval` and
         // the precomputed-powers reference — key counts 0..30 hit every
-        // 8-lane/4-lane/scalar-tail remainder class.
+        // 8-lane/4-lane/1-to-3-key tail remainder class.
         let h = PolyHash::new(independence, seed);
         let mut got = vec![0u64; keys.len()];
         h.eval_batch(&keys, &mut got);
@@ -203,7 +203,7 @@ proptest! {
     ) {
         // Boundary coefficients (where the six-step renormalization bound
         // is tightest) against boundary keys, at a width that exercises
-        // full 8-lanes, the 4-lane middle, and the scalar tail at once.
+        // full 8-lanes, the 4-lane middle, and a 1-key tail at once.
         let boundary = [0u64, 1, 2, MERSENNE_61 - 2, MERSENNE_61 - 1];
         let coeffs: Vec<u64> = picks.iter().map(|&i| boundary[i]).collect();
         let h = PolyHash::from_coeffs(coeffs);

@@ -177,12 +177,13 @@ fn parallel_replay_is_bit_identical_to_sequential_run() {
 #[test]
 fn pipelined_streamed_sources_match_sequential_run_source() {
     // The fused generator sources (the pipeline's raison d'être),
-    // including lazy hashPr whose scoring rides eval_batch. The uniform
-    // stream spans three chunks, so chunk hand-offs happen at full size.
+    // including lazy hashPr whose scoring rides eval_batch. Every stream
+    // spans at least three full-size chunks, so the ring recycles an arena
+    // that held other capacities and member widths before.
     let uniform_cfg = RandomInstanceConfig::unweighted(200, 2_500, 4);
     let zipf_cfg = RandomInstanceConfig {
-        num_sets: 40,
-        num_elements: 300,
+        num_sets: 400,
+        num_elements: 2_500,
         load: LoadModel::Uniform { lo: 1, hi: 6 },
         weights: WeightModel::Zipf { exponent: 1.0 },
         capacities: CapacityModel::Uniform { lo: 1, hi: 3 },
@@ -198,11 +199,11 @@ fn pipelined_streamed_sources_match_sequential_run_source() {
         ),
         (
             "bi-regular",
-            Box::new(|seed| Box::new(BiregularSource::new(36, 3, 6, seed).unwrap())),
+            Box::new(|seed| Box::new(BiregularSource::new(5_000, 3, 6, seed).unwrap())),
         ),
         (
             "fixed-size",
-            Box::new(|seed| Box::new(FixedSizeSource::new(48, 4, 200, 1.2, seed).unwrap())),
+            Box::new(|seed| Box::new(FixedSizeSource::new(3_000, 4, 10_000, 0.8, seed).unwrap())),
         ),
     ];
     let algorithms: Vec<SeededAlgorithm> = vec![
@@ -226,6 +227,12 @@ fn pipelined_streamed_sources_match_sequential_run_source() {
         for (alg_name, alg) in &algorithms {
             let seed = derive_seed(77, 0);
             let sequential = run_source(&mut source(seed), alg(seed).as_mut()).unwrap();
+            // Two chunks of the pipeline's 1024 arrivals fill the ring.
+            assert!(
+                sequential.arrivals() > 2 * 1024,
+                "{source_name}: {} arrivals",
+                sequential.arrivals()
+            );
             let parallel =
                 run_source_pipelined(&mut source(seed), alg(seed).as_mut(), &mut scratch).unwrap();
             assert_eq!(sequential, parallel, "{source_name} / {alg_name} diverged");
