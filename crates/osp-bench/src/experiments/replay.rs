@@ -22,13 +22,13 @@
 //!    arena vs the source's O(m) state — the `mem ratio` column is
 //!    deterministic and ratio-guarded in CI);
 //! 6. **distributed** — the same `JobSpec` work-list through sequential
-//!    `run_spec`, the thread dispatcher (`SpecPool`) and `osp-worker`
-//!    child processes (`ProcessPool`), asserting all three bit-identical
-//!    (the `bit-identical` column CI's `bench_guard` requires to exist
-//!    and read `true`) while measuring the process-boundary cost. Wall
-//!    numbers here are machine-bound (workers default to the core
-//!    count; override with `OSP_WORKERS`), so the `speedup` column is
-//!    informational, not ratio-guarded;
+//!    `run_spec`, the thread dispatcher (`SpecPool`) and `osp-worker
+//!    --listen` children spawned per batch (`ProcessPool`), asserting all
+//!    three bit-identical (the `bit-identical` column CI's `bench_guard`
+//!    requires to exist and read `true`) while measuring the
+//!    process-boundary cost. Wall numbers here are machine-bound
+//!    (workers default to the core count; override with `OSP_WORKERS`),
+//!    so the `speedup` column is informational, not ratio-guarded;
 //! 7. **socket** — the same work-list again, this time across a loopback
 //!    fleet of spawned `osp-worker --listen` processes ([`SocketPool`]:
 //!    handshake, heartbeats, timeout/re-dispatch), asserting the fleet
@@ -72,8 +72,8 @@ use osp_core::gen::{random_instance, RandomInstanceConfig, UniformSource};
 use osp_core::spec::{run_spec, AlgorithmSpec, ScenarioSpec};
 use osp_core::wire::socket::WorkerAddr;
 use osp_core::{
-    derived_jobs, run as engine_run, run_source, worker_binary, Dispatcher, OnlineAlgorithm,
-    Outcome, ProcessPool, ReplayJob, SetId, SocketPool, SpecPool,
+    derived_jobs, run as engine_run, run_source, spawn_listening, worker_binary, Dispatcher,
+    OnlineAlgorithm, Outcome, ProcessPool, ReplayJob, SetId, SocketPool, SpecPool,
 };
 use osp_gf::hash::PolyHash;
 use osp_net::NetResolver;
@@ -100,24 +100,15 @@ fn arrivals_per_sec(trials: usize, elements: usize, seconds: f64) -> String {
 /// A seeded constructor for one benchmarked algorithm family.
 type AlgorithmFactory = fn(u64) -> Box<dyn OnlineAlgorithm>;
 
-/// One spawned `osp-worker --listen` child of the socket section's
-/// loopback fleet: the process and its resolved address (parsed from
-/// the worker's `listening on <addr>` banner). Stderr goes to
-/// `<log_dir>/<name>.log` for CI to collect.
-struct FleetWorker {
-    child: std::process::Child,
-    addr: WorkerAddr,
-}
-
-/// Spawns one `osp-worker --listen 127.0.0.1:0` child, stderr to
-/// `<log_dir>/<name>.log`, optionally carrying an `OSP_FAULT` plan (the
-/// ambient variable is always cleared first so only the explicit plan
-/// applies).
+/// One spawned `osp-worker --listen 127.0.0.1:0` child of the socket
+/// section's loopback fleet and the address from its banner. Stderr
+/// goes to `<log_dir>/<name>.log` for CI to collect; the ambient
+/// `OSP_FAULT` is cleared so only the explicit `fault` plan applies.
 fn spawn_worker(
     log_dir: &std::path::Path,
     name: &str,
     fault: Option<&str>,
-) -> Result<FleetWorker, String> {
+) -> Result<(std::process::Child, WorkerAddr), String> {
     let binary = worker_binary().map_err(|e| e.to_string())?;
     std::fs::create_dir_all(log_dir).map_err(|e| format!("creating {}: {e}", log_dir.display()))?;
     let log = log_dir.join(format!("{name}.log"));
@@ -126,26 +117,12 @@ fn spawn_worker(
     let mut command = std::process::Command::new(binary);
     command
         .args(["--listen", "127.0.0.1:0"])
-        .stdin(std::process::Stdio::null())
-        .stdout(std::process::Stdio::piped())
         .stderr(stderr)
         .env_remove("OSP_FAULT");
     if let Some(plan) = fault {
         command.env("OSP_FAULT", plan);
     }
-    let mut child = command
-        .spawn()
-        .map_err(|e| format!("spawning osp-worker --listen: {e}"))?;
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut banner = String::new();
-    std::io::BufRead::read_line(&mut std::io::BufReader::new(stdout), &mut banner)
-        .map_err(|e| format!("reading worker banner: {e}"))?;
-    let addr = banner
-        .trim()
-        .strip_prefix("listening on ")
-        .ok_or_else(|| format!("unexpected worker banner {banner:?}"))
-        .and_then(WorkerAddr::parse)?;
-    Ok(FleetWorker { child, addr })
+    spawn_listening(&mut command).map_err(|e| e.to_string())
 }
 
 /// Waits up to ~5 s for `child` to exit on its own (a fault-killed
@@ -612,11 +589,11 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             let selected = crate::pool::dispatcher();
             report.note(format!(
                 "distributed: the same serialized JobSpecs replayed three ways — in-process, \
-                 across {} thread shard(s), and across {} osp-worker process(es) fed \
-                 length-prefixed frames over pipes. Outcomes (incl. decision digest and died_at) \
-                 must be bit-identical on every row; wall clocks include \
-                 serialize/spawn/pipe overhead and scale with the machine, so only the \
-                 identity column is guarded. Spec-shaped fan-out obtains its backend from \
+                 across {} thread shard(s), and across {} osp-worker --listen process(es) \
+                 spawned per batch and fed length-prefixed frames over Unix sockets. Outcomes \
+                 (incl. decision digest and died_at) must be bit-identical on every row; wall \
+                 clocks include serialize/spawn/socket overhead and scale with the machine, so \
+                 only the identity column is guarded. Spec-shaped fan-out obtains its backend from \
                  osp_bench::pool::dispatcher() — OSP_DISPATCH currently selects the {} \
                  backend with {} lane(s).",
                 threads.lanes(),
@@ -643,7 +620,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     );
     let mut all_socket_identical = true;
     let log_dir = std::path::Path::new("socket-worker-logs");
-    let fleet: Result<Vec<FleetWorker>, String> = (0..3)
+    let fleet: Result<Vec<_>, String> = (0..3)
         .map(|i| spawn_worker(log_dir, &format!("worker-{i}"), None))
         .collect();
     match fleet {
@@ -656,7 +633,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             ));
         }
         Ok(mut fleet) => {
-            let addrs: Vec<WorkerAddr> = fleet.iter().map(|w| w.addr.clone()).collect();
+            let addrs: Vec<WorkerAddr> = fleet.iter().map(|(_, addr)| addr.clone()).collect();
             let pool = SocketPool::new(addrs);
             let (m, n, sigma) = (200usize, 2_000usize, 6u32);
             let uniform = ScenarioSpec::Uniform(RandomInstanceConfig::unweighted(m, n, sigma));
@@ -710,9 +687,9 @@ pub fn run(scale: Scale, seed: u64) -> Report {
                     identical.to_string(),
                 ]);
             }
-            for worker in &mut fleet {
-                let _ = worker.child.kill();
-                let _ = worker.child.wait();
+            for (child, _) in &mut fleet {
+                let _ = child.kill();
+                let _ = child.wait();
             }
 
             // The fault row: a fresh mini-fleet whose first worker dies
@@ -722,7 +699,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             // identity cell requires both bit-identical outcomes AND the
             // planned death (exit code 86).
             let fault_trials: u64 = scale.pick(18, 48);
-            let fault_fleet: Result<Vec<FleetWorker>, String> = ["die:5", "", ""]
+            let fault_fleet: Result<Vec<_>, String> = ["die:5", "", ""]
                 .iter()
                 .enumerate()
                 .map(|(i, plan)| {
@@ -739,7 +716,8 @@ pub fn run(scale: Scale, seed: u64) -> Report {
                     report.note(format!("socket fault row: SKIPPED — {e}."));
                 }
                 Ok(mut fleet) => {
-                    let pool = SocketPool::new(fleet.iter().map(|w| w.addr.clone()).collect());
+                    let pool =
+                        SocketPool::new(fleet.iter().map(|(_, addr)| addr.clone()).collect());
                     let jobs = derived_jobs(
                         &uniform,
                         &AlgorithmSpec::RandPr,
@@ -757,10 +735,10 @@ pub fn run(scale: Scale, seed: u64) -> Report {
                             .iter()
                             .zip(&sequential)
                             .all(|(g, w)| g.as_ref() == Ok(w));
-                    let fault_fired = reap(&mut fleet[0].child) == Some(86);
-                    for worker in fleet.iter_mut().skip(1) {
-                        let _ = worker.child.kill();
-                        let _ = worker.child.wait();
+                    let fault_fired = reap(&mut fleet[0].0) == Some(86);
+                    for (child, _) in fleet.iter_mut().skip(1) {
+                        let _ = child.kill();
+                        let _ = child.wait();
                     }
                     let identical = outcomes_identical && fault_fired;
                     all_socket_identical &= identical;

@@ -22,7 +22,9 @@
 //! seeds, same order, bit-identical outcomes either way (pinned by
 //! `tests/process_pool_conformance.rs`).
 
-pub use osp_core::{Dispatcher, ProcessPool, ReplayJob, ReplayPool, SocketPool, SpecPool};
+pub use osp_core::{
+    DispatchChoice, Dispatcher, ProcessPool, ReplayJob, ReplayPool, SocketPool, SpecPool,
+};
 use osp_net::NetResolver;
 use osp_stats::SeedSequence;
 
@@ -38,51 +40,22 @@ pub fn pool() -> ReplayPool {
 /// * unset or `threads` — [`SpecPool`] over the shared [`pool`], resolving
 ///   specs in-process through the full workspace registry
 ///   ([`NetResolver`]);
-/// * `processes` — a [`ProcessPool`] of `osp-worker` children sized by
-///   `OSP_WORKERS` (build the binary first:
+/// * `processes` (or `procs`) — a [`ProcessPool`] of `osp-worker`
+///   children sized by `OSP_WORKERS` (build the binary first:
 ///   `cargo build --release --bin osp-worker`);
 /// * `socket` (or `sockets`) — a [`SocketPool`] over the fleet named by
 ///   `OSP_WORKER_ADDRS` (comma-separated `host:port` / `uds:/path`
 ///   addresses of running `osp-worker --listen` processes).
 ///
-/// Unrecognized values fall back to threads with a note on stderr — the
-/// same hardened junk-tolerant policy as
+/// The value is parsed by [`DispatchChoice::parse`], the same parser
+/// `osp-serve` uses. Unrecognized values fall back to threads with a
+/// note on stderr — the same hardened junk-tolerant policy as
 /// [`env_parallelism`](osp_core::env_parallelism), because outcomes are
 /// bit-identical on every backend, so an experiment never blocks on a
 /// typo. Likewise `processes` without a locatable worker binary and
 /// `socket` without a reachable `OSP_WORKER_ADDRS` fall back to threads.
 pub fn dispatcher() -> Box<dyn Dispatcher> {
     dispatcher_for(std::env::var("OSP_DISPATCH").ok().as_deref())
-}
-
-/// Which backend an `OSP_DISPATCH` value selects — the pure, unit-tested
-/// parse core of [`dispatcher`] (no environment, no I/O).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchChoice {
-    /// In-process thread shards (the default).
-    Threads,
-    /// `osp-worker` child processes over pipes.
-    Processes,
-    /// A socket fleet from `OSP_WORKER_ADDRS`.
-    Socket,
-    /// Junk: fall back to threads, with a note naming the raw value.
-    Unknown,
-}
-
-impl DispatchChoice {
-    /// Parses a raw `OSP_DISPATCH` value: trimmed, case-insensitive;
-    /// `None`/empty means [`Threads`](Self::Threads).
-    pub fn parse(raw: Option<&str>) -> DispatchChoice {
-        let Some(raw) = raw else {
-            return DispatchChoice::Threads;
-        };
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "" | "threads" | "thread" => DispatchChoice::Threads,
-            "processes" | "process" => DispatchChoice::Processes,
-            "socket" | "sockets" => DispatchChoice::Socket,
-            _ => DispatchChoice::Unknown,
-        }
-    }
 }
 
 /// Backend construction behind [`dispatcher`]: `choice` is the raw
@@ -171,6 +144,10 @@ mod tests {
         );
         assert_eq!(
             DispatchChoice::parse(Some(" PROCESS ")),
+            DispatchChoice::Processes
+        );
+        assert_eq!(
+            DispatchChoice::parse(Some("procs")),
             DispatchChoice::Processes
         );
         assert_eq!(

@@ -339,7 +339,7 @@ impl ReplayPool {
 
     /// The data-driven lane: replays every [`JobSpec`] through `resolver`
     /// and returns the outcomes in job order — the thread-backed twin of
-    /// the process pool
+    /// the worker-process pool
     /// ([`ProcessPool`](super::dispatch::ProcessPool)), sharing the same
     /// seed and ordering contract: seeds are fixed in the specs before
     /// fan-out, shards resolve their jobs locally, results come back in

@@ -1,5 +1,5 @@
 //! Backend-agnostic dispatch of [`JobSpec`] work-lists: threads or
-//! processes behind one contract.
+//! worker processes behind one contract.
 //!
 //! A [`Dispatcher`] takes a list of fully-specified jobs and returns their
 //! outcomes **in submission order**, bit-identical to the sequential
@@ -13,22 +13,23 @@
 //! * **order is submission order** — results are merged back
 //!   positionally, never by completion time.
 //!
-//! Three backends implement it:
+//! Three backends implement it, over one wire transport:
 //!
 //! * [`SpecPool`] — `std::thread` shards via
 //!   [`ReplayPool::run_specs`](ReplayPool::run_specs), resolving specs
 //!   in-process;
-//! * [`ProcessPool`] — `osp-worker` child processes fed framed specs over
-//!   stdin and answering framed outcomes over stdout ([`wire`]);
 //! * [`SocketPool`] — a fleet of `osp-worker --listen` endpoints
-//!   (TCP or Unix-domain, [`WorkerAddr`]) spoken to over the same frames,
-//!   with connect retry/backoff ([`RetryPolicy`]), read deadlines, an
-//!   in-band heartbeat, and **chunk re-dispatch**: when a worker dies
-//!   mid-batch its unanswered jobs are re-chunked across the survivors,
-//!   and only with every worker dead does a job fail
-//!   ([`WorkerError::AllWorkersDead`]). Because outcomes are pure
+//!   (TCP or Unix-domain, [`WorkerAddr`]) spoken to over framed socket
+//!   sessions ([`wire`]), with connect retry/backoff ([`RetryPolicy`]),
+//!   read deadlines, an in-band heartbeat, and **chunk re-dispatch**:
+//!   when a worker dies mid-batch its unanswered jobs are re-chunked
+//!   across the survivors, and only with every worker dead does a job
+//!   fail ([`WorkerError::AllWorkersDead`]). Because outcomes are pure
 //!   functions of the specs, recovery never changes results — just who
-//!   computes them.
+//!   computes them;
+//! * [`ProcessPool`] — a launcher over [`SocketPool`]: every batch
+//!   spawns fresh `osp-worker --listen uds:` children
+//!   ([`spawn_listening`]), runs the batch through them, then kills them.
 //!
 //! `tests/process_pool_conformance.rs` pins sequential, threads and
 //! processes bit-identical across the algorithm × generator grid at
@@ -37,9 +38,11 @@
 //! mid-batch faults ([`FaultPlan`](crate::wire::FaultPlan)).
 
 use std::collections::VecDeque;
-use std::io::{BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::os::unix::fs::DirBuilderExt;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -61,8 +64,9 @@ use crate::wire::socket::{ping, read_hello, Stream, WorkerAddr};
 pub enum DispatchEvent {
     /// A monotonic progress tick: `answered` of `total` jobs have a final
     /// result (an outcome or a per-job error). Backends emit this at
-    /// their natural granularity — per lane for pools, per recovery round
-    /// for socket fleets — so ticks are coarse, not per-job.
+    /// their natural granularity — once for the thread pool, per recovery
+    /// round for socket fleets and process pools — so ticks are coarse,
+    /// not per-job.
     Progress {
         /// Jobs with a final result so far.
         answered: usize,
@@ -148,10 +152,42 @@ pub trait Dispatcher {
     fn backend(&self) -> &'static str;
 
     /// A live handle onto this backend's supervised fleet, if it has
-    /// one. Only the socket backend does — in-process and child-process
-    /// pools have fixed lanes and return `None` (the default).
+    /// one. Only the socket backend does — the thread pool has fixed
+    /// lanes and the process pool a fresh fleet per batch, so both
+    /// return `None` (the default).
     fn fleet(&self) -> Option<FleetHandle> {
         None
+    }
+}
+
+/// Which backend an `OSP_DISPATCH` value names — the one parser behind
+/// `osp-serve` (where [`Unknown`](Self::Unknown) is fatal) and the bench
+/// harness (where it falls back to threads with a note).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DispatchChoice {
+    /// In-process thread shards (the default).
+    Threads,
+    /// `osp-worker` child processes ([`ProcessPool`]).
+    Processes,
+    /// A socket fleet from `OSP_WORKER_ADDRS` ([`SocketPool`]).
+    Socket,
+    /// Not a backend name.
+    Unknown,
+}
+
+impl DispatchChoice {
+    /// Parses a raw `OSP_DISPATCH` value: trimmed, case-insensitive;
+    /// `None`/empty means [`Threads`](Self::Threads).
+    pub fn parse(raw: Option<&str>) -> DispatchChoice {
+        let Some(raw) = raw else {
+            return DispatchChoice::Threads;
+        };
+        match raw.trim().to_ascii_lowercase().as_str() {
+            "" | "threads" | "thread" => DispatchChoice::Threads,
+            "processes" | "process" | "procs" => DispatchChoice::Processes,
+            "socket" | "sockets" => DispatchChoice::Socket,
+            _ => DispatchChoice::Unknown,
+        }
     }
 }
 
@@ -287,17 +323,64 @@ pub fn worker_binary() -> Result<PathBuf, Error> {
     locate_worker()
 }
 
-/// The process backend: `N` `osp-worker` child processes, each fed a
-/// contiguous chunk of the job list as framed [`JobSpec`]s on stdin and
-/// answering framed outcomes on stdout ([`wire`]).
+/// Spawns one listening worker and waits for its `listening on <addr>`
+/// banner — the one way this crate brings up a worker process. The caller
+/// builds `command` (program, `--listen <addr>`, environment, stderr);
+/// this sets stdin to null and stdout to a pipe, reads the first stdout
+/// line, and returns the child with the address it announced. The pipe
+/// is closed after the banner, so the worker must print nothing else to
+/// stdout. The child stays the caller's to kill and reap.
+///
+/// # Errors
+///
+/// [`WorkerError::Spawn`] if the command cannot start, or if its first
+/// stdout line is missing or is not the banner; the child is killed and
+/// reaped before the error returns.
+pub fn spawn_listening(command: &mut Command) -> Result<(Child, WorkerAddr), Error> {
+    let program = command.get_program().to_string_lossy().into_owned();
+    let mut child = command
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .spawn()
+        .map_err(|e| WorkerError::Spawn(format!("spawning worker `{program}`: {e}")))?;
+    let mut banner = String::new();
+    // Bounded, so a child that floods stdout without a newline cannot
+    // grow the banner without limit.
+    let read = BufReader::new(child.stdout.take().expect("stdout was piped"))
+        .take(512)
+        .read_line(&mut banner);
+    let addr = match read {
+        Ok(_) => banner
+            .trim()
+            .strip_prefix("listening on ")
+            .ok_or_else(|| format!("unexpected banner {banner:?}"))
+            .and_then(WorkerAddr::parse),
+        Err(e) => Err(format!("reading the banner: {e}")),
+    };
+    match addr {
+        Ok(addr) => Ok((child, addr)),
+        Err(cause) => {
+            let _ = child.kill();
+            let _ = child.wait();
+            Err(WorkerError::Spawn(format!("worker `{program}`: {cause}")).into())
+        }
+    }
+}
+
+/// The process backend: fresh `osp-worker --listen` children for every
+/// batch, each on a Unix socket in a private temporary directory, driven
+/// through a [`SocketPool`]. The children speak the same socket sessions
+/// as any fleet member, so a child that crashes mid-batch has its
+/// unanswered jobs re-dispatched to the surviving children, and only
+/// with every child dead does a job fail
+/// ([`WorkerError::AllWorkersDead`]). A command that cannot start or
+/// never prints its banner fails every job with [`WorkerError::Spawn`].
 ///
 /// Determinism is inherited from the specs themselves: a worker rebuilds
 /// each job's source and algorithm from `(spec, seed)` exactly as a
 /// thread shard would, so outcomes are bit-identical to [`SpecPool`] and
 /// to sequential [`run_spec`](crate::spec::run_spec) at any worker count
-/// (pinned by `tests/process_pool_conformance.rs`). A worker that cannot
-/// be spawned or dies mid-stream fails *its* jobs with
-/// [`Error::Worker`]; the other workers' results are unaffected.
+/// (pinned by `tests/process_pool_conformance.rs`).
 #[derive(Debug, Clone)]
 pub struct ProcessPool {
     workers: usize,
@@ -322,7 +405,8 @@ impl ProcessPool {
     }
 
     /// A pool running an explicit worker command (`argv[0]` plus
-    /// arguments) — how embedded workers are wired up (e.g.
+    /// arguments), to which each spawn appends `--listen uds:<path>` —
+    /// how embedded workers are wired up (e.g.
     /// `examples/distributed_replay.rs` re-executes itself with
     /// `--worker`). The command is spawned lazily at
     /// [`run_specs`](Dispatcher::run_specs) time.
@@ -350,78 +434,6 @@ impl ProcessPool {
     pub fn workers(&self) -> usize {
         self.workers
     }
-
-    /// Runs one contiguous chunk through one worker process.
-    fn run_chunk(&self, jobs: &[JobSpec]) -> Vec<Result<Outcome, Error>> {
-        let spawned = Command::new(&self.command[0])
-            .args(&self.command[1..])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn();
-        let mut child: Child = match spawned {
-            Ok(child) => child,
-            Err(e) => {
-                let err = WorkerError::Spawn(format!("spawning worker `{}`: {e}", self.command[0]));
-                return jobs
-                    .iter()
-                    .map(|_| Err(Error::Worker(err.clone())))
-                    .collect();
-            }
-        };
-        let mut stdin = child.stdin.take().expect("stdin was piped");
-        let mut stdout = BufReader::new(child.stdout.take().expect("stdout was piped"));
-
-        let mut results: Vec<Result<Outcome, Error>> = Vec::with_capacity(jobs.len());
-        std::thread::scope(|scope| {
-            // Feed the jobs from a separate thread: the worker answers
-            // while we are still writing, so neither pipe can fill up and
-            // deadlock the pair. Dropping stdin at the end is the
-            // shutdown signal (clean EOF between frames).
-            let feeder = scope.spawn(move || {
-                for job in jobs {
-                    if wire::write_message(&mut stdin, job).is_err() {
-                        // Worker died; the reader reports the damage.
-                        break;
-                    }
-                }
-                let _ = stdin.flush();
-            });
-            for _ in 0..jobs.len() {
-                match wire::read_message::<_, wire::reply::Reply>(&mut stdout) {
-                    Ok(Some(reply)) => results.push(wire::reply::decode(reply)),
-                    Ok(None) => break, // worker exited early; pad below
-                    Err(e) => {
-                        results.push(Err(e));
-                        break;
-                    }
-                }
-            }
-            if results.len() < jobs.len() {
-                // The reader bailed early (protocol garbage or premature
-                // EOF). A non-conforming worker may still be alive and
-                // never reading its stdin, which would leave the feeder
-                // blocked on a full pipe forever — kill the child so the
-                // feeder's writes fail and the scope can join.
-                let _ = child.kill();
-            }
-            feeder.join().expect("worker feeder thread panicked");
-        });
-        // Reap; a nonzero exit only matters if replies are also missing.
-        let status = child.wait();
-        while results.len() < jobs.len() {
-            let cause = match &status {
-                Ok(s) if !s.success() => format!("worker exited with {s} before answering"),
-                Ok(_) => "worker closed its stream before answering".to_string(),
-                Err(e) => format!("worker did not terminate cleanly: {e}"),
-            };
-            results.push(Err(Error::Worker(WorkerError::Disconnect {
-                addr: self.command[0].clone(),
-                cause,
-            })));
-        }
-        results
-    }
 }
 
 impl Dispatcher for ProcessPool {
@@ -433,33 +445,17 @@ impl Dispatcher for ProcessPool {
         if jobs.is_empty() {
             return Vec::new();
         }
-        // Contiguous chunks, one per worker — the same split (and thus
-        // the same ordering contract) as ReplayPool::shard_map.
-        let lanes = self.workers.min(jobs.len());
-        let chunk = jobs.len().div_ceil(lanes);
-        if lanes == 1 {
-            let results = self.run_chunk(jobs);
-            sink.event(DispatchEvent::Progress {
-                answered: results.len(),
-                total: jobs.len(),
-            });
-            return results;
-        }
-        let mut results: Vec<Result<Outcome, Error>> = Vec::with_capacity(jobs.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .chunks(chunk)
-                .map(|slice| scope.spawn(move || self.run_chunk(slice)))
-                .collect();
-            for handle in handles {
-                results.extend(handle.join().expect("worker lane thread panicked"));
-                sink.event(DispatchEvent::Progress {
-                    answered: results.len(),
-                    total: jobs.len(),
-                });
-            }
-        });
-        results
+        let fleet = match LocalFleet::spawn(&self.command, self.workers.min(jobs.len())) {
+            Ok(fleet) => fleet,
+            Err(e) => return jobs.iter().map(|_| Err(e.clone())).collect(),
+        };
+        // No read deadline: a local child that dies shows up as EOF, so
+        // a long job must not be cut off by the fleet's timeout.
+        let config = SocketConfig {
+            read_timeout: Duration::MAX,
+            ..SocketConfig::default()
+        };
+        SocketPool::with_config(fleet.addrs.clone(), config).run_specs_with_events(jobs, sink)
     }
 
     fn lanes(&self) -> usize {
@@ -468,6 +464,77 @@ impl Dispatcher for ProcessPool {
 
     fn backend(&self) -> &'static str {
         "processes"
+    }
+}
+
+/// One batch's worth of listening children in a private directory.
+/// Dropping it kills and reaps every child and removes the directory
+/// with their socket files.
+struct LocalFleet {
+    dir: PathBuf,
+    children: Vec<Child>,
+    addrs: Vec<WorkerAddr>,
+}
+
+impl LocalFleet {
+    /// Spawns `workers` copies of `command`, each with `--listen
+    /// uds:<dir>/w<i>.sock` appended, stderr inherited and `OSP_FAULT`
+    /// removed from the environment, and waits for every banner.
+    fn spawn(command: &[String], workers: usize) -> Result<LocalFleet, Error> {
+        let mut fleet = LocalFleet {
+            dir: private_dir()?,
+            children: Vec::with_capacity(workers),
+            addrs: Vec::with_capacity(workers),
+        };
+        for i in 0..workers {
+            let socket = fleet.dir.join(format!("w{i}.sock"));
+            let (child, addr) = spawn_listening(
+                Command::new(&command[0])
+                    .args(&command[1..])
+                    .arg("--listen")
+                    .arg(format!("uds:{}", socket.display()))
+                    .stderr(Stdio::inherit())
+                    .env_remove("OSP_FAULT"),
+            )?;
+            fleet.children.push(child);
+            fleet.addrs.push(addr);
+        }
+        Ok(fleet)
+    }
+}
+
+impl Drop for LocalFleet {
+    fn drop(&mut self) {
+        for child in &mut self.children {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Creates a fresh directory, readable only by this user, for one
+/// batch's worker sockets.
+fn private_dir() -> Result<PathBuf, Error> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    loop {
+        let dir = std::env::temp_dir().join(format!(
+            "osp-procs-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        match std::fs::DirBuilder::new().mode(0o700).create(&dir) {
+            Ok(()) => return Ok(dir),
+            // Left behind by an earlier process with the same pid.
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            Err(e) => {
+                return Err(WorkerError::Spawn(format!(
+                    "creating a socket directory under {}: {e}",
+                    std::env::temp_dir().display()
+                ))
+                .into())
+            }
+        }
     }
 }
 
@@ -554,6 +621,7 @@ pub struct SocketConfig {
     pub connect_timeout: Duration,
     /// Read deadline per reply frame; expiry marks the worker
     /// [`WorkerError::Timeout`] and re-dispatches its unanswered jobs.
+    /// `Duration::MAX` never expires ([`ProcessPool`]'s local children).
     pub read_timeout: Duration,
     /// Connect retry/backoff schedule.
     pub retry: RetryPolicy,
@@ -599,7 +667,7 @@ enum Expected {
 /// same bit-identity contract holds — outcomes are pure functions of the
 /// specs, so *which* worker answers is invisible in the results.
 ///
-/// What is new over [`ProcessPool`] is the failure model:
+/// The failure model:
 ///
 /// * connects retry with bounded exponential backoff ([`RetryPolicy`]);
 ///   a worker that never connects or fails its [`Hello`](crate::wire::Hello) handshake is
@@ -1331,12 +1399,10 @@ mod tests {
 
     #[test]
     fn chatty_worker_that_never_reads_stdin_cannot_hang_the_pool() {
-        // `yes` spews bytes forever and never reads its stdin. The reader
-        // fails fast (the garbage length prefix blows the frame cap), and
-        // the pool must then kill the child — otherwise the feeder thread
-        // would block forever on the full stdin pipe once the job stream
-        // exceeds the pipe buffer. 3000 jobs ≈ several hundred KiB of
-        // frames, comfortably past any default pipe size.
+        // `yes` spews its arguments forever and never reads anything. Its
+        // first line is not a `listening on` banner, so the pool must fail
+        // every job at spawn time and kill the child rather than wait on
+        // it.
         let pool = ProcessPool::with_command(1, vec!["yes".into()]);
         let out = pool.run_specs(&jobs(3000));
         assert_eq!(out.len(), 3000);
@@ -1500,12 +1566,70 @@ mod tests {
 
     #[test]
     fn worker_that_talks_garbage_is_a_clean_error() {
-        // `echo` exits immediately after printing non-frame bytes: the
-        // reader must surface a protocol/worker error, never hang or
+        // `echo` exits immediately after printing a line that is not a
+        // banner: the pool must surface a worker error, never hang or
         // panic. (POSIX-only, like the rest of the process tests.)
         let pool = ProcessPool::with_command(1, vec!["echo".into(), "not-a-frame".into()]);
         let out = pool.run_specs(&jobs(2));
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|r| r.is_err()));
+    }
+
+    /// A stand-in worker: prints the banner for the socket path appended
+    /// as `$2` (after `--listen`), then sleeps until killed — except for
+    /// the socket named by `refuse`, which prints something else.
+    fn fake_worker(refuse: &str) -> Vec<String> {
+        let script = format!(
+            "case \"$2\" in *{refuse}) echo \"refused $2\";; \
+             *) echo \"listening on $2\"; exec sleep 60;; esac"
+        );
+        vec!["sh".into(), "-c".into(), script, "sh".into()]
+    }
+
+    #[test]
+    fn spawn_listening_bounds_a_banner_that_never_ends() {
+        let err = spawn_listening(Command::new("sh").args(["-c", "exec cat /dev/zero"]))
+            .expect_err("NUL bytes are no banner");
+        assert!(matches!(err, Error::Worker(WorkerError::Spawn(_))), "{err}");
+    }
+
+    #[test]
+    fn local_fleet_drop_kills_its_children_and_removes_the_socket_dir() {
+        let fleet = LocalFleet::spawn(&fake_worker("none"), 3).expect("three banners");
+        let dir = fleet.dir.clone();
+        assert!(dir.is_dir());
+        assert_eq!(
+            fleet.addrs,
+            (0..3)
+                .map(|i| WorkerAddr::Uds(dir.join(format!("w{i}.sock"))))
+                .collect::<Vec<_>>()
+        );
+        let pids: Vec<u32> = fleet.children.iter().map(Child::id).collect();
+        drop(fleet);
+        assert!(!dir.exists(), "socket dir removed");
+        for pid in pids {
+            assert!(
+                !std::path::Path::new(&format!("/proc/{pid}")).exists(),
+                "child {pid} killed and reaped"
+            );
+        }
+    }
+
+    #[test]
+    fn local_fleet_spawn_failure_cleans_up_the_children_already_up() {
+        let Err(err) = LocalFleet::spawn(&fake_worker("w1.sock"), 3) else {
+            panic!("the second worker never prints a banner");
+        };
+        let message = err.to_string();
+        assert!(
+            matches!(err, Error::Worker(WorkerError::Spawn(_))),
+            "{message}"
+        );
+        let socket = message
+            .split_whitespace()
+            .find_map(|word| word.trim_end_matches(['"', '\\', 'n']).strip_prefix("uds:"))
+            .expect("the refusing worker's socket path is in the error");
+        let dir = std::path::Path::new(socket).parent().unwrap();
+        assert!(!dir.exists(), "socket dir {} removed", dir.display());
     }
 }

@@ -38,11 +38,10 @@
 //!   ([`JobSpec`](crate::spec::JobSpec)) behind the backend-agnostic
 //!   [`dispatch::Dispatcher`] contract: [`dispatch::SpecPool`] resolves
 //!   specs on thread shards, [`dispatch::ProcessPool`] ships them to
-//!   `osp-worker` child processes over the framed wire protocol
-//!   ([`wire`](crate::wire)) — the distribution axis, since a spec that
-//!   crosses a process boundary crosses a socket unchanged. Outcomes stay
-//!   bit-identical to sequential [`run_spec`](crate::spec::run_spec) at
-//!   any lane count.
+//!   per-batch `osp-worker --listen` child processes over the framed
+//!   wire protocol ([`wire`](crate::wire)) by running a
+//!   [`dispatch::SocketPool`] over them. Outcomes stay bit-identical to
+//!   sequential [`run_spec`](crate::spec::run_spec) at any lane count.
 //! * [`dispatch::SocketPool`] extends the same contract **across the
 //!   network**: a fleet of `osp-worker --listen` endpoints
 //!   (TCP/Unix-domain) spoken to over the identical frames, with

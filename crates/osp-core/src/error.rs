@@ -122,7 +122,8 @@ pub enum Error {
 /// that one job failed on it — which is final and never re-dispatched.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkerError {
-    /// The worker binary could not be located or its process not spawned.
+    /// The worker binary could not be located, its process not spawned,
+    /// or it never announced its listening address.
     Spawn(String),
     /// A worker address could not be connected within the configured
     /// timeout and retry budget.
@@ -144,15 +145,15 @@ pub enum WorkerError {
     },
     /// A read deadline expired mid-conversation — the worker stalled.
     Timeout {
-        /// The worker's address (or command, for pipe workers).
+        /// The worker's address.
         addr: String,
         /// The expired deadline's description.
         cause: String,
     },
-    /// The byte stream died mid-batch: premature EOF, a broken pipe, or
+    /// The byte stream died mid-batch: premature EOF, a reset, or
     /// undecodable frames where replies were expected.
     Disconnect {
-        /// The worker's address (or command, for pipe workers).
+        /// The worker's address.
         addr: String,
         /// What the stream did.
         cause: String,

@@ -64,9 +64,9 @@ pub use engine::batch::{
     derive_seed, env_parallelism, ReplayJob, ReplayPool, ReplayScratch, SourceJob,
 };
 pub use engine::dispatch::{
-    derived_jobs, worker_binary, DispatchEvent, Dispatcher, EventSink, FleetHandle, FleetReport,
-    LaneReport, ProcessPool, RejoinPolicy, RetryPolicy, SocketConfig, SocketPool, SpecPool,
-    StderrSink,
+    derived_jobs, spawn_listening, worker_binary, DispatchChoice, DispatchEvent, Dispatcher,
+    EventSink, FleetHandle, FleetReport, LaneReport, ProcessPool, RejoinPolicy, RetryPolicy,
+    SocketConfig, SocketPool, SpecPool, StderrSink,
 };
 pub use engine::{
     run, run_parallel, run_source, run_source_logged, run_source_parallel, run_source_pipelined,

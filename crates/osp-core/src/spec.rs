@@ -22,15 +22,15 @@
 //! [`Error::UnsupportedSpec`]; osp-net's `NetResolver` wraps it and covers
 //! the full roster. Run one job with [`run_spec`]; fan a work-list out
 //! with a [`Dispatcher`](crate::engine::dispatch::Dispatcher) — threads
-//! ([`SpecPool`](crate::engine::dispatch::SpecPool)) or processes
-//! ([`ProcessPool`](crate::engine::dispatch::ProcessPool)) — and derive
+//! ([`SpecPool`](crate::engine::dispatch::SpecPool)), worker processes
+//! ([`ProcessPool`](crate::engine::dispatch::ProcessPool)) or a socket
+//! fleet ([`SocketPool`](crate::engine::dispatch::SocketPool)) — and derive
 //! per-job seeds with [`derive_seed`](crate::derive_seed) exactly as the
 //! in-process lanes do.
 //!
 //! All spec types serialize through the vendored serde stub (enums as
 //! tagged maps, see the manual impls below), which is what lets a
-//! [`JobSpec`] cross a pipe today and a socket tomorrow
-//! ([`wire`](crate::wire)).
+//! [`JobSpec`] cross a socket to a worker process ([`wire`](crate::wire)).
 
 use serde::{get_field, Deserialize, Error as SerdeError, Value};
 

@@ -1,8 +1,7 @@
 //! Length-prefixed frame protocol for job specs and outcomes.
 //!
-//! The distributed replay pool talks to its workers over byte streams —
-//! pipes to `osp-worker` child processes, or TCP/UDS sockets to a worker
-//! fleet ([`socket`]). Framing is deliberately minimal and
+//! The distributed replay pool talks to its workers over TCP or
+//! Unix-domain sockets ([`socket`]). Framing is deliberately minimal and
 //! self-describing:
 //!
 //! ```text
@@ -11,18 +10,14 @@
 //! payload := one JSON message (serde_json over the vendored stub)
 //! ```
 //!
-//! Two session flavors share the framing:
-//!
-//! * **pipe sessions** ([`serve`], the original `osp-worker` stdin/stdout
-//!   contract): parent → worker frames are bare [`JobSpec`]s; worker →
-//!   parent frames are [`reply`] envelopes — `{"ok": Outcome}` or
-//!   `{"err": "message"}` — in the same order the jobs arrived;
-//! * **socket sessions** ([`serve_session`], spoken by
-//!   `osp-worker --listen` and [`SocketPool`](crate::SocketPool)): on
-//!   accept the worker first sends a [`Hello`] handshake frame (protocol
-//!   version + resolver roster); the client then sends [`Request`] frames
-//!   — `{"job": JobSpec}` answered by a [`reply`], or the heartbeat
-//!   `{"ping": nonce}` answered by `{"pong": nonce}` — strictly in order.
+//! One session flavor rides the framing. [`serve_session`] is spoken by
+//! `osp-worker --listen` and by [`SocketPool`](crate::SocketPool) (and
+//! so by [`ProcessPool`](crate::ProcessPool), which launches such
+//! workers): on accept the worker first sends a [`Hello`] handshake frame
+//! (protocol version + resolver roster); the client then sends
+//! [`Request`] frames — `{"job": JobSpec}` answered by a [`reply`]
+//! envelope (`{"ok": Outcome}` or `{"err": "message"}`), or the heartbeat
+//! `{"ping": nonce}` answered by `{"pong": nonce}` — strictly in order.
 //!
 //! A clean end-of-stream *between* frames is the normal shutdown signal
 //! ([`read_frame`] returns `None`); anything else — a truncated length or
@@ -30,12 +25,9 @@
 //! hard [`Error::Protocol`], never a panic (pinned by the
 //! `wire_round_trip` proptest suite).
 //!
-//! [`serve`] is the worker side of the pipe contract: a loop that reads
-//! job frames, replays each spec through a [`SpecResolver`] with scratch
-//! reuse, and answers with outcome frames. The `osp-worker` binary is a
-//! thin `main` around it (and around [`socket::SocketServer`] for
-//! `--listen`), and `examples/distributed_replay.rs` embeds it behind a
-//! `--worker` flag.
+//! The `osp-worker` binary is a thin `main` around
+//! [`socket::SocketServer`], and `examples/distributed_replay.rs` embeds
+//! the same server behind a `--worker` flag.
 //!
 //! Socket sessions additionally honor a deterministic [`FaultPlan`]
 //! (`OSP_FAULT` in the binary): kill or stall the worker at a chosen job
@@ -288,37 +280,6 @@ pub mod reply {
     }
 }
 
-/// The worker loop: reads [`JobSpec`] frames from `reader` until clean
-/// end-of-stream, replays each through `resolver` (reusing one
-/// [`ReplayScratch`] across jobs, exactly like a thread shard), and
-/// writes one [`reply`] frame per job to `writer`, flushed immediately so
-/// the parent can consume results as they stream.
-///
-/// Per-job failures (unsupported spec, invalid decision) are *answered*,
-/// not fatal: the worker stays up for the next job.
-///
-/// # Errors
-///
-/// [`Error::Protocol`] if the input stream itself is malformed or the
-/// output pipe breaks — the conditions under which a worker cannot
-/// meaningfully continue.
-pub fn serve<R, In, Out>(resolver: &R, reader: &mut In, writer: &mut Out) -> Result<(), Error>
-where
-    R: SpecResolver + ?Sized,
-    In: Read + ?Sized,
-    Out: Write + ?Sized,
-{
-    let mut scratch = ReplayScratch::new();
-    while let Some(job) = read_message::<_, JobSpec>(reader)? {
-        let result = run_spec_with_scratch(&job, resolver, &mut scratch);
-        write_message(writer, &reply::encode(&result))?;
-        writer
-            .flush()
-            .map_err(|e| Error::Protocol(format!("flushing reply: {e}")))?;
-    }
-    Ok(())
-}
-
 /// The handshake frame a socket worker sends immediately after accepting
 /// a connection: which protocol version it speaks and which spec variants
 /// its resolver can build (the roster, see
@@ -559,14 +520,17 @@ pub enum SessionEnd {
     FaultKill,
 }
 
-/// The socket worker loop: sends the [`Hello`] handshake, then answers
+/// The worker loop: sends the [`Hello`] handshake, then answers
 /// [`Request`] frames — jobs through `resolver` (one reused
-/// [`ReplayScratch`], like a pipe worker), pings with [`Pong`] — until
-/// clean end-of-stream, honoring `fault` against the worker-lifetime
-/// `jobs_answered` counter (shared across a worker's connections so a
-/// multi-connection fleet kill stays a pure function of the plan).
+/// [`ReplayScratch`] across jobs, exactly like a thread shard), pings
+/// with [`Pong`] — until clean end-of-stream, honoring `fault` against
+/// the worker-lifetime `jobs_answered` counter (shared across a worker's
+/// connections so a multi-connection fleet kill stays a pure function of
+/// the plan). Every answer is flushed at once, so the client consumes
+/// results as they stream.
 ///
-/// Per-job failures are answered, not fatal; see [`serve`].
+/// Per-job failures (unsupported spec, invalid decision) are *answered*,
+/// not fatal: the worker stays up for the next job.
 ///
 /// # Errors
 ///
@@ -822,16 +786,32 @@ mod tests {
         ));
     }
 
+    /// Runs one fault-free session over `requests` and returns its end
+    /// plus a reader over the output, positioned after the [`Hello`].
+    fn session(requests: &[u8]) -> (Result<SessionEnd, Error>, Cursor<Vec<u8>>) {
+        let mut output = Vec::new();
+        let end = serve_session(
+            &CoreResolver,
+            &mut Cursor::new(requests),
+            &mut output,
+            FaultPlan::NONE,
+            &AtomicU64::new(0),
+        );
+        let mut cursor = Cursor::new(output);
+        let hello: Hello = read_message(&mut cursor).unwrap().expect("hello first");
+        assert_eq!(hello.version, WIRE_VERSION);
+        (end, cursor)
+    }
+
     #[test]
     fn serve_answers_every_job_in_order() {
         let mut input = Vec::new();
         let jobs: Vec<JobSpec> = (0..4).map(job).collect();
         for j in &jobs {
-            write_message(&mut input, j).unwrap();
+            write_message(&mut input, &Request::Job(j.clone())).unwrap();
         }
-        let mut output = Vec::new();
-        serve(&CoreResolver, &mut Cursor::new(input), &mut output).unwrap();
-        let mut cursor = Cursor::new(output);
+        let (end, mut cursor) = session(&input);
+        assert_eq!(end.unwrap(), SessionEnd::Eof);
         for j in &jobs {
             let r: reply::Reply = read_message(&mut cursor)
                 .unwrap()
@@ -853,11 +833,10 @@ mod tests {
             algorithm: AlgorithmSpec::RandPr,
             seed: 0,
         };
-        write_message(&mut input, &bad).unwrap();
-        write_message(&mut input, &job(1)).unwrap();
-        let mut output = Vec::new();
-        serve(&CoreResolver, &mut Cursor::new(input), &mut output).unwrap();
-        let mut cursor = Cursor::new(output);
+        write_message(&mut input, &Request::Job(bad)).unwrap();
+        write_message(&mut input, &Request::Job(job(1))).unwrap();
+        let (end, mut cursor) = session(&input);
+        assert_eq!(end.unwrap(), SessionEnd::Eof);
         let first = reply::decode(read_message(&mut cursor).unwrap().unwrap());
         assert!(matches!(first, Err(Error::Worker(_))));
         let second = reply::decode(read_message(&mut cursor).unwrap().unwrap());
@@ -868,11 +847,15 @@ mod tests {
     fn malformed_input_stream_stops_serve() {
         let mut input = Vec::new();
         write_frame(&mut input, b"{\"not\": \"a job\"}").unwrap();
-        let mut output = Vec::new();
-        assert!(matches!(
-            serve(&CoreResolver, &mut Cursor::new(input), &mut output),
-            Err(Error::Protocol(_))
-        ));
+        write_message(&mut input, &Request::Job(job(1))).unwrap();
+        let (end, mut cursor) = session(&input);
+        assert!(matches!(end, Err(Error::Protocol(_))), "got {end:?}");
+        assert!(
+            read_message::<_, reply::Reply>(&mut cursor)
+                .unwrap()
+                .is_none(),
+            "nothing after the malformed frame is answered"
+        );
     }
 
     #[test]

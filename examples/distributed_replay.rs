@@ -6,9 +6,11 @@
 //!
 //! Defaults to 10⁶ arrivals per job across 2 workers. The example is
 //! self-contained: it re-executes *itself* with `--worker` as the worker
-//! command, so no separately built binary is needed — each child runs
-//! [`osp::core::wire::serve`] over the full workspace registry
-//! ([`NetResolver`]), exactly what the real `osp-worker` binary does.
+//! command, so no separately built binary is needed. [`ProcessPool`]
+//! appends `--listen uds:<path>` to that command, and each child binds a
+//! [`SocketServer`] over the full workspace registry ([`NetResolver`])
+//! and prints the `listening on <addr>` banner — exactly what the real
+//! `osp-worker --listen` does.
 //!
 //! What crosses the process boundary is **data only**: each job is a
 //! framed `(ScenarioSpec, AlgorithmSpec, seed)` triple; each answer is a
@@ -19,21 +21,30 @@
 //! sequential replay of the same specs (spot-checked below; pinned in
 //! full by `tests/process_pool_conformance.rs`).
 
+use std::io::Write;
 use std::time::Instant;
 
 use osp::core::gen::RandomInstanceConfig;
 use osp::core::prelude::*;
-use osp::core::wire::serve;
+use osp::core::{FaultPlan, SocketServer, WorkerAddr};
 use osp::net::NetResolver;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--worker") {
-        // Child mode: speak the frame protocol on stdin/stdout until EOF.
-        let mut reader = std::io::BufReader::new(std::io::stdin().lock());
-        let mut writer = std::io::BufWriter::new(std::io::stdout().lock());
-        serve(&NetResolver, &mut reader, &mut writer)?;
-        return Ok(());
+        // Child mode: serve socket sessions on the address the pool
+        // appended until the pool kills us.
+        let addr = args
+            .iter()
+            .skip_while(|a| *a != "--listen")
+            .nth(1)
+            .ok_or("--worker needs --listen <addr>")?;
+        let server = SocketServer::bind(&WorkerAddr::parse(addr)?, NetResolver, FaultPlan::NONE)?;
+        println!("listening on {}", server.local_addr());
+        std::io::stdout().flush()?;
+        loop {
+            std::thread::park();
+        }
     }
     let arrivals: usize = args
         .first()
@@ -97,6 +108,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "completed sets:    {completed} across {trials} jobs (outcomes returned in submission order)"
     );
-    println!("wire traffic:      {trials} JobSpec frames out, {trials} Outcome frames back — no instance ever left a worker");
+    println!("wire traffic:      {trials} JobSpec frames out, {trials} Outcome frames back over Unix sockets — no instance ever left a worker");
     Ok(())
 }

@@ -50,7 +50,7 @@ use osp::core::engine::batch::ReplayPool;
 use osp::core::serve::{ReplayService, ServeServer, ServiceConfig};
 use osp::core::wire::socket::WorkerAddr;
 use osp::core::wire::FaultPlan;
-use osp::core::{Dispatcher, ProcessPool, SocketPool, SpecPool};
+use osp::core::{DispatchChoice, Dispatcher, ProcessPool, SocketPool, SpecPool};
 use osp::net::NetResolver;
 
 /// Exit code for a misconfigured environment or command line (the
@@ -148,19 +148,18 @@ fn main() -> ExitCode {
 /// Builds the backend named by `OSP_DISPATCH`. Junk is an error — the
 /// caller exits 64 — never a silent fallback.
 fn build_dispatcher() -> Result<Box<dyn Dispatcher + Send>, String> {
-    let choice = std::env::var("OSP_DISPATCH").unwrap_or_else(|_| "threads".to_string());
-    match choice.trim().to_ascii_lowercase().as_str() {
-        "" | "threads" | "thread" => {
-            Ok(Box::new(SpecPool::new(ReplayPool::from_env(), NetResolver)))
-        }
-        "processes" | "process" | "procs" => ProcessPool::from_env()
+    let raw = std::env::var("OSP_DISPATCH").ok();
+    match DispatchChoice::parse(raw.as_deref()) {
+        DispatchChoice::Threads => Ok(Box::new(SpecPool::new(ReplayPool::from_env(), NetResolver))),
+        DispatchChoice::Processes => ProcessPool::from_env()
             .map(|p| Box::new(p) as Box<dyn Dispatcher + Send>)
             .map_err(|e| e.to_string()),
-        "socket" | "sockets" => SocketPool::from_env()
+        DispatchChoice::Socket => SocketPool::from_env()
             .map(|p| Box::new(p) as Box<dyn Dispatcher + Send>)
             .map_err(|e| e.to_string()),
-        other => Err(format!(
-            "OSP_DISPATCH=`{other}` is not a backend (want threads, processes, or socket)"
+        DispatchChoice::Unknown => Err(format!(
+            "OSP_DISPATCH=`{}` is not a backend (want threads, processes, or socket)",
+            raw.unwrap_or_default().trim()
         )),
     }
 }

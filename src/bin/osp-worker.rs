@@ -1,22 +1,18 @@
-//! `osp-worker` — the replay worker process behind
-//! [`ProcessPool`](osp_core::ProcessPool) and, in `--listen` mode, the
-//! fleet member behind [`SocketPool`](osp_core::SocketPool).
+//! `osp-worker` — the replay worker process: the fleet member behind
+//! [`SocketPool`](osp_core::SocketPool), and the child that
+//! [`ProcessPool`](osp_core::ProcessPool) launches for each batch.
 //!
-//! Three modes:
+//! Two modes:
 //!
-//! * **pipe worker** (no arguments, the PR 5 contract): the parent
-//!   writes length-prefixed [`JobSpec`](osp_core::JobSpec) frames to
-//!   stdin; each job is replayed through the full workspace registry
-//!   ([`NetResolver`]: all five core algorithms, both router baselines,
-//!   every generator family and the video-trace scenario) and answered
-//!   with one framed outcome on stdout, in order. Clean end-of-stream on
-//!   stdin is the shutdown signal.
 //! * **socket worker** (`--listen <addr>`): binds `addr` — `host:port`
 //!   TCP (port `0` for an OS-assigned port) or `uds:/path` — prints
 //!   `listening on <addr>` on stdout (the resolved address, for harness
 //!   scripts), and serves framed socket sessions: a
 //!   [`Hello`](osp_core::wire::Hello) handshake,
-//!   then job/ping requests. The `OSP_FAULT` environment variable loads
+//!   then job/ping requests. Each job is replayed through the full
+//!   workspace registry ([`NetResolver`]: all five core algorithms, both
+//!   router baselines, every generator family and the video-trace
+//!   scenario). The `OSP_FAULT` environment variable loads
 //!   a deterministic [`FaultPlan`]
 //!   (`die:<n>`, `stall:<job>:<ms>`); a fault kill exits with code 86 so
 //!   harnesses can tell an injected death from a crash, and a malformed
@@ -25,6 +21,9 @@
 //! * **probe** (`--ping <addr>`): one connect + handshake + heartbeat
 //!   round trip against a listening worker; exits 0 and prints the
 //!   worker's roster on success — what CI polls during fleet bring-up.
+//!
+//! Anything else, no arguments included, prints the usage and exits
+//! non-zero.
 //!
 //! ```text
 //! cargo build --release --bin osp-worker
@@ -38,11 +37,10 @@
 //! (pinned by `tests/process_pool_conformance.rs` and
 //! `tests/socket_pool_conformance.rs`).
 
-use std::io::{stdin, stdout, BufReader, BufWriter, Write};
+use std::io::{stdout, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
-use osp::core::wire::serve;
 use osp::core::wire::socket::{ping, SocketServer, WorkerAddr};
 use osp::core::FaultPlan;
 use osp::net::NetResolver;
@@ -61,7 +59,6 @@ const USAGE_EXIT: u8 = 64;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        None => pipe_worker(),
         Some("--listen") => match parse_addr(args.get(1), "--listen") {
             Ok(addr) => socket_worker(&addr),
             Err(code) => code,
@@ -70,13 +67,14 @@ fn main() -> ExitCode {
             Ok(addr) => probe(&addr),
             Err(code) => code,
         },
-        Some(other) => {
-            eprintln!(
-                "osp-worker: unknown argument `{other}` (want --listen <addr> or --ping <addr>)"
-            );
-            ExitCode::FAILURE
-        }
+        Some(other) => usage(&format!("unknown argument `{other}`")),
+        None => usage("no mode given"),
     }
+}
+
+fn usage(problem: &str) -> ExitCode {
+    eprintln!("osp-worker: {problem} (want --listen <addr> or --ping <addr>)");
+    ExitCode::FAILURE
 }
 
 fn parse_addr(arg: Option<&String>, flag: &str) -> Result<WorkerAddr, ExitCode> {
@@ -88,18 +86,6 @@ fn parse_addr(arg: Option<&String>, flag: &str) -> Result<WorkerAddr, ExitCode> 
         eprintln!("osp-worker: {e}");
         ExitCode::FAILURE
     })
-}
-
-fn pipe_worker() -> ExitCode {
-    let mut reader = BufReader::new(stdin().lock());
-    let mut writer = BufWriter::new(stdout().lock());
-    match serve(&NetResolver, &mut reader, &mut writer) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("osp-worker: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn socket_worker(addr: &WorkerAddr) -> ExitCode {

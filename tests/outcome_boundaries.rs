@@ -44,7 +44,7 @@ fn ten_million_arrivals_cross_the_worker_and_serve_boundaries() {
     let want = run_spec(&job, &CoreResolver).expect("in-process reference");
     assert_eq!(want.arrivals(), ARRIVALS as u64);
 
-    // Process boundary: one osp-worker child over the pipe protocol.
+    // Process boundary: one osp-worker child over a Unix socket.
     let pool = ProcessPool::with_command(1, vec![env!("CARGO_BIN_EXE_osp-worker").to_string()]);
     let got = pool.run_specs(std::slice::from_ref(&job));
     let got: &Outcome = got[0].as_ref().expect("worker answers");

@@ -8,12 +8,21 @@
 //! and `died_at` — to the thread pool ([`ReplayPool::run_specs`] /
 //! [`SpecPool`]) and to sequential [`run_spec`], at worker counts 1, 2
 //! and 4. The osp-net roster (video-trace scenario, tail-drop and
-//! random-drop) rides the same contract.
+//! random-drop) rides the same contract. The children are socket
+//! workers, so the socket fleet's fault model applies to them too: a
+//! child killed by its `OSP_FAULT` plan has its unanswered jobs
+//! re-dispatched, and only with every child dead does a job fail.
+
+use std::io::BufRead;
+use std::process::{Command, Stdio};
+use std::time::Duration;
 
 use osp::core::gen::{CapacityModel, LoadModel, RandomInstanceConfig, WeightModel};
 use osp::core::prelude::*;
+use osp::core::serve::{JobResult, ServeClient};
 use osp::core::spec::{run_spec, AlgorithmSpec, JobSpec, ScenarioSpec};
-use osp::core::{derived_jobs, Dispatcher, ProcessPool, SpecPool};
+use osp::core::wire::socket::WorkerAddr;
+use osp::core::{derived_jobs, Dispatcher, ProcessPool, SpecPool, WorkerError};
 use osp::net::NetResolver;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
@@ -259,4 +268,113 @@ fn worker_count_does_not_leak_into_seed_derivation() {
             );
         }
     }
+}
+
+#[test]
+fn fault_killed_children_answer_bit_identically_and_the_rest_fail_typed() {
+    // Each of two children dies after answering one job: the first job of
+    // each chunk comes back bit-identical, and with both children dead
+    // the other two fail with the typed exhaustion error.
+    let jobs = derived_jobs(
+        &ScenarioSpec::Uniform(RandomInstanceConfig::unweighted(20, 50, 3)),
+        &AlgorithmSpec::RandPr,
+        805,
+        4,
+    );
+    let pool = ProcessPool::with_command(
+        2,
+        vec![
+            "env".into(),
+            "OSP_FAULT=die:1".into(),
+            env!("CARGO_BIN_EXE_osp-worker").into(),
+        ],
+    );
+    let out = pool.run_specs(&jobs);
+    assert_eq!(out.len(), 4);
+    for (i, (job, got)) in jobs.iter().zip(&out).enumerate() {
+        if i % 2 == 0 {
+            let want = run_spec(job, &NetResolver).unwrap();
+            assert_eq!(got.as_ref().unwrap(), &want, "job {i}");
+        } else {
+            assert!(
+                matches!(
+                    got,
+                    Err(Error::Worker(WorkerError::AllWorkersDead { pending: 2 }))
+                ),
+                "job {i}: {got:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn ambient_fault_plan_of_the_spawning_process_does_not_reach_the_children() {
+    // `osp-serve` on the process backend, started with the serve-side
+    // drill `die-after-chunk:1`. Its children must not inherit that
+    // variable: a worker refuses serve-side clauses (exit 64), so the
+    // first chunk would fail and nothing would reach the journal. With
+    // the variable stripped, the chunk is journaled before the drill
+    // kills the server, and a restart serves it from the journal.
+    let dir = std::env::temp_dir().join(format!("osp-ambient-fault-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let jobs = derived_jobs(
+        &ScenarioSpec::Uniform(RandomInstanceConfig::unweighted(20, 50, 3)),
+        &AlgorithmSpec::RandPr,
+        806,
+        4,
+    );
+    let serve = |envs: &[(&str, &str)]| {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_osp-serve"));
+        command
+            .args(["--listen", "127.0.0.1:0", "--state-dir"])
+            .arg(&dir)
+            .env_remove("OSP_FAULT")
+            .env("OSP_SERVE_CHUNK", "2")
+            .stdout(Stdio::piped());
+        command.envs(envs.iter().copied());
+        let mut child = command.spawn().expect("spawn osp-serve");
+        let mut banner = String::new();
+        std::io::BufReader::new(child.stdout.take().expect("stdout piped"))
+            .read_line(&mut banner)
+            .expect("read banner");
+        let addr = banner.split_whitespace().nth(2).expect("address in banner");
+        let client = ServeClient::connect(
+            &WorkerAddr::parse(addr).expect("banner address parses"),
+            Duration::from_secs(30),
+        )
+        .expect("connect to osp-serve");
+        (child, client)
+    };
+
+    let (mut child, mut client) = serve(&[
+        ("OSP_DISPATCH", "processes"),
+        ("OSP_WORKERS", "2"),
+        ("OSP_WORKER_BIN", env!("CARGO_BIN_EXE_osp-worker")),
+        ("OSP_FAULT", "die-after-chunk:1"),
+    ]);
+    let id = client.submit(&jobs).expect("submit");
+    let status = child.wait().expect("await the drill");
+    assert_eq!(status.code(), Some(86), "exit: {status:?}");
+
+    let (mut child, mut client) = serve(&[("OSP_DISPATCH", "threads")]);
+    let status = client
+        .wait(id, Duration::from_millis(20), Duration::from_secs(120))
+        .expect("resumed batch finishes");
+    let results = client.fetch(id).expect("fetch");
+    // Stop the server before asserting, so a failure leaves no process.
+    client.shutdown().expect("clean shutdown");
+    assert!(child.wait().expect("server exits").success());
+    assert_eq!(status.state, "done");
+    assert_eq!(
+        status.cached, 2,
+        "the first chunk was computed by the children: {status:?}"
+    );
+    for (i, (job, got)) in jobs.iter().zip(&results).enumerate() {
+        let want = run_spec(job, &NetResolver).unwrap();
+        assert!(
+            matches!(got, JobResult::Ok(got) if *got == want),
+            "job {i}: {got:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

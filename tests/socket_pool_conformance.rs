@@ -628,6 +628,29 @@ fn malformed_fault_plan_is_fatal_at_worker_startup() {
 }
 
 #[test]
+fn worker_without_arguments_is_a_usage_error() {
+    // No pipe mode is left: a bare `osp-worker` prints the usage and
+    // exits non-zero without waiting on stdin (which stays open here, so
+    // a worker that read it would hang the test).
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_osp-worker"))
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn osp-worker");
+    let stdin = child.stdin.take();
+    let out = child.wait_with_output().expect("osp-worker exits");
+    drop(stdin);
+    assert!(!out.status.success(), "status: {:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--listen <addr>") && stderr.contains("--ping <addr>"),
+        "stderr must carry the usage: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing on stdout");
+}
+
+#[test]
 fn socket_source_streams_arrivals_bit_identically() {
     // The streaming half of the wire: a server pushing a generator
     // through `wire::tap::send_source`, a client replaying straight off
