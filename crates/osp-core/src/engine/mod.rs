@@ -65,7 +65,8 @@
 //!   fault-injected fleet and cache resubmission).
 //! * [`store`](crate::store) makes the service **crash-safe**: the
 //!   results cache behind a [`ResultStore`](crate::store::ResultStore)
-//!   seam — LRU-bounded in memory
+//!   seam — each outcome held once as shared canonical-JSON bytes,
+//!   LRU-bounded in memory
 //!   ([`MemStore`](crate::store::MemStore)), journaled to disk with
 //!   checksummed records, torn-tail recovery, and snapshot compaction
 //!   ([`JournalStore`](crate::store::JournalStore)). With

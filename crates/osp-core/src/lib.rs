@@ -76,11 +76,11 @@ pub use error::{Error, WorkerError};
 pub use ids::{ElementId, SetId};
 pub use instance::{Arrival, Arrivals, Instance, InstanceBuilder, SetMeta};
 pub use serve::{
-    job_digest, BatchStatus, FleetCommand, JobResult, ReplayService, ServeClient, ServeServer,
-    ServiceConfig,
+    job_digest, write_results, BatchStatus, FleetCommand, JobResult, ReplayService, ServeClient,
+    ServeServer, ServiceConfig,
 };
 pub use source::{ArrivalSource, FramedSource, InstanceSource, OwnedInstanceSource, SocketSource};
 pub use spec::{run_spec, AlgorithmSpec, CoreResolver, JobSpec, ScenarioSpec, SpecResolver};
-pub use store::{JournalStore, MemStore, ResultStore, StoreLimits};
+pub use store::{JournalStore, MemStore, OutcomeJson, ResultStore, StoreLimits};
 pub use wire::socket::{SocketServer, WorkerAddr};
 pub use wire::FaultPlan;

@@ -19,6 +19,16 @@
 //!   manifests checkpointed at chunk boundaries** so a service killed
 //!   mid-batch resumes on restart, re-serving journaled results
 //!   bit-identically and recomputing only the missing jobs;
+//! * **one resident copy per result** — each outcome is encoded once,
+//!   into an [`OutcomeJson`] buffer that the cache and every batch record
+//!   holding it share. `Fetch` splices those bytes into the reply frame
+//!   ([`write_results`]), so the server never re-encodes an outcome;
+//! * **retirement** — finished batches count against
+//!   [`ServiceConfig::cache_bytes`] too, and the oldest are dropped past
+//!   it. Asking after a retired batch answers a typed
+//!   [`Error::Unavailable`]; resubmitting it answers from the cache. So a
+//!   long-lived service holds a bounded amount of results, however many
+//!   batches it serves;
 //! * [`ServeServer`] — the wire front door: a [`WorkerAddr`] listener
 //!   (TCP or Unix-domain, the same transports as the worker fleet)
 //!   answering framed [`ServeRequest`]s — submit, status, fetch, cancel,
@@ -62,7 +72,7 @@
 //! # Ok::<(), osp_core::Error>(())
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -77,7 +87,7 @@ use crate::engine::dispatch::{DispatchEvent, Dispatcher, EventSink, FleetHandle,
 use crate::engine::Outcome;
 use crate::error::{Error, WorkerError};
 use crate::spec::JobSpec;
-use crate::store::{JournalStore, MemStore, ResultStore, StoreLimits};
+use crate::store::{JournalStore, MemStore, OutcomeJson, ResultStore, StoreLimits};
 use crate::wire;
 use crate::wire::socket::{read_hello, Listener, Stream, WorkerAddr};
 use crate::wire::Hello;
@@ -134,7 +144,10 @@ pub struct ServiceConfig {
     /// [`BatchStatus::cache_evictions`].
     pub cache_entries: usize,
     /// Results-cache byte cap (`0` = unlimited), counting canonical-JSON
-    /// outcome bytes plus the 16-byte digest per entry.
+    /// outcome bytes plus the 16-byte digest per entry. Finished batches
+    /// are held to the same cap: past it the oldest are retired (see
+    /// [`ReplayService::try_status`]), so the results a service holds
+    /// stay within about twice this many bytes.
     pub cache_bytes: u64,
     /// Persist the cache and batch manifests under this directory. The
     /// cache becomes a [`JournalStore`] (journal + snapshot, crash-safe),
@@ -192,15 +205,18 @@ impl BatchState {
     }
 }
 
-/// One job's result as held by the service and answered by `Fetch` —
-/// incremental, so a batch can be fetched while still running.
+/// One job's result as answered by `Fetch` — incremental, so a batch can
+/// be fetched while still running.
+///
+/// Callers see decoded [`Outcome`]s (the default `O`); the service itself
+/// holds each outcome as its shared [`OutcomeJson`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum JobResult {
+pub enum JobResult<O = Outcome> {
     /// Not answered yet (or never will be, if the batch was cancelled).
     Pending,
     /// The outcome, bit-identical to sequential
     /// [`run_spec`](crate::spec::run_spec).
-    Ok(Outcome),
+    Ok(O),
     /// The per-job failure, as display text (like
     /// [`reply`](crate::wire::reply) across the worker boundary).
     Err(String),
@@ -273,11 +289,20 @@ pub struct BatchStatus {
     pub worker_probes: u64,
 }
 
+/// What a retained finished batch is charged against
+/// [`ServiceConfig::cache_bytes`] besides its result bytes: this much for
+/// the record itself…
+const RECORD_CHARGE: u64 = 256;
+/// …and this much per job slot, so batches of errors, or of no jobs at
+/// all, are bounded too.
+const SLOT_CHARGE: u64 = 32;
+
 /// One batch as the service tracks it.
 struct BatchRecord {
+    /// The specs, while the batch may still run; dropped when it ends.
     jobs: Vec<JobSpec>,
-    /// One slot per job, submission order; `None` is pending.
-    results: Vec<Option<Result<Outcome, String>>>,
+    /// One slot per job, submission order.
+    results: Vec<JobResult<OutcomeJson>>,
     /// Parallel to `results`: answered from the cache.
     from_cache: Vec<bool>,
     state: BatchState,
@@ -287,12 +312,42 @@ struct BatchRecord {
 }
 
 impl BatchRecord {
+    fn new(jobs: Vec<JobSpec>) -> BatchRecord {
+        let total = jobs.len();
+        BatchRecord {
+            jobs,
+            results: vec![JobResult::Pending; total],
+            from_cache: vec![false; total],
+            state: BatchState::Queued,
+            cancel: false,
+        }
+    }
+
+    /// The record's cost while it is retained after finishing: every
+    /// result's bytes (shared with the cache or not) plus fixed charges.
+    fn charge(&self) -> u64 {
+        let results: usize = self
+            .results
+            .iter()
+            .map(|result| match result {
+                JobResult::Pending => 0,
+                JobResult::Ok(json) => json.as_bytes().len(),
+                JobResult::Err(why) => why.len(),
+            })
+            .sum();
+        RECORD_CHARGE + SLOT_CHARGE * self.results.len() as u64 + results as u64
+    }
+
     fn status(&self, id: u64, shared: &ServiceState) -> BatchStatus {
-        let answered = self.results.iter().filter(|r| r.is_some()).count() as u64;
+        let answered = self
+            .results
+            .iter()
+            .filter(|r| !matches!(r, JobResult::Pending))
+            .count() as u64;
         let failed = self
             .results
             .iter()
-            .filter(|r| matches!(r, Some(Err(_))))
+            .filter(|r| matches!(r, JobResult::Err(_)))
             .count() as u64;
         let cached = self.from_cache.iter().filter(|&&c| c).count() as u64;
         let jobs = self
@@ -301,11 +356,11 @@ impl BatchRecord {
             .zip(&self.from_cache)
             .map(|(result, &from_cache)| {
                 match result {
-                    Some(Ok(_)) if from_cache => "cached",
-                    Some(Ok(_)) => "done",
-                    Some(Err(_)) => "failed",
-                    None if self.state == BatchState::Cancelled => "cancelled",
-                    None => "pending",
+                    JobResult::Ok(_) if from_cache => "cached",
+                    JobResult::Ok(_) => "done",
+                    JobResult::Err(_) => "failed",
+                    JobResult::Pending if self.state == BatchState::Cancelled => "cancelled",
+                    JobResult::Pending => "pending",
                 }
                 .to_string()
             })
@@ -314,7 +369,7 @@ impl BatchRecord {
         BatchStatus {
             id,
             state: self.state.as_str().to_string(),
-            total: self.jobs.len() as u64,
+            total: self.results.len() as u64,
             answered,
             failed,
             cached,
@@ -332,6 +387,14 @@ impl BatchRecord {
 /// Everything behind the service mutex.
 struct ServiceState {
     batches: HashMap<u64, BatchRecord>,
+    /// Finished batches still held, oldest first, with their
+    /// [`charge`](BatchRecord::charge).
+    finished: VecDeque<(u64, u64)>,
+    /// Sum of the charges in `finished`.
+    finished_bytes: u64,
+    /// [`ServiceConfig::cache_bytes`]: the cap on `finished_bytes`
+    /// (`0` = unlimited).
+    retain_bytes: u64,
     /// Content-addressed results: [`job_digest`] → outcome. Only
     /// successes are cached — errors may be transient (a dead fleet) and
     /// must re-execute on resubmit. A [`MemStore`] by default; a
@@ -347,6 +410,33 @@ struct ServiceState {
     /// admin verb mutate membership while the executor owns the
     /// dispatcher. Lock order is always service state → fleet state.
     fleet: Option<FleetHandle>,
+}
+
+impl ServiceState {
+    fn record(&mut self, id: u64) -> &mut BatchRecord {
+        self.batches.get_mut(&id).expect("running batch exists")
+    }
+
+    /// Moves batch `id` to a terminal `state`, then retires the oldest
+    /// finished batches while their charges exceed the cap. The newest
+    /// finished batch always stays, so its caller can fetch it; queued
+    /// and running batches are never candidates.
+    fn finish(&mut self, id: u64, state: BatchState) {
+        let record = self.record(id);
+        record.state = state;
+        record.jobs = Vec::new();
+        let charge = record.charge();
+        self.finished.push_back((id, charge));
+        self.finished_bytes += charge;
+        while self.retain_bytes != 0
+            && self.finished_bytes > self.retain_bytes
+            && self.finished.len() > 1
+        {
+            let (old, charge) = self.finished.pop_front().expect("more than one");
+            self.batches.remove(&old);
+            self.finished_bytes -= charge;
+        }
+    }
 }
 
 /// Most recent worker exclusions kept for [`BatchStatus::excluded`].
@@ -435,22 +525,15 @@ impl ReplayService {
             None => Box::new(MemStore::new(limits)),
         };
         let next_id = resumed.iter().map(|m| m.id).max().unwrap_or(0) + 1;
-        let mut batches = HashMap::new();
-        for manifest in &resumed {
-            let total = manifest.jobs.len();
-            batches.insert(
-                manifest.id,
-                BatchRecord {
-                    jobs: manifest.jobs.clone(),
-                    results: vec![None; total],
-                    from_cache: vec![false; total],
-                    state: BatchState::Queued,
-                    cancel: false,
-                },
-            );
-        }
+        let batches = resumed
+            .iter()
+            .map(|manifest| (manifest.id, BatchRecord::new(manifest.jobs.clone())))
+            .collect();
         let state = Arc::new(Mutex::new(ServiceState {
             batches,
+            finished: VecDeque::new(),
+            finished_bytes: 0,
+            retain_bytes: config.cache_bytes,
             cache,
             cache_hits: 0,
             cache_misses: 0,
@@ -510,17 +593,7 @@ impl ReplayService {
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         {
             let mut state = self.state.lock().expect("service state poisoned");
-            let total = jobs.len();
-            state.batches.insert(
-                id,
-                BatchRecord {
-                    jobs: jobs.clone(),
-                    results: vec![None; total],
-                    from_cache: vec![false; total],
-                    state: BatchState::Queued,
-                    cancel: false,
-                },
-            );
+            state.batches.insert(id, BatchRecord::new(jobs.clone()));
         }
         // Checkpoint the manifest *before* enqueueing: once the executor
         // can see the batch, the on-disk record must already exist, or a
@@ -586,27 +659,73 @@ impl ReplayService {
         Ok(handle.report())
     }
 
-    /// A point-in-time report on batch `id`; `None` for an unknown id.
-    pub fn status(&self, id: u64) -> Option<BatchStatus> {
+    /// A point-in-time report on batch `id`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Unavailable`]`("batch N retired")` for a batch this
+    /// service no longer holds: it finished and was retired past
+    /// [`ServiceConfig::cache_bytes`], it finished before a restart, or
+    /// its submission was refused (that id never reached a caller).
+    /// Resubmitting its jobs answers them from the cache.
+    /// [`Error::InvalidSpec`] for an id the service never issued.
+    pub fn try_status(&self, id: u64) -> Result<BatchStatus, Error> {
         let state = self.state.lock().expect("service state poisoned");
-        state.batches.get(&id).map(|r| r.status(id, &state))
+        match state.batches.get(&id) {
+            Some(record) => Ok(record.status(id, &state)),
+            None => Err(self.missing(id)),
+        }
+    }
+
+    /// [`try_status`](Self::try_status), with `None` for an unknown or
+    /// retired id.
+    pub fn status(&self, id: u64) -> Option<BatchStatus> {
+        self.try_status(id).ok()
     }
 
     /// The batch's per-job results so far, in submission order ([`Fetch`
-    /// is incremental](JobResult::Pending)); `None` for an unknown id.
-    pub fn fetch(&self, id: u64) -> Option<Vec<JobResult>> {
-        let state = self.state.lock().expect("service state poisoned");
-        state.batches.get(&id).map(|record| {
-            record
-                .results
-                .iter()
-                .map(|slot| match slot {
-                    None => JobResult::Pending,
-                    Some(Ok(outcome)) => JobResult::Ok(outcome.clone()),
-                    Some(Err(e)) => JobResult::Err(e.clone()),
+    /// is incremental](JobResult::Pending)), decoded from the stored
+    /// bytes.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_status`](Self::try_status).
+    pub fn try_fetch(&self, id: u64) -> Result<Vec<JobResult>, Error> {
+        self.results(id)?
+            .into_iter()
+            .map(|result| {
+                Ok(match result {
+                    JobResult::Pending => JobResult::Pending,
+                    JobResult::Ok(json) => JobResult::Ok(json.decode()?),
+                    JobResult::Err(why) => JobResult::Err(why),
                 })
-                .collect()
-        })
+            })
+            .collect()
+    }
+
+    /// [`try_fetch`](Self::try_fetch), with `None` for an unknown or
+    /// retired id.
+    pub fn fetch(&self, id: u64) -> Option<Vec<JobResult>> {
+        self.try_fetch(id).ok()
+    }
+
+    /// The batch's result slots as held: shared buffers, not copies.
+    fn results(&self, id: u64) -> Result<Vec<JobResult<OutcomeJson>>, Error> {
+        let state = self.state.lock().expect("service state poisoned");
+        match state.batches.get(&id) {
+            Some(record) => Ok(record.results.clone()),
+            None => Err(self.missing(id)),
+        }
+    }
+
+    /// The error for an id with no record: ids are issued in order, so
+    /// one below the next id was issued and is gone.
+    fn missing(&self, id: u64) -> Error {
+        if id > 0 && id < self.next_id.load(Ordering::SeqCst) {
+            Error::Unavailable(format!("batch {id} retired"))
+        } else {
+            Error::InvalidSpec(format!("unknown batch id {id}"))
+        }
     }
 
     /// Requests cancellation of batch `id`. Returns whether the request
@@ -681,7 +800,7 @@ fn executor_loop(
                 continue; // submit() rolled it back
             };
             if record.cancel {
-                record.state = BatchState::Cancelled;
+                guard.finish(id, BatchState::Cancelled);
                 drop(guard);
                 if let Some(dir) = state_dir {
                     remove_manifest(dir, id);
@@ -703,14 +822,14 @@ fn executor_loop(
             let mut uncached = Vec::new();
             for (index, digest) in digests.iter().enumerate() {
                 let hit = match digest {
-                    Some(d) => guard.cache.get(*d),
+                    Some(d) => guard.cache.get_json(*d),
                     None => None,
                 };
                 match hit {
-                    Some(outcome) => {
+                    Some(json) => {
                         guard.cache_hits += 1;
-                        let record = guard.batches.get_mut(&id).expect("running batch exists");
-                        record.results[index] = Some(Ok(outcome));
+                        let record = guard.record(id);
+                        record.results[index] = JobResult::Ok(json);
                         record.from_cache[index] = true;
                     }
                     None => {
@@ -737,19 +856,29 @@ fn executor_loop(
             let specs: Vec<JobSpec> = slice.iter().map(|&i| jobs[i].clone()).collect();
             let outcomes = dispatcher.run_specs_with_events(&specs, &sink);
             chunks_dispatched += 1;
+            // Encode each outcome once, outside the lock: these bytes are
+            // what the cache, the journal and every fetch share.
+            let answers: Vec<JobResult<OutcomeJson>> = outcomes
+                .into_iter()
+                .map(
+                    |result| match result.and_then(|o| OutcomeJson::encode(&o)) {
+                        Ok(json) => JobResult::Ok(json),
+                        Err(e) => JobResult::Err(e.to_string()),
+                    },
+                )
+                .collect();
             let mut guard = state.lock().expect("service state poisoned");
-            for (&index, result) in slice.iter().zip(outcomes) {
-                if let (Ok(outcome), Some(digest)) = (&result, digests[index]) {
-                    guard.cache.put(digest, outcome);
+            for (&index, answer) in slice.iter().zip(answers) {
+                if let (JobResult::Ok(json), Some(digest)) = (&answer, digests[index]) {
+                    guard.cache.put_json(digest, json.clone());
                 }
-                let record = guard.batches.get_mut(&id).expect("running batch exists");
-                record.results[index] = Some(result.map_err(|e| e.to_string()));
+                guard.record(id).results[index] = answer;
             }
             if let Some(dir) = state_dir {
                 // Chunk boundary checkpoint: journal first (the puts
                 // above), then the manifest naming what is journaled.
                 guard.cache.flush();
-                let record = guard.batches.get_mut(&id).expect("running batch exists");
+                let record = guard.record(id);
                 write_manifest(dir, &BatchManifest::checkpoint(id, record, &digests));
             }
             drop(guard);
@@ -767,30 +896,38 @@ fn executor_loop(
         }
 
         let mut guard = state.lock().expect("service state poisoned");
-        let record = guard.batches.get_mut(&id).expect("running batch exists");
-        record.state = if cancelled || record.cancel {
+        let record = guard.record(id);
+        let end = if cancelled || record.cancel {
             BatchState::Cancelled
-        } else if record.results.iter().any(|r| matches!(r, Some(Err(_)))) {
+        } else if record
+            .results
+            .iter()
+            .any(|r| matches!(r, JobResult::Err(_)))
+        {
             BatchState::Failed
         } else {
             BatchState::Done
         };
+        guard.finish(id, end);
         drop(guard);
         if let Some(dir) = state_dir {
             // Terminal: the manifest has done its job; results live in
-            // the journal (and in memory until the service drops).
+            // the journal, and in memory until the batch is retired.
             remove_manifest(dir, id);
         }
     }
     // Channel disconnected: whatever never started is cancelled, so
     // late status calls see a terminal state instead of `queued` forever.
     let mut guard = state.lock().expect("service state poisoned");
-    let mut cancelled_ids = Vec::new();
-    for (&id, record) in guard.batches.iter_mut() {
-        if record.state == BatchState::Queued {
-            record.state = BatchState::Cancelled;
-            cancelled_ids.push(id);
-        }
+    let mut cancelled_ids: Vec<u64> = guard
+        .batches
+        .iter()
+        .filter(|(_, record)| record.state == BatchState::Queued)
+        .map(|(&id, _)| id)
+        .collect();
+    cancelled_ids.sort_unstable();
+    for &id in &cancelled_ids {
+        guard.finish(id, BatchState::Cancelled);
     }
     guard.cache.flush();
     drop(guard);
@@ -848,7 +985,7 @@ impl BatchManifest {
                 .results
                 .iter()
                 .enumerate()
-                .filter(|(_, r)| matches!(r, Some(Ok(_))))
+                .filter(|(_, r)| matches!(r, JobResult::Ok(_)))
                 .map(|(i, _)| i as u64)
                 .collect(),
         }
@@ -1043,7 +1180,9 @@ pub enum ServeReply {
     Fleet(FleetReport),
     /// Acknowledges [`ServeRequest::Shutdown`].
     Bye,
-    /// Back-pressure: queue full or shutting down; resubmit later.
+    /// The service cannot answer now — queue full, shutting down, or
+    /// (to `Status` and `Fetch`) the batch was retired; resubmit.
+    /// [`ServeClient`] surfaces it as [`Error::Unavailable`].
     Busy(String),
     /// The request could not be served (e.g. an unknown batch id).
     Error(String),
@@ -1221,13 +1360,18 @@ fn serve_connection(
                 Err(Error::Unavailable(why)) => ServeReply::Busy(why),
                 Err(e) => ServeReply::Error(e.to_string()),
             },
-            ServeRequest::Status(id) => match service.status(id) {
-                Some(status) => ServeReply::Report(status),
-                None => ServeReply::Error(format!("unknown batch id {id}")),
+            ServeRequest::Status(id) => match service.try_status(id) {
+                Ok(status) => ServeReply::Report(status),
+                Err(e) => lookup_refusal(e),
             },
-            ServeRequest::Fetch(id) => match service.fetch(id) {
-                Some(results) => ServeReply::Results(results),
-                None => ServeReply::Error(format!("unknown batch id {id}")),
+            ServeRequest::Fetch(id) => match service.results(id) {
+                Ok(results) => {
+                    // Spliced from the stored bytes, never re-encoded.
+                    write_results(&mut writer, &results)?;
+                    flush_reply(&mut writer)?;
+                    continue;
+                }
+                Err(e) => lookup_refusal(e),
             },
             ServeRequest::Cancel(id) => ServeReply::Cancelled(service.cancel(id)),
             ServeRequest::Fleet(command) => match service.fleet(command) {
@@ -1240,11 +1384,75 @@ fn serve_connection(
             }
         };
         wire::write_message(&mut writer, &reply)?;
-        writer
-            .flush()
-            .map_err(|e| Error::Protocol(format!("flushing reply: {e}")))?;
+        flush_reply(&mut writer)?;
     }
     Ok(())
+}
+
+fn flush_reply(writer: &mut impl Write) -> Result<(), Error> {
+    writer
+        .flush()
+        .map_err(|e| Error::Protocol(format!("flushing reply: {e}")))
+}
+
+/// The reply to a `Status` or `Fetch` the service refused: a retired
+/// batch is [`ServeReply::Busy`] (the client's [`Error::Unavailable`]),
+/// an unknown id an error.
+fn lookup_refusal(error: Error) -> ServeReply {
+    match error {
+        Error::Unavailable(why) => ServeReply::Busy(why),
+        Error::InvalidSpec(why) => ServeReply::Error(why),
+        other => ServeReply::Error(other.to_string()),
+    }
+}
+
+/// Writes a `Fetch` answer as one frame, splicing each outcome's stored
+/// canonical JSON into it.
+///
+/// The frame is byte-identical to [`wire::write_message`] of
+/// [`ServeReply::Results`] over the decoded results, without building or
+/// encoding any outcome.
+///
+/// # Errors
+///
+/// [`Error::Protocol`] on I/O failure or a frame over
+/// [`MAX_FRAME_LEN`](crate::wire::MAX_FRAME_LEN).
+pub fn write_results<W: Write + ?Sized>(
+    writer: &mut W,
+    results: &[JobResult<OutcomeJson>],
+) -> Result<(), Error> {
+    let outcomes: usize = results
+        .iter()
+        .map(|result| match result {
+            JobResult::Ok(json) => json.as_bytes().len(),
+            _ => 0,
+        })
+        .sum();
+    // Length placeholder, then the payload.
+    let mut frame = Vec::with_capacity(20 + outcomes + 24 * results.len());
+    frame.extend_from_slice(&[0; 4]);
+    frame.extend_from_slice(br#"{"results":["#);
+    for (i, result) in results.iter().enumerate() {
+        if i > 0 {
+            frame.push(b',');
+        }
+        match result {
+            JobResult::Pending => frame.extend_from_slice(br#"{"pending":true}"#),
+            JobResult::Ok(json) => {
+                frame.extend_from_slice(br#"{"ok":"#);
+                frame.extend_from_slice(json.as_bytes());
+                frame.push(b'}');
+            }
+            JobResult::Err(why) => {
+                frame.extend_from_slice(br#"{"err":"#);
+                serde_json::to_writer(&mut frame, why)
+                    .map_err(|e| Error::Protocol(format!("encoding: {e}")))?;
+                frame.push(b'}');
+            }
+        }
+    }
+    frame.extend_from_slice(b"]}");
+    wire::send_frame(writer, frame)
 }
 
 /// The caller side: one connection, strict request/reply, typed verbs.
@@ -1325,11 +1533,13 @@ impl ServeClient {
     ///
     /// # Errors
     ///
-    /// [`WorkerError::Remote`] for an unknown id, [`Error::Worker`] for
-    /// transport failures.
+    /// [`Error::Unavailable`] for a retired batch (see
+    /// [`ReplayService::try_status`]), [`WorkerError::Remote`] for an
+    /// unknown id, [`Error::Worker`] for transport failures.
     pub fn status(&mut self, id: u64) -> Result<BatchStatus, Error> {
         match self.call(&ServeRequest::Status(id))? {
             ServeReply::Report(status) => Ok(status),
+            ServeReply::Busy(why) => Err(Error::Unavailable(why)),
             ServeReply::Error(why) => Err(Error::Worker(WorkerError::Remote(why))),
             other => Err(self.unexpected(&other)),
         }
@@ -1340,11 +1550,13 @@ impl ServeClient {
     ///
     /// # Errors
     ///
-    /// [`WorkerError::Remote`] for an unknown id, [`Error::Worker`] for
-    /// transport failures.
+    /// [`Error::Unavailable`] for a retired batch (see
+    /// [`ReplayService::try_status`]), [`WorkerError::Remote`] for an
+    /// unknown id, [`Error::Worker`] for transport failures.
     pub fn fetch(&mut self, id: u64) -> Result<Vec<JobResult>, Error> {
         match self.call(&ServeRequest::Fetch(id))? {
             ServeReply::Results(results) => Ok(results),
+            ServeReply::Busy(why) => Err(Error::Unavailable(why)),
             ServeReply::Error(why) => Err(Error::Worker(WorkerError::Remote(why))),
             other => Err(self.unexpected(&other)),
         }
@@ -1679,6 +1891,236 @@ mod tests {
             status.cache_evictions >= 3,
             "five results through a two-entry cache must evict; status: {status:?}"
         );
+        service.shutdown();
+    }
+
+    fn jobs_from(base: u64, n: u64) -> Vec<JobSpec> {
+        derived_jobs(
+            &ScenarioSpec::Uniform(RandomInstanceConfig::unweighted(18, 45, 3)),
+            &AlgorithmSpec::RandPr,
+            base,
+            n,
+        )
+    }
+
+    fn sequential(batch: &[JobSpec]) -> Vec<Outcome> {
+        batch
+            .iter()
+            .map(|j| run_spec(j, &CoreResolver).unwrap())
+            .collect()
+    }
+
+    /// A service whose `cache_bytes` holds every outcome of `want` in the
+    /// cache, but only one finished batch of that size: the second to
+    /// finish retires the first.
+    fn tight_service(dispatcher: Box<dyn Dispatcher + Send>, want: &[Outcome]) -> ReplayService {
+        let json: usize = want
+            .iter()
+            .map(|o| OutcomeJson::encode(o).unwrap().as_bytes().len())
+            .sum();
+        let charge = RECORD_CHARGE + SLOT_CHARGE * want.len() as u64 + json as u64;
+        ReplayService::new(
+            dispatcher,
+            ServiceConfig {
+                queue_capacity: 4,
+                chunk: 2,
+                cache_bytes: charge + charge / 2,
+                ..ServiceConfig::default()
+            },
+        )
+        .expect("in-memory service never fails to start")
+    }
+
+    fn assert_retired(got: Result<impl std::fmt::Debug, Error>, id: u64) {
+        match got {
+            Err(Error::Unavailable(why)) => assert_eq!(why, format!("batch {id} retired")),
+            other => panic!("expected batch {id} retired, got {other:?}"),
+        }
+    }
+
+    fn assert_outcomes(results: &[JobResult], want: &[Outcome]) {
+        assert_eq!(results.len(), want.len());
+        for (result, want) in results.iter().zip(want) {
+            match result {
+                JobResult::Ok(got) => assert_eq!(got, want),
+                other => panic!("expected an outcome, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn retired_batches_answer_unavailable_in_process_and_over_the_wire() {
+        let batch = jobs(4);
+        let want = sequential(&batch);
+        let service = tight_service(
+            Box::new(SpecPool::new(ReplayPool::new(2), CoreResolver)),
+            &want,
+        );
+        let server = ServeServer::bind(&WorkerAddr::Tcp("127.0.0.1:0".into()), service).unwrap();
+        let mut client =
+            ServeClient::connect(server.local_addr(), Duration::from_secs(10)).unwrap();
+        let poll = Duration::from_millis(5);
+        let first = client.submit(&batch).unwrap();
+        client.wait(first, poll, Duration::from_secs(60)).unwrap();
+        let second = client.submit(&batch).unwrap();
+        let status = client.wait(second, poll, Duration::from_secs(60)).unwrap();
+        assert_eq!(status.cached, status.total);
+
+        let service = server.service();
+        assert_retired(service.try_status(first), first);
+        assert_retired(service.try_fetch(first), first);
+        assert!(service.status(first).is_none() && service.fetch(first).is_none());
+        assert!(!service.cancel(first));
+        assert_retired(client.status(first), first);
+        assert_retired(client.fetch(first), first);
+        // The newest finished batch is held and fetchable both ways.
+        assert_outcomes(&service.try_fetch(second).unwrap(), &want);
+        assert_outcomes(&client.fetch(second).unwrap(), &want);
+        // An id never issued is a different error.
+        assert!(matches!(
+            service.try_status(999),
+            Err(Error::InvalidSpec(_))
+        ));
+        assert!(matches!(service.try_fetch(0), Err(Error::InvalidSpec(_))));
+        let err = client.fetch(999).unwrap_err();
+        assert!(
+            matches!(&err, Error::Worker(WorkerError::Remote(why)) if why == "unknown batch id 999"),
+            "got {err:?}"
+        );
+        server.stop();
+    }
+
+    #[test]
+    fn a_retired_batch_resubmits_from_the_cache_bit_identically() {
+        let batch = jobs(4);
+        let want = sequential(&batch);
+        let service = tight_service(
+            Box::new(SpecPool::new(ReplayPool::new(2), CoreResolver)),
+            &want,
+        );
+        let first = service.submit(batch.clone()).unwrap();
+        assert_eq!(wait_terminal(&service, first).cached, 0);
+        for _ in 0..3 {
+            let id = service.submit(batch.clone()).unwrap();
+            let status = wait_terminal(&service, id);
+            assert_eq!(status.state, "done");
+            assert_eq!(status.cached, status.total, "{status:?}");
+            assert_eq!(status.cache_evictions, 0);
+            assert_outcomes(&service.try_fetch(id).unwrap(), &want);
+        }
+        assert_retired(service.try_fetch(first), first);
+        service.shutdown();
+    }
+
+    /// Runs each dispatch call only once the test sends a token, so a
+    /// batch can be held running.
+    struct GatePool {
+        gate: Mutex<Receiver<()>>,
+    }
+
+    impl Dispatcher for GatePool {
+        fn run_specs_with_events(
+            &self,
+            jobs: &[JobSpec],
+            _sink: &dyn EventSink,
+        ) -> Vec<Result<Outcome, Error>> {
+            // A dropped sender opens the gate for good.
+            let _ = self.gate.lock().unwrap().recv();
+            jobs.iter().map(|j| run_spec(j, &CoreResolver)).collect()
+        }
+
+        fn lanes(&self) -> usize {
+            1
+        }
+
+        fn backend(&self) -> &'static str {
+            "gate-test"
+        }
+    }
+
+    #[test]
+    fn running_and_queued_batches_are_never_retired() {
+        let batches: Vec<Vec<JobSpec>> = (0..4).map(|b| jobs_from(40 + b, 4)).collect();
+        let (open, gate) = std::sync::mpsc::channel();
+        let service = tight_service(
+            Box::new(GatePool {
+                gate: Mutex::new(gate),
+            }),
+            &sequential(&batches[0]),
+        );
+        // Two chunks per batch, one token each.
+        let release = |open: &std::sync::mpsc::Sender<()>| {
+            open.send(()).unwrap();
+            open.send(()).unwrap();
+        };
+        let state_of = |id: u64| service.try_status(id).unwrap().state;
+
+        let a = service.submit(batches[0].clone()).unwrap();
+        release(&open);
+        assert_eq!(wait_terminal(&service, a).state, "done");
+        let b = service.submit(batches[1].clone()).unwrap();
+        let c = service.submit(batches[2].clone()).unwrap();
+        while state_of(b) != "running" {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(state_of(c), "queued");
+        assert_eq!(state_of(a), "done");
+
+        // B finishes: A, the oldest finished batch, retires; C does not.
+        release(&open);
+        wait_terminal(&service, b);
+        assert_retired(service.try_status(a), a);
+        assert!(matches!(state_of(c).as_str(), "queued" | "running"));
+        let d = service.submit(batches[3].clone()).unwrap();
+        while state_of(c) != "running" {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+
+        // C finishes: B retires; D, queued or running, stays.
+        release(&open);
+        wait_terminal(&service, c);
+        assert_retired(service.try_status(b), b);
+        assert!(matches!(state_of(d).as_str(), "queued" | "running"));
+        release(&open);
+        wait_terminal(&service, d);
+        assert_retired(service.try_status(c), c);
+        assert_outcomes(&service.try_fetch(d).unwrap(), &sequential(&batches[3]));
+        service.shutdown();
+    }
+
+    #[test]
+    fn empty_and_failed_batches_retire_too() {
+        let service = ReplayService::new(
+            Box::new(SpecPool::new(ReplayPool::new(2), CoreResolver)),
+            ServiceConfig {
+                cache_bytes: 4 * RECORD_CHARGE,
+                ..ServiceConfig::default()
+            },
+        )
+        .expect("service starts");
+        let infeasible = JobSpec {
+            scenario: ScenarioSpec::Uniform(RandomInstanceConfig::unweighted(2, 5, 4)),
+            algorithm: AlgorithmSpec::RandPr,
+            seed: 0,
+        };
+        let mut ids = Vec::new();
+        for round in 0..40 {
+            let batch = if round % 2 == 0 {
+                Vec::new()
+            } else {
+                vec![infeasible.clone()]
+            };
+            let id = service.submit(batch).unwrap();
+            wait_terminal(&service, id);
+            ids.push(id);
+        }
+        let held = ids
+            .iter()
+            .filter(|&&id| service.status(id).is_some())
+            .count();
+        assert!((1..=4).contains(&held), "{held} of 40 batches held");
+        assert!(service.status(ids[39]).is_some(), "the newest stays");
+        assert_retired(service.try_fetch(ids[0]), ids[0]);
         service.shutdown();
     }
 

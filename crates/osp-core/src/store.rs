@@ -1,16 +1,23 @@
 //! Crash-safe result persistence for the replay service.
 //!
 //! The replay server's content-addressed cache ([`job_digest`] →
-//! [`Outcome`]) is persisted and bounded behind one seam:
+//! outcome) is persisted and bounded behind one seam. A cached outcome is
+//! held as [`OutcomeJson`]: its canonical JSON in one shared buffer. That
+//! buffer is the only resident form of a served result. The service's
+//! batch records hold clones of the same buffer, `Fetch` splices it into
+//! the reply frame, and the journal writes it inside its records, so no
+//! layer re-encodes an outcome it already holds.
 //!
-//! * [`ResultStore`] — the storage trait the service talks to. `get` and
-//!   `put` by digest, plus the observability counters surfaced in
-//!   [`BatchStatus`](crate::serve::BatchStatus) (entry count, live bytes,
-//!   evictions).
-//! * [`MemStore`] — the in-memory implementation, now bounded: an
-//!   entry-count cap and a byte cap with LRU eviction
-//!   ([`StoreLimits`]), so a long-running server without `--state-dir`
-//!   holds a working set, not an unbounded history.
+//! * [`ResultStore`] — the storage trait the service talks to.
+//!   `get_json` and `put_json` by digest (plus `get`/`put`, which decode
+//!   and encode an [`Outcome`] around them), and the observability
+//!   counters surfaced in [`BatchStatus`](crate::serve::BatchStatus)
+//!   (entry count, live bytes, evictions).
+//! * [`MemStore`] — the in-memory implementation, bounded by an
+//!   entry-count cap and a byte cap with LRU eviction ([`StoreLimits`]).
+//!   The byte cap counts the buffers actually resident, so a long-running
+//!   server without `--state-dir` holds a working set, not an unbounded
+//!   history.
 //! * [`JournalStore`] — a [`MemStore`] mirrored to disk. Every `put`
 //!   appends one length-prefixed, checksummed record (the framed-wire
 //!   codec of [`wire`](crate::wire): `u32`-LE length, then an 8-byte
@@ -31,14 +38,16 @@
 //! clean frame. Records written before outcomes became O(m) carry the full
 //! decision log instead of a digest; they decode by folding the log into
 //! the digest, so a state dir written by an older build still answers
-//! from cache.
+//! from cache. Every recovered record is re-encoded once, on open, into
+//! the current canonical bytes.
 //!
 //! # Compaction
 //!
 //! The journal is append-only, so re-`put`s and evicted entries leave
 //! stale bytes behind. When the journal grows past a floor *and* past 4×
-//! the live working set, the store compacts: the live entries are written
-//! (in LRU order, oldest first, so recency survives a restart) to
+//! the live working set, the store compacts: the live entries are framed
+//! around their stored bytes, without re-encoding, and written (in LRU
+//! order, oldest first, so recency survives a restart) to
 //! `snapshot.tmp`, atomically renamed over `snapshot.osp`, and the
 //! journal is truncated to zero. A crash anywhere in that sequence leaves
 //! either the old snapshot + full journal or the new snapshot + journal
@@ -51,6 +60,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -75,12 +85,57 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// An outcome's canonical JSON in one shared, immutable buffer.
+///
+/// The bytes are exactly what `serde_json` renders for the [`Outcome`],
+/// so splicing them into a larger document gives the same bytes as
+/// serializing the decoded outcome there. Cloning bumps a reference
+/// count; it never copies the buffer.
+#[derive(Clone, PartialEq, Eq)]
+pub struct OutcomeJson(Arc<[u8]>);
+
+impl OutcomeJson {
+    /// Renders `outcome` as canonical JSON.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Protocol`] if the outcome does not serialize.
+    pub fn encode(outcome: &Outcome) -> Result<OutcomeJson, Error> {
+        let mut bytes = Vec::new();
+        serde_json::to_writer(&mut bytes, outcome)
+            .map_err(|e| Error::Protocol(format!("encoding outcome: {e}")))?;
+        Ok(OutcomeJson(bytes.into()))
+    }
+
+    /// Decodes the bytes back into the outcome they render.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Protocol`] if the bytes are not an outcome (never the case
+    /// for bytes made by [`encode`](Self::encode)).
+    pub fn decode(&self) -> Result<Outcome, Error> {
+        serde_json::from_slice(&self.0)
+            .map_err(|e| Error::Protocol(format!("decoding stored outcome: {e}")))
+    }
+
+    /// The canonical JSON bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl std::fmt::Debug for OutcomeJson {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "OutcomeJson({} bytes)", self.0.len())
+    }
+}
+
 /// Capacity bounds for a result store. `0` means unlimited on that axis.
 ///
 /// Both axes are enforced on every insert with LRU eviction: the least
 /// recently *touched* (`get` or `put`) entry goes first. The byte axis
-/// counts each entry as its canonical-JSON length plus the 16-byte
-/// digest, i.e. roughly what the entry costs in a snapshot.
+/// counts each entry as its resident cost: the shared canonical-JSON
+/// buffer plus the 16-byte digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreLimits {
     /// Maximum live entries (0 = unlimited).
@@ -90,8 +145,8 @@ pub struct StoreLimits {
 }
 
 impl Default for StoreLimits {
-    /// 4096 entries / 64 MiB — generous for a replay cache of
-    /// [`Outcome`]s, small enough that a week-long server stays flat.
+    /// 4096 entries / 64 MiB — generous for a replay cache of outcomes,
+    /// small enough that a week-long server stays flat.
     fn default() -> Self {
         StoreLimits::DEFAULT
     }
@@ -120,13 +175,24 @@ impl StoreLimits {
 /// `get` takes `&mut self` because a lookup is a *touch* — it moves the
 /// entry to the back of the LRU queue.
 pub trait ResultStore: Send {
-    /// Look up a cached outcome, marking it most-recently-used.
-    fn get(&mut self, digest: (u64, u64)) -> Option<Outcome>;
-    /// Insert (or overwrite) an outcome, evicting LRU entries if a cap
-    /// is exceeded. Outcomes that fail to serialize are dropped silently
-    /// — the cache is an optimisation, a lost insert only costs a future
-    /// recompute.
-    fn put(&mut self, digest: (u64, u64), outcome: &Outcome);
+    /// Look up a cached outcome's shared bytes, marking it
+    /// most-recently-used.
+    fn get_json(&mut self, digest: (u64, u64)) -> Option<OutcomeJson>;
+    /// Insert (or overwrite) an outcome's bytes, evicting LRU entries if
+    /// a cap is exceeded. The store keeps `json` itself, not a copy.
+    fn put_json(&mut self, digest: (u64, u64), json: OutcomeJson);
+    /// [`get_json`](Self::get_json), decoded.
+    fn get(&mut self, digest: (u64, u64)) -> Option<Outcome> {
+        self.get_json(digest)?.decode().ok()
+    }
+    /// [`put_json`](Self::put_json) of the outcome's canonical JSON.
+    /// Outcomes that fail to serialize are dropped silently — the cache is
+    /// an optimisation, a lost insert only costs a future recompute.
+    fn put(&mut self, digest: (u64, u64), outcome: &Outcome) {
+        if let Ok(json) = OutcomeJson::encode(outcome) {
+            self.put_json(digest, json);
+        }
+    }
     /// Live entries.
     fn len(&self) -> usize;
     /// Whether the store holds no entries.
@@ -150,13 +216,22 @@ pub trait ResultStore: Send {
 
 /// One cached outcome plus its LRU bookkeeping.
 struct Entry {
-    outcome: Outcome,
-    /// Canonical-JSON length + 16 digest bytes — the entry's cost
-    /// against [`StoreLimits::max_bytes`].
-    bytes: u64,
+    json: OutcomeJson,
     /// Logical clock of the last touch; pairs with the lazy LRU queue.
     tick: u64,
 }
+
+impl Entry {
+    /// The entry's cost against [`StoreLimits::max_bytes`]: the shared
+    /// buffer plus 16 digest bytes.
+    fn bytes(&self) -> u64 {
+        self.json.as_bytes().len() as u64 + 16
+    }
+}
+
+/// Stale LRU queue slots allowed beyond twice the live entries before
+/// the queue is swept.
+const LRU_SLACK: usize = 64;
 
 /// The bounded in-memory result store.
 ///
@@ -164,9 +239,9 @@ struct Entry {
 /// queue and stamps the entry with the same tick. Eviction pops from the
 /// front and only acts when the popped tick is still the entry's current
 /// tick — stale queue entries (from earlier touches) are skipped. Each
-/// touch is O(1); the queue is bounded by the number of touches between
-/// evictions, and every pop retires one queue slot, so the amortized
-/// cost stays constant.
+/// touch is O(1) amortized: when stale slots outnumber live entries (a
+/// hot working set under the caps evicts nothing), one sweep drops them,
+/// so the queue stays within twice the live entries plus a constant.
 pub struct MemStore {
     limits: StoreLimits,
     entries: HashMap<(u64, u64), Entry>,
@@ -196,6 +271,11 @@ impl MemStore {
             entry.tick = tick;
         }
         self.lru.push_back((digest, tick));
+        if self.lru.len() > 2 * self.entries.len() + LRU_SLACK {
+            let entries = &self.entries;
+            self.lru
+                .retain(|(digest, tick)| entries.get(digest).is_some_and(|e| e.tick == *tick));
+        }
     }
 
     /// Pops LRU entries until both caps hold. Returns evicted digests so
@@ -212,7 +292,7 @@ impl MemStore {
                 .is_some_and(|entry| entry.tick == tick);
             if live {
                 let entry = self.entries.remove(&digest).expect("checked live");
-                self.bytes -= entry.bytes;
+                self.bytes -= entry.bytes();
                 self.evictions += 1;
                 evicted += 1;
             }
@@ -225,51 +305,34 @@ impl MemStore {
             || (self.limits.max_bytes != 0 && self.bytes > self.limits.max_bytes)
     }
 
-    /// Inserts (or overwrites) an entry whose canonical JSON is
-    /// `json_len` bytes long, then evicts down to the caps.
-    fn insert(&mut self, digest: (u64, u64), outcome: &Outcome, json_len: usize) {
-        let bytes = json_len as u64 + 16;
-        if let Some(old) = self.entries.get(&digest) {
-            self.bytes -= old.bytes;
-        }
-        self.bytes += bytes;
-        self.entries.insert(
-            digest,
-            Entry {
-                outcome: outcome.clone(),
-                bytes,
-                tick: 0,
-            },
-        );
-        self.touch(digest);
-        self.enforce_caps();
-    }
-
     /// Live entries ordered by last touch, oldest first — the order a
     /// snapshot is written in, so LRU recency survives a restart.
-    fn entries_by_tick(&self) -> Vec<((u64, u64), &Outcome)> {
+    fn entries_by_tick(&self) -> Vec<((u64, u64), &OutcomeJson)> {
         let mut live: Vec<_> = self.entries.iter().collect();
         live.sort_by_key(|(_, entry)| entry.tick);
         live.into_iter()
-            .map(|(digest, entry)| (*digest, &entry.outcome))
+            .map(|(digest, entry)| (*digest, &entry.json))
             .collect()
     }
 }
 
 impl ResultStore for MemStore {
-    fn get(&mut self, digest: (u64, u64)) -> Option<Outcome> {
+    fn get_json(&mut self, digest: (u64, u64)) -> Option<OutcomeJson> {
         if !self.entries.contains_key(&digest) {
             return None;
         }
         self.touch(digest);
-        self.entries.get(&digest).map(|entry| entry.outcome.clone())
+        self.entries.get(&digest).map(|entry| entry.json.clone())
     }
 
-    fn put(&mut self, digest: (u64, u64), outcome: &Outcome) {
-        let mut json = ByteCount(0);
-        if serde_json::to_writer(&mut json, outcome).is_ok() {
-            self.insert(digest, outcome, json.0);
+    fn put_json(&mut self, digest: (u64, u64), json: OutcomeJson) {
+        let entry = Entry { json, tick: 0 };
+        self.bytes += entry.bytes();
+        if let Some(old) = self.entries.insert(digest, entry) {
+            self.bytes -= old.bytes();
         }
+        self.touch(digest);
+        self.enforce_caps();
     }
 
     fn len(&self) -> usize {
@@ -289,25 +352,10 @@ impl ResultStore for MemStore {
     }
 }
 
-/// Counts the bytes written to it: an outcome's canonical-JSON length
-/// without keeping the text.
-struct ByteCount(usize);
-
-impl Write for ByteCount {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0 += buf.len();
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 /// One journal record: the digest lanes plus the outcome, serialized as
 /// canonical JSON inside a checksummed frame. [`encode_record`] writes
-/// this shape by hand around the outcome's JSON, so the outcome is
-/// rendered once per `put`.
+/// this shape by hand around the outcome's stored JSON, so a record never
+/// renders the outcome again.
 #[derive(Serialize, Deserialize)]
 struct Record {
     a: u64,
@@ -434,8 +482,8 @@ impl JournalStore {
         let tmp = self.dir.join("snapshot.tmp");
         {
             let mut out = File::create(&tmp)?;
-            for (digest, outcome) in self.mem.entries_by_tick() {
-                if let Some((frame, _)) = encode_record(digest, outcome) {
+            for (digest, json) in self.mem.entries_by_tick() {
+                if let Some(frame) = encode_record(digest, json) {
                     out.write_all(&frame)?;
                 }
             }
@@ -451,13 +499,13 @@ impl JournalStore {
 }
 
 impl ResultStore for JournalStore {
-    fn get(&mut self, digest: (u64, u64)) -> Option<Outcome> {
-        self.mem.get(digest)
+    fn get_json(&mut self, digest: (u64, u64)) -> Option<OutcomeJson> {
+        self.mem.get_json(digest)
     }
 
-    fn put(&mut self, digest: (u64, u64), outcome: &Outcome) {
-        if let Some((frame, json_len)) = encode_record(digest, outcome) {
-            self.mem.insert(digest, outcome, json_len);
+    fn put_json(&mut self, digest: (u64, u64), json: OutcomeJson) {
+        if let Some(frame) = encode_record(digest, &json) {
+            self.mem.put_json(digest, json);
             if self.journal.write_all(&frame).is_ok() {
                 self.journal_bytes += frame.len() as u64;
                 // Push the bytes to the OS now: the page cache survives
@@ -497,16 +545,15 @@ impl ResultStore for JournalStore {
 
 /// Encodes one record as its on-disk frame: `u32`-LE payload length,
 /// then 8-byte LE FNV-1a checksum over the JSON, then the JSON bytes of a
-/// [`Record`]. Also returns the length of the outcome's own JSON inside
-/// it, the entry's size in [`MemStore`]. `None` if the outcome does not
-/// serialize (dropped, never panicked on).
-fn encode_record(digest: (u64, u64), outcome: &Outcome) -> Option<(Vec<u8>, usize)> {
+/// [`Record`], with the outcome's stored bytes copied in. `None` if the
+/// record would exceed [`MAX_FRAME_LEN`] (dropped, never panicked on).
+fn encode_record(digest: (u64, u64), json: &OutcomeJson) -> Option<Vec<u8>> {
+    let json = json.as_bytes();
     // Length and checksum placeholders, then the record's JSON.
-    let mut frame = vec![0; 12];
+    let mut frame = Vec::with_capacity(60 + json.len());
+    frame.extend_from_slice(&[0; 12]);
     write!(frame, r#"{{"a":{},"b":{},"outcome":"#, digest.0, digest.1).ok()?;
-    let start = frame.len();
-    serde_json::to_writer(&mut frame, outcome).ok()?;
-    let json_len = frame.len() - start;
+    frame.extend_from_slice(json);
     frame.push(b'}');
     let payload_len = frame.len() - 4;
     if payload_len > MAX_FRAME_LEN {
@@ -515,7 +562,7 @@ fn encode_record(digest: (u64, u64), outcome: &Outcome) -> Option<(Vec<u8>, usiz
     let checksum = fnv1a(&frame[12..]);
     frame[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
     frame[4..12].copy_from_slice(&checksum.to_le_bytes());
-    Some((frame, json_len))
+    Some(frame)
 }
 
 /// The result of scanning a journal byte-for-byte.
@@ -658,12 +705,57 @@ mod tests {
     }
 
     #[test]
+    fn stored_outcomes_are_shared_not_copied() {
+        let mut store = MemStore::new(StoreLimits::UNBOUNDED);
+        let (digest, outcome) = samples(1).remove(0);
+        let json = OutcomeJson::encode(&outcome).expect("encode");
+        store.put_json(digest, json.clone());
+        let got = store.get_json(digest).expect("hit");
+        assert_eq!(got.as_bytes().as_ptr(), json.as_bytes().as_ptr());
+        assert_eq!(got.decode().expect("decode"), outcome);
+        assert_eq!(store.bytes(), json.as_bytes().len() as u64 + 16);
+    }
+
+    #[test]
+    fn lru_queue_stays_bounded_when_nothing_is_evicted() {
+        let mut store = MemStore::new(StoreLimits::DEFAULT);
+        let samples = samples(4);
+        for (digest, outcome) in &samples {
+            store.put(*digest, outcome);
+        }
+        for _ in 0..10_000 {
+            for (digest, _) in &samples {
+                assert!(store.get_json(*digest).is_some());
+            }
+        }
+        assert!(store.lru.len() <= 2 * store.len() + LRU_SLACK);
+        assert_eq!(store.evictions(), 0);
+        // The sweep keeps recency: the least recently touched goes first.
+        let mut capped = MemStore::new(StoreLimits {
+            max_entries: 3,
+            max_bytes: 0,
+        });
+        for (digest, outcome) in &samples[..3] {
+            capped.put(*digest, outcome);
+        }
+        for _ in 0..1000 {
+            capped.get_json(samples[0].0);
+            capped.get_json(samples[2].0);
+        }
+        capped.put(samples[3].0, &samples[3].1);
+        assert!(capped.get_json(samples[1].0).is_none());
+        assert!(capped.get_json(samples[0].0).is_some());
+    }
+
+    #[test]
     fn journal_records_keep_the_derived_record_bytes() {
         for (digest, outcome) in samples(3)
             .into_iter()
             .chain([((u64::MAX, 0), samples(1)[0].1.clone())])
         {
-            let (frame, json_len) = encode_record(digest, &outcome).expect("encode");
+            let json = OutcomeJson::encode(&outcome).expect("encode");
+            let frame = encode_record(digest, &json).expect("frame");
+            let json_len = json.as_bytes().len();
             let record = Record {
                 a: digest.0,
                 b: digest.1,
@@ -925,7 +1017,8 @@ mod tests {
             let samples = samples(4);
             let mut bytes = Vec::new();
             for (digest, outcome) in &samples {
-                bytes.extend_from_slice(&encode_record(*digest, outcome).expect("encode").0);
+                let json = OutcomeJson::encode(outcome).expect("encode");
+                bytes.extend_from_slice(&encode_record(*digest, &json).expect("frame"));
             }
             (bytes, samples)
         }

@@ -111,7 +111,10 @@ pub fn write_frame<W: Write + ?Sized>(writer: &mut W, payload: &[u8]) -> Result<
 
 /// Fills in the length prefix of `frame` (4 placeholder bytes, then the
 /// payload) and writes it in one `write_all`.
-fn send_frame<W: Write + ?Sized>(writer: &mut W, mut frame: Vec<u8>) -> Result<(), Error> {
+pub(crate) fn send_frame<W: Write + ?Sized>(
+    writer: &mut W,
+    mut frame: Vec<u8>,
+) -> Result<(), Error> {
     let len = frame.len() - 4;
     if len > MAX_FRAME_LEN {
         return Err(oversized(len));

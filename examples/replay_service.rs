@@ -25,6 +25,13 @@
 //! executes them — and an identical resubmission is answered from the
 //! content-addressed results cache (watch `cache hits` move) without a
 //! single job recomputed.
+//!
+//! Self-hosted, the service also runs with a small `cache_bytes` (three
+//! batches' worth of outcome bytes) to show retirement: finished batches
+//! count against that cap, so once a few more cached batches finish the
+//! first one is retired. Fetching it then fails with a typed
+//! [`Error::Unavailable`], and resubmitting it is answered entirely from
+//! the cache.
 
 use std::time::{Duration, Instant};
 
@@ -32,49 +39,12 @@ use osp::core::gen::RandomInstanceConfig;
 use osp::core::prelude::*;
 use osp::core::serve::{JobResult, ReplayService, ServeClient, ServeServer, ServiceConfig};
 use osp::core::spec::run_spec;
+use osp::core::store::OutcomeJson;
 use osp::core::wire::socket::{SocketServer, WorkerAddr};
 use osp::core::{FaultPlan, SocketPool};
 use osp::net::NetResolver;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // The server: ambient (OSP_SERVE_ADDR) or self-hosted on loopback
-    // over a socket fleet with one doomed worker.
-    let mut workers: Vec<SocketServer> = Vec::new();
-    let mut hosted: Option<ServeServer> = None;
-    let serve_addr: WorkerAddr = match std::env::var("OSP_SERVE_ADDR") {
-        Ok(raw) => {
-            let addr = WorkerAddr::parse(&raw)?;
-            println!("server: external osp-serve at {addr}");
-            addr
-        }
-        Err(_) => {
-            let loopback = WorkerAddr::parse("127.0.0.1:0")?;
-            workers.push(SocketServer::bind(
-                &loopback,
-                NetResolver,
-                FaultPlan::parse("die:5")?,
-            )?);
-            for _ in 0..2 {
-                workers.push(SocketServer::bind(
-                    &loopback,
-                    NetResolver,
-                    FaultPlan::default(),
-                )?);
-            }
-            let addrs = workers.iter().map(|w| w.local_addr().clone()).collect();
-            let service =
-                ReplayService::new(Box::new(SocketPool::new(addrs)), ServiceConfig::default())?;
-            let server = ServeServer::bind(&loopback, service)?;
-            let addr = server.local_addr().clone();
-            println!(
-                "server: self-hosted on {addr} over a 3-worker socket fleet \
-                 (fault plan die:5 on worker 0)"
-            );
-            hosted = Some(server);
-            addr
-        }
-    };
-
     // One mixed work-list, and the sequential bits it must reproduce.
     // `OSP_EXAMPLE_SEED` swaps the seed base so repeated runs against a
     // long-lived server can submit *fresh* jobs (the CI chaos-recovery
@@ -106,6 +76,54 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|j| run_spec(j, &NetResolver))
         .collect::<Result<_, _>>()?;
+
+    // The server: ambient (OSP_SERVE_ADDR) or self-hosted on loopback
+    // over a socket fleet with one doomed worker.
+    let mut workers: Vec<SocketServer> = Vec::new();
+    let mut hosted: Option<ServeServer> = None;
+    let serve_addr: WorkerAddr = match std::env::var("OSP_SERVE_ADDR") {
+        Ok(raw) => {
+            let addr = WorkerAddr::parse(&raw)?;
+            println!("server: external osp-serve at {addr}");
+            addr
+        }
+        Err(_) => {
+            let loopback = WorkerAddr::parse("127.0.0.1:0")?;
+            workers.push(SocketServer::bind(
+                &loopback,
+                NetResolver,
+                FaultPlan::parse("die:5")?,
+            )?);
+            for _ in 0..2 {
+                workers.push(SocketServer::bind(
+                    &loopback,
+                    NetResolver,
+                    FaultPlan::default(),
+                )?);
+            }
+            let addrs = workers.iter().map(|w| w.local_addr().clone()).collect();
+            // Three batches' worth of outcome bytes: the cache holds every
+            // outcome, and the third finished batch (each is charged its
+            // outcome bytes plus a fixed amount) retires the first.
+            let mut outcome_bytes = 0;
+            for outcome in &sequential {
+                outcome_bytes += OutcomeJson::encode(outcome)?.as_bytes().len() as u64;
+            }
+            let config = ServiceConfig {
+                cache_bytes: 3 * outcome_bytes,
+                ..ServiceConfig::default()
+            };
+            let service = ReplayService::new(Box::new(SocketPool::new(addrs)), config)?;
+            let server = ServeServer::bind(&loopback, service)?;
+            let addr = server.local_addr().clone();
+            println!(
+                "server: self-hosted on {addr} over a 3-worker socket fleet \
+                 (fault plan die:5 on worker 0)"
+            );
+            hosted = Some(server);
+            addr
+        }
+    };
 
     let mut client = ServeClient::connect(&serve_addr, Duration::from_secs(10))?;
 
@@ -145,6 +163,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          (service lifetime: {} hits / {} misses)",
         status.cached, status.total, status.cache_hits, status.cache_misses
     );
+
+    // Retirement, self-hosted only (an external server's cap is its own):
+    // resubmit until the first batch is retired, then fetch it.
+    if hosted.is_some() {
+        let mut more = 0;
+        let retired = loop {
+            if let Err(e) = client.fetch(first) {
+                break e;
+            }
+            assert!(more < 16, "batch {first} never retired");
+            let id = client.submit(&jobs)?;
+            client.wait(id, Duration::from_millis(25), Duration::from_secs(300))?;
+            more += 1;
+        };
+        assert!(
+            matches!(retired, Error::Unavailable(_)),
+            "a retired batch must answer a typed Unavailable, got {retired:?}"
+        );
+        let again = client.submit(&jobs)?;
+        let status = client.wait(again, Duration::from_millis(25), Duration::from_secs(300))?;
+        verify(&sequential, &client.fetch(again)?)?;
+        assert_eq!(
+            status.cached, status.total,
+            "a retired batch's resubmission must be answered entirely from the cache"
+        );
+        println!(
+            "retirement:  batch {first} retired after {more} more cached batch{} ({retired}); \
+             resubmitted as batch {again}: {} of {} jobs from cache",
+            if more == 1 { "" } else { "es" },
+            status.cached,
+            status.total
+        );
+    }
 
     // `OSP_SERVE_SHUTDOWN=1` (CI's serve-smoke teardown): ask the server
     // to drain and exit instead of leaving it running.

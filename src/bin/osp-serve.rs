@@ -31,7 +31,9 @@
 //! * `OSP_SERVE_QUEUE` / `OSP_SERVE_CHUNK` — submission-queue capacity
 //!   and per-dispatch chunk size ([`ServiceConfig`]); junk is fatal.
 //! * `OSP_SERVE_CACHE_ENTRIES` / `OSP_SERVE_CACHE_BYTES` — results-cache
-//!   caps (`0` = unlimited); junk is fatal.
+//!   caps (`0` = unlimited); junk is fatal. Finished batches are held to
+//!   the byte cap too: past it the oldest retire, and asking after one
+//!   answers "batch N retired" (resubmit it to answer from the cache).
 //! * `OSP_FAULT=die-after-chunk:<n>` — crash drill: exit 86 after `n`
 //!   dispatched chunks, *after* their results are journaled. Only this
 //!   clause is accepted here (`die:`/`stall:` are worker-side; fatal).

@@ -266,6 +266,40 @@ fn outcome_frame_size_does_not_depend_on_the_stream_length() {
     );
 }
 
+/// A fixed outcome and its canonical JSON, captured from the codec
+/// before its hot paths were rewritten.
+fn pinned_outcome() -> (Outcome, &'static str) {
+    let log = DecisionLog::from_parts(vec![0, 2, 2, 3], vec![SetId(0), SetId(2), SetId(1)])
+        .expect("valid log");
+    let outcome = Outcome::from_parts(
+        vec![SetId(0), SetId(2)],
+        0.1 + 0.2,
+        log.digest(),
+        log.len() as u64,
+        log.total_assignments() as u64,
+        vec![None, Some(ElementId(1)), None],
+    )
+    .expect("valid outcome");
+    let outcome_json = concat!(
+        r#"{"completed":[0,2],"benefit":0.30000000000000004,"#,
+        r#""digest":"5119084f5912a3174deacdbdf83b1046","#,
+        r#""arrivals":3,"assignments":3,"died_at":[null,1,null]}"#,
+    );
+    (outcome, outcome_json)
+}
+
+/// The pinned reply's error slot: quotes, control characters and
+/// non-ASCII text, all of which the codec escapes or copies.
+const PINNED_ERR: &str = "spec \"x\"\n\tfailed: σ≥1 \u{1}";
+
+/// The exact `Fetch` reply bytes for pending, ok (the pinned outcome)
+/// and err ([`PINNED_ERR`]) slots.
+fn pinned_reply_json(outcome_json: &str) -> String {
+    format!(
+        r#"{{"results":[{{"pending":true}},{{"ok":{outcome_json}}},{{"err":"spec \"x\"\n\tfailed: σ≥1 \u0001"}}]}}"#
+    )
+}
+
 /// Known answers from the codec as it was before its hot paths were
 /// rewritten. The cache key (`job_digest` hashes the spec's JSON), the
 /// journal record and the served bytes must not move by one byte.
@@ -298,37 +332,48 @@ fn cache_keys_and_served_bytes_are_pinned() {
         (0xad0d_9d85_c4a6_1bae, 0x2670_746f_819a_81fb)
     );
 
-    let log = DecisionLog::from_parts(vec![0, 2, 2, 3], vec![SetId(0), SetId(2), SetId(1)])
-        .expect("valid log");
-    let outcome = Outcome::from_parts(
-        vec![SetId(0), SetId(2)],
-        0.1 + 0.2,
-        log.digest(),
-        log.len() as u64,
-        log.total_assignments() as u64,
-        vec![None, Some(ElementId(1)), None],
-    )
-    .expect("valid outcome");
-    let outcome_json = concat!(
-        r#"{"completed":[0,2],"benefit":0.30000000000000004,"#,
-        r#""digest":"5119084f5912a3174deacdbdf83b1046","#,
-        r#""arrivals":3,"assignments":3,"died_at":[null,1,null]}"#,
-    );
+    let (outcome, outcome_json) = pinned_outcome();
     assert_eq!(serde_json::to_string(&outcome).unwrap(), outcome_json);
     let reply = ServeReply::Results(vec![
         JobResult::Pending,
         JobResult::Ok(outcome),
-        JobResult::Err("spec \"x\"\n\tfailed: σ≥1 \u{1}".to_string()),
+        JobResult::Err(PINNED_ERR.to_string()),
     ]);
-    let reply_json = format!(
-        r#"{{"results":[{{"pending":true}},{{"ok":{outcome_json}}},{{"err":"spec \"x\"\n\tfailed: σ≥1 \u0001"}}]}}"#
-    );
+    let reply_json = pinned_reply_json(outcome_json);
     assert_eq!(serde_json::to_string(&reply).unwrap(), reply_json);
     // A frame is the length prefix, then exactly those bytes.
     let mut frame = Vec::new();
     write_message(&mut frame, &reply).unwrap();
     assert_eq!(frame[..4], (reply_json.len() as u32).to_le_bytes());
     assert_eq!(&frame[4..], reply_json.as_bytes());
+}
+
+/// `osp-serve` answers `Fetch` by splicing each outcome's stored bytes
+/// into the reply frame. That frame must be exactly the pinned reply.
+#[test]
+fn spliced_fetch_frames_match_the_pinned_reply_bytes() {
+    use osp::core::{write_results, JobResult, OutcomeJson};
+
+    let (outcome, outcome_json) = pinned_outcome();
+    let stored = OutcomeJson::encode(&outcome).unwrap();
+    assert_eq!(stored.as_bytes(), outcome_json.as_bytes());
+    let mut frame = Vec::new();
+    write_results(
+        &mut frame,
+        &[
+            JobResult::Pending,
+            JobResult::Ok(stored),
+            JobResult::Err(PINNED_ERR.to_string()),
+        ],
+    )
+    .unwrap();
+    let reply_json = pinned_reply_json(outcome_json);
+    assert_eq!(frame[..4], (reply_json.len() as u32).to_le_bytes());
+    assert_eq!(&frame[4..], reply_json.as_bytes());
+    // An empty batch is an empty list.
+    let mut frame = Vec::new();
+    write_results(&mut frame, &[]).unwrap();
+    assert_eq!(&frame[4..], br#"{"results":[]}"#);
 }
 
 #[test]
