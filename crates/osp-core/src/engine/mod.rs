@@ -231,6 +231,12 @@ impl serde::Deserialize for DecisionDigest {
             .parse()
             .map_err(|e: Error| serde::Error::msg(e.to_string()))
     }
+
+    fn read_json(reader: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        String::read_json(reader)?
+            .parse()
+            .map_err(|e: Error| serde::Error::msg(e.to_string()))
+    }
 }
 
 /// A flat record of every decision of a run: one CSR arena (offsets +
@@ -358,6 +364,20 @@ impl serde::Deserialize for DecisionLog {
         let data = Vec::<SetId>::from_value(serde::get_field(value, "data")?)?;
         DecisionLog::from_parts(offsets, data).map_err(|e| serde::Error::msg(e.to_string()))
     }
+
+    fn read_json(reader: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut offsets, mut data) = (None, None);
+        reader.read_fields(&["offsets", "data"], |r, i| {
+            match i {
+                0 => offsets = Some(Vec::<u32>::read_json(r)?),
+                _ => data = Some(Vec::<SetId>::read_json(r)?),
+            }
+            Ok(())
+        })?;
+        let offsets = serde::required(offsets, "offsets")?;
+        let data = serde::required(data, "data")?;
+        DecisionLog::from_parts(offsets, data).map_err(|e| serde::Error::msg(e.to_string()))
+    }
 }
 
 impl<'a> IntoIterator for &'a DecisionLog {
@@ -470,11 +490,11 @@ impl Outcome {
     ///
     /// # Errors
     ///
-    /// [`Error::Protocol`] if `completed` is not strictly ascending,
-    /// `benefit` is not finite, or an empty stream claims assignments (the
-    /// structural invariants every engine-produced outcome holds; deeper
-    /// consistency would need the instance, which by design is not on the
-    /// wire).
+    /// [`Error::Protocol`] if `completed` is not strictly ascending, names
+    /// a set outside `died_at` or one with a death record, `benefit` is
+    /// not finite, or an empty stream claims assignments (the structural
+    /// invariants every engine-produced outcome holds; deeper consistency
+    /// would need the instance, which by design is not on the wire).
     pub fn from_parts(
         completed: Vec<SetId>,
         benefit: f64,
@@ -487,6 +507,16 @@ impl Outcome {
             return Err(Error::Protocol(
                 "completed sets must be strictly ascending".into(),
             ));
+        }
+        if let Some(set) = completed
+            .iter()
+            .find(|s| died_at.get(s.index()).is_none_or(Option::is_some))
+        {
+            return Err(Error::Protocol(format!(
+                "completed set {} is outside the {} sets or has a death record",
+                set.0,
+                died_at.len()
+            )));
         }
         if !benefit.is_finite() {
             return Err(Error::Protocol("benefit must be finite".into()));
@@ -547,6 +577,59 @@ impl serde::Deserialize for Outcome {
             }
         };
         let died_at = Vec::<Option<ElementId>>::from_value(serde::get_field(value, "died_at")?)?;
+        Outcome::from_parts(completed, benefit, digest, arrivals, assignments, died_at)
+            .map_err(|e| serde::Error::msg(e.to_string()))
+    }
+
+    /// Reads the same shapes as
+    /// [`from_value`](serde::Deserialize::from_value) straight from the
+    /// bytes. The counts are used only with a digest and the log only
+    /// without one, so their own failures wait until then.
+    fn read_json(reader: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut completed, mut benefit, mut digest, mut died_at) = (None, None, None, None);
+        let (mut arrivals, mut assignments, mut log) = (None, None, None);
+        reader.read_fields(
+            &[
+                "completed",
+                "benefit",
+                "digest",
+                "arrivals",
+                "assignments",
+                "decisions",
+                "died_at",
+            ],
+            |r, i| {
+                match i {
+                    0 => completed = Some(Vec::<SetId>::read_json(r)?),
+                    1 => benefit = Some(f64::read_json(r)?),
+                    2 => digest = Some(DecisionDigest::read_json(r)?),
+                    3 => arrivals = Some(r.read_or_skip(u64::read_json)?),
+                    4 => assignments = Some(r.read_or_skip(u64::read_json)?),
+                    5 => log = Some(r.read_or_skip(DecisionLog::read_json)?),
+                    _ => died_at = Some(Vec::<Option<ElementId>>::read_json(r)?),
+                }
+                Ok(())
+            },
+        )?;
+        let completed = serde::required(completed, "completed")?;
+        let benefit = serde::required(benefit, "benefit")?;
+        let (digest, arrivals, assignments) = match (digest, log) {
+            (Some(digest), _) => (
+                digest,
+                serde::required(arrivals, "arrivals")??,
+                serde::required(assignments, "assignments")??,
+            ),
+            (None, Some(log)) => {
+                let log = log?;
+                (
+                    log.digest(),
+                    log.len() as u64,
+                    log.total_assignments() as u64,
+                )
+            }
+            (None, None) => return Err(serde::Error::missing("digest")),
+        };
+        let died_at = serde::required(died_at, "died_at")?;
         Outcome::from_parts(completed, benefit, digest, arrivals, assignments, died_at)
             .map_err(|e| serde::Error::msg(e.to_string()))
     }
@@ -1415,6 +1498,32 @@ mod tests {
         // Neither a digest nor a log: missing field.
         let bare = r#"{"completed":[],"benefit":0.0,"died_at":[]}"#;
         assert!(serde_json::from_str::<Outcome>(bare).is_err());
+    }
+
+    #[test]
+    fn from_parts_rejects_completed_sets_no_run_can_produce() {
+        let parts = |completed: Vec<u32>, died_at: Vec<Option<u32>>| {
+            Outcome::from_parts(
+                completed.into_iter().map(SetId).collect(),
+                1.0,
+                DecisionDigest::new(),
+                0,
+                0,
+                died_at.into_iter().map(|d| d.map(ElementId)).collect(),
+            )
+        };
+        assert!(parts(vec![0, 2], vec![None, Some(1), None]).is_ok());
+        // A completed id past the sets, and a completed set that died.
+        for bad in [
+            parts(vec![0, 3], vec![None, Some(1), None]),
+            parts(vec![1], vec![None, Some(1), None]),
+            parts(vec![0], vec![]),
+        ] {
+            assert!(matches!(bad, Err(Error::Protocol(_))), "{bad:?}");
+        }
+        // The same rule holds at the decode boundary.
+        let died = r#"{"completed":[1],"benefit":1.0,"digest":"5119084f5912a3174deacdbdf83b1046","arrivals":1,"assignments":1,"died_at":[null,0]}"#;
+        assert!(serde_json::from_str::<Outcome>(died).is_err());
     }
 
     #[test]

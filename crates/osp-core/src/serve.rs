@@ -249,6 +249,14 @@ impl Deserialize for JobResult {
         bool::from_value(serde::get_field(value, "pending")?)?;
         Ok(JobResult::Pending)
     }
+
+    fn read_json(reader: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        reader.read_tagged(&["ok", "err", "pending"], |r, tag| match tag {
+            0 => Outcome::read_json(r).map(JobResult::Ok),
+            1 => String::read_json(r).map(JobResult::Err),
+            _ => bool::read_json(r).map(|_| JobResult::Pending),
+        })
+    }
 }
 
 /// A point-in-time report on one batch, plus the service-lifetime cache
@@ -1229,6 +1237,29 @@ impl Deserialize for ServeReply {
         }
         bool::from_value(serde::get_field(value, "bye")?)?;
         Ok(ServeReply::Bye)
+    }
+
+    fn read_json(reader: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let tags = [
+            "batch",
+            "report",
+            "results",
+            "cancelled",
+            "fleet",
+            "busy",
+            "error",
+            "bye",
+        ];
+        reader.read_tagged(&tags, |r, tag| match tag {
+            0 => u64::read_json(r).map(ServeReply::Batch),
+            1 => BatchStatus::read_json(r).map(ServeReply::Report),
+            2 => Vec::<JobResult>::read_json(r).map(ServeReply::Results),
+            3 => bool::read_json(r).map(ServeReply::Cancelled),
+            4 => FleetReport::read_json(r).map(ServeReply::Fleet),
+            5 => String::read_json(r).map(ServeReply::Busy),
+            6 => String::read_json(r).map(ServeReply::Error),
+            _ => bool::read_json(r).map(|_| ServeReply::Bye),
+        })
     }
 }
 

@@ -220,19 +220,32 @@ pub mod reply {
         pub err: Option<String>,
     }
 
+    /// A job result borrowed for the wire ([`encode`]): it writes the
+    /// bytes of the [`Reply`] it decodes to without copying the outcome.
+    #[derive(Debug, Clone, Copy)]
+    pub struct ReplyRef<'a>(&'a Result<Outcome, Error>);
+
+    /// The `{"ok": …}` or `{"err": …}` envelope.
+    fn envelope(ok: Option<&Outcome>, err: Option<&str>) -> serde::Value {
+        let (key, value) = match (ok, err) {
+            (Some(outcome), _) => ("ok", outcome.to_value()),
+            (None, Some(err)) => ("err", serde::Value::Str(err.to_string())),
+            (None, None) => ("err", serde::Value::Str("empty reply".to_string())),
+        };
+        serde::Value::Map(vec![(key.to_string(), value)])
+    }
+
     impl Serialize for Reply {
         fn to_value(&self) -> serde::Value {
-            match (&self.ok, &self.err) {
-                (Some(outcome), _) => {
-                    serde::Value::Map(vec![("ok".to_string(), outcome.to_value())])
-                }
-                (None, Some(err)) => {
-                    serde::Value::Map(vec![("err".to_string(), serde::Value::Str(err.clone()))])
-                }
-                (None, None) => serde::Value::Map(vec![(
-                    "err".to_string(),
-                    serde::Value::Str("empty reply".to_string()),
-                )]),
+            envelope(self.ok.as_ref(), self.err.as_deref())
+        }
+    }
+
+    impl Serialize for ReplyRef<'_> {
+        fn to_value(&self) -> serde::Value {
+            match self.0 {
+                Ok(outcome) => envelope(Some(outcome), None),
+                Err(e) => envelope(None, Some(&e.to_string())),
             }
         }
     }
@@ -251,20 +264,32 @@ pub mod reply {
                 err: Some(err),
             })
         }
+
+        fn read_json(reader: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+            reader.read_tagged(&["ok", "err"], read_variant)
+        }
     }
 
-    /// Wraps a job result for the wire.
-    pub fn encode(result: &Result<Outcome, Error>) -> Reply {
-        match result {
-            Ok(outcome) => Reply {
-                ok: Some(outcome.clone()),
+    /// Reads the value of a reply's `ok` (tag 0) or `err` (tag 1) key.
+    pub(super) fn read_variant(
+        reader: &mut serde::Reader<'_>,
+        tag: usize,
+    ) -> Result<Reply, serde::Error> {
+        Ok(match tag {
+            0 => Reply {
+                ok: Some(Outcome::read_json(reader)?),
                 err: None,
             },
-            Err(e) => Reply {
+            _ => Reply {
                 ok: None,
-                err: Some(e.to_string()),
+                err: Some(String::read_json(reader)?),
             },
-        }
+        })
+    }
+
+    /// Wraps a job result for the wire, borrowing the outcome.
+    pub fn encode(result: &Result<Outcome, Error>) -> ReplyRef<'_> {
+        ReplyRef(result)
     }
 
     /// Unwraps a wire reply. A structured engine error does not survive
@@ -386,6 +411,13 @@ impl Deserialize for ServerFrame {
             return Ok(ServerFrame::Pong(Pong::from_value(value)?));
         }
         Ok(ServerFrame::Reply(reply::Reply::from_value(value)?))
+    }
+
+    fn read_json(reader: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        reader.read_tagged(&["pong", "ok", "err"], |r, tag| match tag {
+            0 => u64::read_json(r).map(|pong| ServerFrame::Pong(Pong { pong })),
+            _ => reply::read_variant(r, tag - 1).map(ServerFrame::Reply),
+        })
     }
 }
 

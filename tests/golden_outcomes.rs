@@ -21,9 +21,15 @@ use osp_core::gen::{
     biregular_instance, fixed_size_instance, random_instance, CapacityModel, LoadModel,
     RandomInstanceConfig, WeightModel,
 };
-use osp_core::{run, Instance, OnlineAlgorithm, ReplayPool, SetId};
+use osp_core::serve::ServeReply;
+use osp_core::wire::reply;
+use osp_core::{run, Instance, JobResult, OnlineAlgorithm, Outcome, ReplayPool, SetId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+#[path = "support/typed_decode.rs"]
+mod typed_decode;
+use typed_decode::{perturb, typed_matches_tree};
 
 /// One pinned replay.
 struct Golden {
@@ -134,6 +140,42 @@ fn golden_outcomes_are_stable() {
         let batched = pool.run_seeds(&instance, &[g.alg_seed], &|s| build_algorithm(g.alg, s));
         assert_eq!(batched[0], sequential, "{label}: batch diverged");
     }
+}
+
+/// Every golden outcome reads back as itself, and the typed and the tree
+/// decode agree on it: alone, as a worker's reply, in one fetched batch
+/// of all of them, and in perturbed frames around a few of them.
+#[test]
+fn golden_outcomes_decode_the_same_typed_and_through_the_tree() {
+    let outcomes: Vec<Outcome> = GOLDENS
+        .iter()
+        .map(|g| {
+            let instance = build_instance(g.spec, g.gen_seed);
+            run(&instance, build_algorithm(g.alg, g.alg_seed).as_mut()).unwrap()
+        })
+        .collect();
+    let agree = |json: String| {
+        if let Err(e) = typed_matches_tree(json.as_bytes()) {
+            panic!("{e}");
+        }
+    };
+    for outcome in &outcomes {
+        let json = serde_json::to_string(outcome).unwrap();
+        assert_eq!(&serde_json::from_str::<Outcome>(&json).unwrap(), outcome);
+        agree(json);
+        agree(serde_json::to_string(&reply::encode(&Ok(outcome.clone()))).unwrap());
+    }
+    for seed in 0..512u64 {
+        let at = seed as usize % outcomes.len();
+        let few = &outcomes[at..outcomes.len().min(at + 3)];
+        if let Err(e) = typed_matches_tree(&perturb(few, seed)) {
+            panic!("seed {seed}: {e}");
+        }
+    }
+    let batch = ServeReply::Results(outcomes.into_iter().map(JobResult::Ok).collect());
+    let json = serde_json::to_string(&batch).unwrap();
+    assert_eq!(serde_json::from_str::<ServeReply>(&json).unwrap(), batch);
+    agree(json);
 }
 
 /// Prints the full golden table in source form.

@@ -8,8 +8,12 @@ use proptest::prelude::*;
 
 use osp::core::gen::{CapacityModel, LoadModel, RandomInstanceConfig, WeightModel};
 use osp::core::prelude::*;
-use osp::core::wire::{read_frame, read_message, write_frame, write_message};
+use osp::core::wire::{read_frame, read_message, reply, write_frame, write_message};
 use osp::core::ElementId;
+
+#[path = "support/typed_decode.rs"]
+mod typed_decode;
+use typed_decode::{perturb, typed_matches_tree};
 
 // --- Strategies -----------------------------------------------------------
 
@@ -104,24 +108,26 @@ fn decision_log() -> impl Strategy<Value = DecisionLog> {
     )
 }
 
+/// An outcome an engine run could produce: each set is completed, died at
+/// some element, or neither, so a completed set never has a death record.
 fn outcome() -> impl Strategy<Value = Outcome> {
     (
-        proptest::collection::vec(0u32..1024, 0..24),
+        proptest::collection::vec(0u8..3, 0..64),
         -1e12f64..1e12,
         decision_log(),
-        proptest::collection::vec(proptest::arbitrary::any::<bool>(), 0..64),
     )
-        .prop_map(|(completed, benefit, log, deaths)| {
-            let mut ids: Vec<SetId> = completed.into_iter().map(SetId).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            let died_at: Vec<Option<ElementId>> = deaths
-                .into_iter()
+        .prop_map(|(fates, benefit, log)| {
+            let completed: Vec<SetId> = (0..fates.len() as u32)
+                .filter(|&i| fates[i as usize] == 0)
+                .map(SetId)
+                .collect();
+            let died_at: Vec<Option<ElementId>> = fates
+                .iter()
                 .enumerate()
-                .map(|(i, dead)| dead.then_some(ElementId(i as u32)))
+                .map(|(i, &fate)| (fate == 1).then_some(ElementId(i as u32)))
                 .collect();
             Outcome::from_parts(
-                ids,
+                completed,
                 benefit,
                 log.digest(),
                 log.len() as u64,
@@ -227,6 +233,16 @@ proptest! {
     }
 
     #[test]
+    fn typed_decode_matches_the_tree_on_perturbed_frames(
+        outcomes in proptest::collection::vec(outcome(), 0..4),
+        seed in proptest::any::<u64>(),
+    ) {
+        let bytes = perturb(&outcomes, seed);
+        let verdict = typed_matches_tree(&bytes);
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+    }
+
+    #[test]
     fn malformed_decision_log_parts_are_rejected(
         offsets in proptest::collection::vec(0u32..64, 0..8),
         data_len in 0usize..64,
@@ -240,6 +256,23 @@ proptest! {
         if let Err(e) = result {
             prop_assert!(matches!(e, Error::Protocol(_)));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// The perturbed-frame differential at 10⁴ cases (run with
+    /// `cargo test --release -- --ignored`).
+    #[test]
+    #[ignore = "10^4 cases; run in release with --ignored"]
+    fn typed_decode_matches_the_tree_on_10k_perturbed_frames(
+        outcomes in proptest::collection::vec(outcome(), 0..4),
+        seed in proptest::any::<u64>(),
+    ) {
+        let bytes = perturb(&outcomes, seed);
+        let verdict = typed_matches_tree(&bytes);
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 }
 
@@ -374,6 +407,58 @@ fn spliced_fetch_frames_match_the_pinned_reply_bytes() {
     let mut frame = Vec::new();
     write_results(&mut frame, &[]).unwrap();
     assert_eq!(&frame[4..], br#"{"results":[]}"#);
+}
+
+/// A worker's reply to a job is written from a borrowed result; its
+/// bytes are the outcome's canonical JSON (or the error text) under one
+/// key.
+#[test]
+fn worker_reply_bytes_are_pinned() {
+    let (outcome, outcome_json) = pinned_outcome();
+    let ok = serde_json::to_string(&reply::encode(&Ok(outcome))).unwrap();
+    assert_eq!(ok, format!(r#"{{"ok":{outcome_json}}}"#));
+    let failed = Err(Error::Protocol(PINNED_ERR.to_string()));
+    let err = serde_json::to_string(&reply::encode(&failed)).unwrap();
+    assert_eq!(
+        err,
+        r#"{"err":"wire protocol error: spec \"x\"\n\tfailed: σ≥1 \u0001"}"#
+    );
+}
+
+/// Every known answer above decodes to the same value typed and through
+/// the tree, as does each shape earlier builds wrote.
+#[test]
+fn known_answer_frames_decode_the_same_typed_and_through_the_tree() {
+    let (outcome, outcome_json) = pinned_outcome();
+    let worker_ok = serde_json::to_string(&reply::encode(&Ok(outcome))).unwrap();
+    let legacy = concat!(
+        r#"{"completed":[0,2],"benefit":3.0,"#,
+        r#""decisions":{"offsets":[0,1,2,3],"data":[0,0,2]},"died_at":[null,0,null]}"#,
+    );
+    let frames = [
+        outcome_json.to_string(),
+        pinned_reply_json(outcome_json),
+        r#"{"results":[]}"#.to_string(),
+        worker_ok,
+        format!(
+            r#"{{"err":{}}}"#,
+            serde_json::to_string(PINNED_ERR).unwrap()
+        ),
+        r#"{"pong":7}"#.to_string(),
+        r#"{"version":4,"roster":["uniform"]}"#.to_string(),
+        legacy.to_string(),
+        format!(r#"{{"ok":{legacy}}}"#),
+        r#"{"completed":[],"benefit":0.0,"died_at":[]}"#.to_string(),
+    ];
+    for frame in &frames {
+        if let Err(e) = typed_matches_tree(frame.as_bytes()) {
+            panic!("{e}");
+        }
+    }
+    // The pinned frames also decode to the values they were made from.
+    let (outcome, _) = pinned_outcome();
+    let back: Outcome = serde_json::from_str(outcome_json).unwrap();
+    assert_eq!(back, outcome);
 }
 
 #[test]
