@@ -479,3 +479,295 @@ fn oversized_frame_declaration_is_rejected_without_allocating() {
     ));
     assert!(sink.is_empty());
 }
+
+/// Asserts that `value` encodes to exactly `json`, and that `json`
+/// decodes back to `value` both typed and through the tree.
+fn pin<T>(value: &T, json: &str)
+where
+    T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
+{
+    assert_eq!(serde_json::to_string(value).unwrap(), json);
+    assert_eq!(&serde_json::from_str::<T>(json).unwrap(), value, "{json}");
+    let tree: serde::Value = serde_json::from_str(json).unwrap();
+    assert_eq!(&T::from_value(&tree).unwrap(), value, "{json}");
+}
+
+/// One pinned value per variant of every enum on the wire, with its
+/// exact JSON: the spec enums (whose JSON is the job's cache key and
+/// journal record), the worker request and the service verbs.
+fn pinned_variants() -> Vec<String> {
+    use osp::core::engine::dispatch::{FleetReport, LaneReport};
+    use osp::core::serve::{ServeReply, ServeRequest};
+    use osp::core::wire::Request;
+    use osp::core::{BatchStatus, FleetCommand, JobResult};
+
+    let mut pins = Vec::new();
+    macro_rules! pin_all {
+        ($($value:expr => $json:expr,)*) => {$({
+            let json: String = $json.to_string();
+            pin(&$value, &json);
+            pins.push(json);
+        })*};
+    }
+
+    let job = JobSpec {
+        scenario: ScenarioSpec::Biregular {
+            num_sets: 64,
+            set_size: 4,
+            load: 16,
+        },
+        algorithm: AlgorithmSpec::HashRandPr { independence: 8 },
+        seed: 11,
+    };
+    let job_json = concat!(
+        r#"{"scenario":{"scenario":"biregular","num_sets":64,"set_size":4,"load":16},"#,
+        r#""algorithm":{"algorithm":"hash_pr","independence":8},"seed":11}"#,
+    );
+    let status = BatchStatus {
+        id: 2,
+        state: "done".into(),
+        total: 2,
+        answered: 2,
+        failed: 1,
+        cached: 1,
+        jobs: vec!["cached".into(), "failed".into()],
+        cache_hits: 3,
+        cache_misses: 4,
+        cache_evictions: 0,
+        excluded: vec!["127.0.0.1:7001: refused".into()],
+        workers_rejoined: 1,
+        worker_probes: 5,
+    };
+    let status_json = concat!(
+        r#"{"id":2,"state":"done","total":2,"answered":2,"failed":1,"cached":1,"#,
+        r#""jobs":["cached","failed"],"cache_hits":3,"cache_misses":4,"#,
+        r#""cache_evictions":0,"excluded":["127.0.0.1:7001: refused"],"#,
+        r#""workers_rejoined":1,"worker_probes":5}"#,
+    );
+    let fleet = FleetReport {
+        lanes: vec![LaneReport {
+            addr: "127.0.0.1:7001".into(),
+            state: "excluded".into(),
+            failures: 2,
+            cause: "refused".into(),
+        }],
+        rejoined: 1,
+        probes: 6,
+    };
+    let fleet_json = concat!(
+        r#"{"lanes":[{"addr":"127.0.0.1:7001","state":"excluded","failures":2,"#,
+        r#""cause":"refused"}],"rejoined":1,"probes":6}"#,
+    );
+    let (outcome, outcome_json) = pinned_outcome();
+    let config = RandomInstanceConfig {
+        num_sets: 40,
+        num_elements: 100,
+        load: LoadModel::Uniform { lo: 1, hi: 6 },
+        weights: WeightModel::Zipf { exponent: 1.0 },
+        capacities: CapacityModel::Uniform { lo: 1, hi: 3 },
+    };
+    let config_json = concat!(
+        r#"{"num_sets":40,"num_elements":100,"load":{"model":"uniform","lo":1,"hi":6},"#,
+        r#""weights":{"model":"zipf","exponent":1.0},"#,
+        r#""capacities":{"model":"uniform","lo":1,"hi":3}}"#,
+    );
+
+    pin_all! {
+        // TieBreak: 5 variants.
+        TieBreak::ByWeight => r#""weight""#,
+        TieBreak::ByFewestRemaining => r#""fewest-remaining""#,
+        TieBreak::ByMostProgress => r#""most-progress""#,
+        TieBreak::ByDensity => r#""density""#,
+        TieBreak::ByIndex => r#""index""#,
+        // LoadModel: 2.
+        LoadModel::Fixed(3) => r#"{"model":"fixed","value":3}"#,
+        LoadModel::Uniform { lo: 1, hi: 6 } => r#"{"model":"uniform","lo":1,"hi":6}"#,
+        // WeightModel: 3.
+        WeightModel::Unit => r#"{"model":"unit"}"#,
+        WeightModel::Uniform { lo: 0.5, hi: 2.0 } => r#"{"model":"uniform","lo":0.5,"hi":2.0}"#,
+        WeightModel::Zipf { exponent: 1.25 } => r#"{"model":"zipf","exponent":1.25}"#,
+        // CapacityModel: 3.
+        CapacityModel::Unit => r#"{"model":"unit"}"#,
+        CapacityModel::Fixed(2) => r#"{"model":"fixed","value":2}"#,
+        CapacityModel::Uniform { lo: 1, hi: 3 } => r#"{"model":"uniform","lo":1,"hi":3}"#,
+        // AlgorithmSpec: 7.
+        AlgorithmSpec::RandPr => r#"{"algorithm":"rand_pr"}"#,
+        AlgorithmSpec::HashRandPr { independence: 8 } => r#"{"algorithm":"hash_pr","independence":8}"#,
+        AlgorithmSpec::Greedy { tie_break: TieBreak::ByDensity } =>
+            r#"{"algorithm":"greedy","tie_break":"density"}"#,
+        AlgorithmSpec::RandomAssign => r#"{"algorithm":"random_assign"}"#,
+        AlgorithmSpec::Oracle { target: vec![SetId(1), SetId(4)] } =>
+            r#"{"algorithm":"oracle","target":[1,4]}"#,
+        AlgorithmSpec::TailDrop => r#"{"algorithm":"tail_drop"}"#,
+        AlgorithmSpec::RandomDrop => r#"{"algorithm":"random_drop"}"#,
+        // ScenarioSpec: 4.
+        ScenarioSpec::Uniform(config) => format!(r#"{{"scenario":"uniform","config":{config_json}}}"#),
+        ScenarioSpec::Biregular { num_sets: 64, set_size: 4, load: 16 } =>
+            r#"{"scenario":"biregular","num_sets":64,"set_size":4,"load":16}"#,
+        ScenarioSpec::FixedSize { num_sets: 50, set_size: 4, num_elements: 120, skew: 1.2 } =>
+            r#"{"scenario":"fixed_size","num_sets":50,"set_size":4,"num_elements":120,"skew":1.2}"#,
+        ScenarioSpec::VideoTrace {
+            sources: 4,
+            frames_per_source: 12,
+            frame_interval: 8,
+            capacity: 4,
+            jitter: 2,
+        } => concat!(
+            r#"{"scenario":"video_trace","sources":4,"frames_per_source":12,"#,
+            r#""frame_interval":8,"capacity":4,"jitter":2}"#,
+        ),
+        // Request: 2.
+        Request::Job(job.clone()) => format!(r#"{{"job":{job_json}}}"#),
+        Request::Ping(7) => r#"{"ping":7}"#,
+        // FleetCommand: 4.
+        FleetCommand::Add("127.0.0.1:7001".into()) => r#"{"add":"127.0.0.1:7001"}"#,
+        FleetCommand::Remove("127.0.0.1:7001".into()) => r#"{"remove":"127.0.0.1:7001"}"#,
+        FleetCommand::Probe => r#"{"probe":true}"#,
+        FleetCommand::Status => r#"{"status":true}"#,
+        // ServeRequest: 6.
+        ServeRequest::Submit(vec![job.clone()]) => format!(r#"{{"submit":[{job_json}]}}"#),
+        ServeRequest::Status(3) => r#"{"status":3}"#,
+        ServeRequest::Fetch(3) => r#"{"fetch":3}"#,
+        ServeRequest::Cancel(3) => r#"{"cancel":3}"#,
+        ServeRequest::Fleet(FleetCommand::Probe) => r#"{"fleet":{"probe":true}}"#,
+        ServeRequest::Shutdown => r#"{"shutdown":true}"#,
+        // ServeReply: 8.
+        ServeReply::Batch(5) => r#"{"batch":5}"#,
+        ServeReply::Report(status) => format!(r#"{{"report":{status_json}}}"#),
+        ServeReply::Results(vec![JobResult::Pending]) => r#"{"results":[{"pending":true}]}"#,
+        ServeReply::Cancelled(true) => r#"{"cancelled":true}"#,
+        ServeReply::Fleet(fleet) => format!(r#"{{"fleet":{fleet_json}}}"#),
+        ServeReply::Busy("queue full".into()) => r#"{"busy":"queue full"}"#,
+        ServeReply::Error("unknown batch 9".into()) => r#"{"error":"unknown batch 9"}"#,
+        ServeReply::Bye => r#"{"bye":true}"#,
+        // JobResult: 3.
+        JobResult::<Outcome>::Ok(outcome) => format!(r#"{{"ok":{outcome_json}}}"#),
+        JobResult::<Outcome>::Err("boom".into()) => r#"{"err":"boom"}"#,
+        JobResult::<Outcome>::Pending => r#"{"pending":true}"#,
+    }
+    pins
+}
+
+/// Every variant of the 11 wire enums, pinned byte for byte.
+#[test]
+fn every_wire_enum_variant_is_pinned() {
+    assert_eq!(pinned_variants().len(), 47);
+}
+
+/// The cache key of one job per scenario and per algorithm variant.
+#[test]
+fn job_digests_are_pinned_per_variant() {
+    use osp::core::job_digest;
+
+    let uniform = ScenarioSpec::Uniform(RandomInstanceConfig::unweighted(20, 50, 3));
+    let biregular = ScenarioSpec::Biregular {
+        num_sets: 64,
+        set_size: 4,
+        load: 16,
+    };
+    let cases = [
+        (uniform, AlgorithmSpec::RandPr),
+        (biregular.clone(), AlgorithmSpec::RandPr),
+        (
+            ScenarioSpec::FixedSize {
+                num_sets: 50,
+                set_size: 4,
+                num_elements: 120,
+                skew: 1.2,
+            },
+            AlgorithmSpec::RandPr,
+        ),
+        (
+            ScenarioSpec::VideoTrace {
+                sources: 4,
+                frames_per_source: 12,
+                frame_interval: 8,
+                capacity: 4,
+                jitter: 2,
+            },
+            AlgorithmSpec::RandPr,
+        ),
+        (
+            biregular.clone(),
+            AlgorithmSpec::HashRandPr { independence: 64 },
+        ),
+        (
+            biregular.clone(),
+            AlgorithmSpec::Greedy {
+                tie_break: TieBreak::ByFewestRemaining,
+            },
+        ),
+        (biregular.clone(), AlgorithmSpec::RandomAssign),
+        (
+            biregular.clone(),
+            AlgorithmSpec::Oracle {
+                target: vec![SetId(0), SetId(9)],
+            },
+        ),
+        (biregular.clone(), AlgorithmSpec::TailDrop),
+        (biregular, AlgorithmSpec::RandomDrop),
+    ];
+    let want = [
+        (0x8d52_86cb_d9e3_7006, 0x3112_881f_59f1_940f),
+        (0x9bc2_6146_b6d3_5fa1, 0xfac6_2524_0aa7_0898),
+        (0xa728_d4df_b3a6_361e, 0xd05b_bea5_ac0a_4bd5),
+        (0xf6ab_879b_14cd_36a8, 0x5e80_a26d_fbf8_3997),
+        (0x2867_0b7d_88c9_366a, 0xd1fd_4d16_7167_8eef),
+        (0xf587_d903_7710_2b14, 0xd9a7_2d7a_5a01_b9a9),
+        (0xfaf4_37f9_3f02_1472, 0xce06_0b4d_cd3b_387f),
+        (0x414f_51a2_8e52_1307, 0x8ea6_7fb4_f0c4_8d2a),
+        (0x0179_310b_e0f8_6c45, 0xbff3_fb99_3af2_26b0),
+        (0xd8c7_fb82_def2_e662, 0x5def_8c5f_1847_4bdb),
+    ];
+    for ((scenario, algorithm), want) in cases.into_iter().zip(want) {
+        let job = JobSpec {
+            scenario,
+            algorithm,
+            seed: 3,
+        };
+        assert_eq!(job_digest(&job).unwrap(), want, "{job:?}");
+    }
+}
+
+/// An object holding two tags decodes as the one its type looks up
+/// first; an object holding none fails naming the last one looked up.
+#[test]
+fn tag_precedence_is_pinned() {
+    use osp::core::serve::{ServeReply, ServeRequest};
+    use osp::core::wire::Request;
+    use osp::core::{FleetCommand, JobResult};
+
+    /// Decodes `json` typed and through the tree; both must agree.
+    fn both<T: serde::Deserialize + PartialEq + std::fmt::Debug>(json: &str) -> Result<T, String> {
+        let typed = serde_json::from_str::<T>(json).map_err(|e| e.to_string());
+        let tree = serde_json::from_str::<serde::Value>(json)
+            .and_then(|v| T::from_value(&v))
+            .map_err(|e| e.to_string());
+        assert_eq!(typed, tree, "{json}");
+        typed
+    }
+
+    assert_eq!(
+        both::<ServeReply>(r#"{"busy":"x","bye":true}"#),
+        Ok(ServeReply::Busy("x".into()))
+    );
+    assert_eq!(
+        both::<FleetCommand>(r#"{"status":true,"probe":true}"#),
+        Ok(FleetCommand::Probe)
+    );
+    assert_eq!(
+        both::<JobResult>(r#"{"pending":true,"err":"e"}"#),
+        Ok(JobResult::Err("e".into()))
+    );
+    // A unit variant accepts either bool.
+    assert_eq!(both::<ServeReply>(r#"{"bye":false}"#), Ok(ServeReply::Bye));
+    let missing = |last: &str, got: Result<(), String>| {
+        let err = got.expect_err(last);
+        assert!(err.contains(&format!("missing field `{last}`")), "{err}");
+    };
+    missing("bye", both::<ServeReply>("{}").map(drop));
+    missing("status", both::<FleetCommand>("{}").map(drop));
+    missing("pending", both::<JobResult>(r#"{"x":1}"#).map(drop));
+    missing("shutdown", both::<ServeRequest>("{}").map(drop));
+    missing("ping", both::<Request>(r#"{"pong":1}"#).map(drop));
+}
