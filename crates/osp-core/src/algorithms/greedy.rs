@@ -13,17 +13,22 @@ use crate::SetId;
 use super::retain_top_b_by_key;
 
 /// Ranking policy for [`GreedyOnline`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum TieBreak {
     /// Prefer heavier sets (`w(S)` descending).
+    #[serde(rename = "weight")]
     ByWeight,
     /// Prefer sets closest to completion (fewest remaining elements).
+    #[serde(rename = "fewest-remaining")]
     ByFewestRemaining,
     /// Prefer sets that already received the most elements (sunk cost).
+    #[serde(rename = "most-progress")]
     ByMostProgress,
     /// Prefer sets with the highest weight density `w(S)/|S|`.
+    #[serde(rename = "density")]
     ByDensity,
     /// First-fit: prefer the lowest set id.
+    #[serde(rename = "index")]
     ByIndex,
 }
 

@@ -3,10 +3,11 @@
 use rand::Rng;
 
 /// How element loads `σ(u)` are drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[serde(tag = "model")]
 pub enum LoadModel {
     /// Every element has exactly this load.
-    Fixed(u32),
+    Fixed(#[serde(rename = "value")] u32),
     /// Loads uniform on `lo..=hi`.
     Uniform {
         /// Smallest load.
@@ -44,7 +45,8 @@ impl LoadModel {
 }
 
 /// How set weights are drawn.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(tag = "model")]
 pub enum WeightModel {
     /// All weights 1 (the paper's unweighted case).
     Unit,
@@ -83,12 +85,13 @@ impl WeightModel {
 }
 
 /// How element capacities `b(u)` are drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[serde(tag = "model")]
 pub enum CapacityModel {
     /// Every element has capacity 1 (the paper's unit-capacity case).
     Unit,
     /// Every element has this fixed capacity.
-    Fixed(u32),
+    Fixed(#[serde(rename = "value")] u32),
     /// Capacities uniform on `lo..=hi`.
     Uniform {
         /// Smallest capacity.

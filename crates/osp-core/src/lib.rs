@@ -79,7 +79,7 @@ pub use serve::{
     job_digest, write_results, BatchStatus, FleetCommand, JobResult, ReplayService, ServeClient,
     ServeServer, ServiceConfig,
 };
-pub use source::{ArrivalSource, FramedSource, InstanceSource, OwnedInstanceSource, SocketSource};
+pub use source::{ArrivalSource, InstanceSource, OwnedInstanceSource};
 pub use spec::{run_spec, AlgorithmSpec, CoreResolver, JobSpec, ScenarioSpec, SpecResolver};
 pub use store::{JournalStore, MemStore, OutcomeJson, ResultStore, StoreLimits};
 pub use wire::socket::{SocketServer, WorkerAddr};

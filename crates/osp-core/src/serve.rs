@@ -210,53 +210,16 @@ impl BatchState {
 ///
 /// Callers see decoded [`Outcome`]s (the default `O`); the service itself
 /// holds each outcome as its shared [`OutcomeJson`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum JobResult<O = Outcome> {
-    /// Not answered yet (or never will be, if the batch was cancelled).
-    Pending,
     /// The outcome, bit-identical to sequential
     /// [`run_spec`](crate::spec::run_spec).
     Ok(O),
     /// The per-job failure, as display text (like
     /// [`reply`](crate::wire::reply) across the worker boundary).
     Err(String),
-}
-
-impl Serialize for JobResult {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            JobResult::Pending => {
-                serde::Value::Map(vec![("pending".to_string(), serde::Value::Bool(true))])
-            }
-            JobResult::Ok(outcome) => {
-                serde::Value::Map(vec![("ok".to_string(), outcome.to_value())])
-            }
-            JobResult::Err(err) => {
-                serde::Value::Map(vec![("err".to_string(), serde::Value::Str(err.clone()))])
-            }
-        }
-    }
-}
-
-impl Deserialize for JobResult {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        if let Ok(ok) = serde::get_field(value, "ok") {
-            return Ok(JobResult::Ok(Outcome::from_value(ok)?));
-        }
-        if let Ok(err) = serde::get_field(value, "err") {
-            return Ok(JobResult::Err(String::from_value(err)?));
-        }
-        bool::from_value(serde::get_field(value, "pending")?)?;
-        Ok(JobResult::Pending)
-    }
-
-    fn read_json(reader: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        reader.read_tagged(&["ok", "err", "pending"], |r, tag| match tag {
-            0 => Outcome::read_json(r).map(JobResult::Ok),
-            1 => String::read_json(r).map(JobResult::Err),
-            _ => bool::read_json(r).map(|_| JobResult::Pending),
-        })
-    }
+    /// Not answered yet (or never will be, if the batch was cancelled).
+    Pending,
 }
 
 /// A point-in-time report on one batch, plus the service-lifetime cache
@@ -1075,7 +1038,7 @@ fn load_manifests(dir: &Path) -> Vec<BatchManifest> {
 
 /// One client → service message. Same tagged-map wire idiom as
 /// [`wire::Request`]: the single key names the verb.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServeRequest {
     /// Submit a batch; answered with [`ServeReply::Batch`] (or
     /// [`ServeReply::Busy`] under back-pressure).
@@ -1094,10 +1057,8 @@ pub enum ServeRequest {
 }
 
 /// The `fleet` admin verb's sub-commands (protocol v3).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FleetCommand {
-    /// Report membership and rejoin counters; mutates nothing.
-    Status,
     /// Add a worker address (parsed like `OSP_WORKERS`) to the fleet; a
     /// duplicate address is a no-op.
     Add(String),
@@ -1106,75 +1067,12 @@ pub enum FleetCommand {
     Remove(String),
     /// Probe every excluded lane now, ignoring its backoff deadline.
     Probe,
-}
-
-impl Serialize for FleetCommand {
-    fn to_value(&self) -> serde::Value {
-        let (key, value) = match self {
-            FleetCommand::Status => ("status", serde::Value::Bool(true)),
-            FleetCommand::Add(addr) => ("add", serde::Value::Str(addr.clone())),
-            FleetCommand::Remove(addr) => ("remove", serde::Value::Str(addr.clone())),
-            FleetCommand::Probe => ("probe", serde::Value::Bool(true)),
-        };
-        serde::Value::Map(vec![(key.to_string(), value)])
-    }
-}
-
-impl Deserialize for FleetCommand {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        if let Ok(addr) = serde::get_field(value, "add") {
-            return Ok(FleetCommand::Add(String::from_value(addr)?));
-        }
-        if let Ok(addr) = serde::get_field(value, "remove") {
-            return Ok(FleetCommand::Remove(String::from_value(addr)?));
-        }
-        if let Ok(probe) = serde::get_field(value, "probe") {
-            bool::from_value(probe)?;
-            return Ok(FleetCommand::Probe);
-        }
-        bool::from_value(serde::get_field(value, "status")?)?;
-        Ok(FleetCommand::Status)
-    }
-}
-
-impl Serialize for ServeRequest {
-    fn to_value(&self) -> serde::Value {
-        let (key, value) = match self {
-            ServeRequest::Submit(jobs) => ("submit", jobs.to_value()),
-            ServeRequest::Status(id) => ("status", serde::Value::U64(*id)),
-            ServeRequest::Fetch(id) => ("fetch", serde::Value::U64(*id)),
-            ServeRequest::Cancel(id) => ("cancel", serde::Value::U64(*id)),
-            ServeRequest::Fleet(command) => ("fleet", command.to_value()),
-            ServeRequest::Shutdown => ("shutdown", serde::Value::Bool(true)),
-        };
-        serde::Value::Map(vec![(key.to_string(), value)])
-    }
-}
-
-impl Deserialize for ServeRequest {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        if let Ok(jobs) = serde::get_field(value, "submit") {
-            return Ok(ServeRequest::Submit(Vec::<JobSpec>::from_value(jobs)?));
-        }
-        if let Ok(id) = serde::get_field(value, "status") {
-            return Ok(ServeRequest::Status(u64::from_value(id)?));
-        }
-        if let Ok(id) = serde::get_field(value, "fetch") {
-            return Ok(ServeRequest::Fetch(u64::from_value(id)?));
-        }
-        if let Ok(id) = serde::get_field(value, "cancel") {
-            return Ok(ServeRequest::Cancel(u64::from_value(id)?));
-        }
-        if let Ok(command) = serde::get_field(value, "fleet") {
-            return Ok(ServeRequest::Fleet(FleetCommand::from_value(command)?));
-        }
-        bool::from_value(serde::get_field(value, "shutdown")?)?;
-        Ok(ServeRequest::Shutdown)
-    }
+    /// Report membership and rejoin counters; mutates nothing.
+    Status,
 }
 
 /// One service → client answer.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServeReply {
     /// The submitted batch's id.
     Batch(u64),
@@ -1186,81 +1084,14 @@ pub enum ServeReply {
     Cancelled(bool),
     /// The fleet report after a [`ServeRequest::Fleet`] command.
     Fleet(FleetReport),
-    /// Acknowledges [`ServeRequest::Shutdown`].
-    Bye,
     /// The service cannot answer now — queue full, shutting down, or
     /// (to `Status` and `Fetch`) the batch was retired; resubmit.
     /// [`ServeClient`] surfaces it as [`Error::Unavailable`].
     Busy(String),
     /// The request could not be served (e.g. an unknown batch id).
     Error(String),
-}
-
-impl Serialize for ServeReply {
-    fn to_value(&self) -> serde::Value {
-        let (key, value) = match self {
-            ServeReply::Batch(id) => ("batch", serde::Value::U64(*id)),
-            ServeReply::Report(status) => ("report", status.to_value()),
-            ServeReply::Results(results) => ("results", results.to_value()),
-            ServeReply::Cancelled(took) => ("cancelled", serde::Value::Bool(*took)),
-            ServeReply::Fleet(report) => ("fleet", report.to_value()),
-            ServeReply::Bye => ("bye", serde::Value::Bool(true)),
-            ServeReply::Busy(why) => ("busy", serde::Value::Str(why.clone())),
-            ServeReply::Error(why) => ("error", serde::Value::Str(why.clone())),
-        };
-        serde::Value::Map(vec![(key.to_string(), value)])
-    }
-}
-
-impl Deserialize for ServeReply {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        if let Ok(id) = serde::get_field(value, "batch") {
-            return Ok(ServeReply::Batch(u64::from_value(id)?));
-        }
-        if let Ok(status) = serde::get_field(value, "report") {
-            return Ok(ServeReply::Report(BatchStatus::from_value(status)?));
-        }
-        if let Ok(results) = serde::get_field(value, "results") {
-            return Ok(ServeReply::Results(Vec::<JobResult>::from_value(results)?));
-        }
-        if let Ok(took) = serde::get_field(value, "cancelled") {
-            return Ok(ServeReply::Cancelled(bool::from_value(took)?));
-        }
-        if let Ok(report) = serde::get_field(value, "fleet") {
-            return Ok(ServeReply::Fleet(FleetReport::from_value(report)?));
-        }
-        if let Ok(why) = serde::get_field(value, "busy") {
-            return Ok(ServeReply::Busy(String::from_value(why)?));
-        }
-        if let Ok(why) = serde::get_field(value, "error") {
-            return Ok(ServeReply::Error(String::from_value(why)?));
-        }
-        bool::from_value(serde::get_field(value, "bye")?)?;
-        Ok(ServeReply::Bye)
-    }
-
-    fn read_json(reader: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let tags = [
-            "batch",
-            "report",
-            "results",
-            "cancelled",
-            "fleet",
-            "busy",
-            "error",
-            "bye",
-        ];
-        reader.read_tagged(&tags, |r, tag| match tag {
-            0 => u64::read_json(r).map(ServeReply::Batch),
-            1 => BatchStatus::read_json(r).map(ServeReply::Report),
-            2 => Vec::<JobResult>::read_json(r).map(ServeReply::Results),
-            3 => bool::read_json(r).map(ServeReply::Cancelled),
-            4 => FleetReport::read_json(r).map(ServeReply::Fleet),
-            5 => String::read_json(r).map(ServeReply::Busy),
-            6 => String::read_json(r).map(ServeReply::Error),
-            _ => bool::read_json(r).map(|_| ServeReply::Bye),
-        })
-    }
+    /// Acknowledges [`ServeRequest::Shutdown`].
+    Bye,
 }
 
 /// The verbs a serve front door answers — its [`Hello`] roster, so a
@@ -1694,6 +1525,37 @@ mod tests {
             },
         )
         .expect("in-memory service never fails to start")
+    }
+
+    /// The serve roster is the wire tag of every request verb.
+    #[test]
+    fn serve_roster_is_the_request_tags() {
+        let requests = [
+            ServeRequest::Submit(Vec::new()),
+            ServeRequest::Status(0),
+            ServeRequest::Fetch(0),
+            ServeRequest::Cancel(0),
+            ServeRequest::Fleet(FleetCommand::Status),
+            ServeRequest::Shutdown,
+        ];
+        // Exhaustive: a new verb must be listed above.
+        let kind = |r: &ServeRequest| match r {
+            ServeRequest::Submit(_) => 0,
+            ServeRequest::Status(_) => 1,
+            ServeRequest::Fetch(_) => 2,
+            ServeRequest::Cancel(_) => 3,
+            ServeRequest::Fleet(_) => 4,
+            ServeRequest::Shutdown => 5,
+        };
+        assert!(requests.iter().map(kind).eq(0..6));
+        let tags: Vec<String> = requests
+            .iter()
+            .map(|r| match r.to_value() {
+                serde::Value::Map(mut entries) if entries.len() == 1 => entries.remove(0).0,
+                other => panic!("not a one-key object: {other:?}"),
+            })
+            .collect();
+        assert_eq!(serve_roster(), tags);
     }
 
     fn wait_terminal(service: &ReplayService, id: u64) -> BatchStatus {

@@ -35,15 +35,7 @@
 //! the built-in generator sources: streaming and materialize-then-replay
 //! produce bit-identical [`Outcome`](crate::Outcome)s.
 
-use std::io::{BufReader, Read};
-use std::time::Duration;
-
-use crate::error::{Error, WorkerError};
-use crate::ids::{ElementId, SetId};
 use crate::instance::{Arrival, Instance, SetMeta};
-use crate::wire::read_message;
-use crate::wire::socket::{Stream, WorkerAddr};
-use crate::wire::tap::{ArrivalBatch, SourceHeader};
 
 /// A pull-based stream of online arrivals over a declared set system.
 ///
@@ -72,7 +64,7 @@ pub trait ArrivalSource {
     fn next_arrival(&mut self) -> Option<Arrival<'_>>;
 
     /// How many arrivals remain, if the source knows (generators over a
-    /// fixed `n` do; a live network tap would not).
+    /// fixed `n` do).
     fn remaining_hint(&self) -> Option<usize> {
         None
     }
@@ -204,239 +196,6 @@ impl ArrivalSource for OwnedInstanceSource {
 
     fn remaining_hint(&self) -> Option<usize> {
         Some(self.instance.num_elements() - self.next)
-    }
-}
-
-/// An [`ArrivalSource`] decoding the [`wire::tap`](crate::wire::tap) stream from any byte
-/// reader: one [`SourceHeader`] declaring the set system (validated at
-/// construction), then CSR [`ArrivalBatch`] frames pulled lazily as the
-/// engine consumes arrivals — resident state is one batch, not the
-/// stream.
-///
-/// The [`ArrivalSource`] trait has no error channel mid-stream (by
-/// design: the hot path stays a bare `Option`), so a malformed frame or
-/// invalid arrival **ends the stream** and parks the failure in
-/// [`error`](Self::error) — callers replaying untrusted streams check it
-/// after the drain. Construction errors (bad header) are surfaced
-/// normally.
-///
-/// Determinism is inherited from the bytes: the same framed stream
-/// yields the same arrivals, so a recorded tap replays bit-identically
-/// anywhere.
-#[derive(Debug)]
-pub struct FramedSource<R> {
-    reader: R,
-    sets: Vec<SetMeta>,
-    hint: Option<u64>,
-    /// Current batch, CSR: capacities + offsets into `members`.
-    capacities: Vec<u32>,
-    offsets: Vec<u32>,
-    members: Vec<SetId>,
-    /// Next arrival within the current batch.
-    cursor: usize,
-    /// Element ids are implicit: arrival number in stream order.
-    next_element: u32,
-    error: Option<Error>,
-    done: bool,
-}
-
-impl<R: Read> FramedSource<R> {
-    /// Reads and validates the stream's [`SourceHeader`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Protocol`] on framing garbage or a truncated stream;
-    /// [`Error::BadWeight`] / [`Error::EmptySet`] when the declared set
-    /// system is invalid.
-    pub fn new(reader: R) -> Result<Self, Error> {
-        let mut reader = reader;
-        let header: SourceHeader = read_message(&mut reader)?
-            .ok_or_else(|| Error::Protocol("stream ended before the source header".into()))?;
-        if header.sizes.len() != header.weights.len() {
-            return Err(Error::Protocol(format!(
-                "source header declares {} weights but {} sizes",
-                header.weights.len(),
-                header.sizes.len()
-            )));
-        }
-        let mut sets = Vec::with_capacity(header.weights.len());
-        for (i, (&weight, &size)) in header.weights.iter().zip(&header.sizes).enumerate() {
-            let set = SetId(i as u32);
-            if !weight.is_finite() || weight < 0.0 {
-                return Err(Error::BadWeight { set, weight });
-            }
-            if size == 0 {
-                return Err(Error::EmptySet(set));
-            }
-            sets.push(SetMeta::new(weight, size));
-        }
-        Ok(FramedSource {
-            reader,
-            sets,
-            hint: header.hint,
-            capacities: Vec::new(),
-            offsets: vec![0],
-            members: Vec::new(),
-            cursor: 0,
-            next_element: 0,
-            error: None,
-            done: false,
-        })
-    }
-
-    /// The failure that ended the stream early, if any. `None` after a
-    /// clean end-of-stream.
-    pub fn error(&self) -> Option<&Error> {
-        self.error.as_ref()
-    }
-
-    /// Ends the stream, recording why.
-    fn fail(&mut self, error: Error) {
-        self.error = Some(error);
-        self.done = true;
-    }
-
-    /// Decodes the next batch frame into the CSR buffers. Returns whether
-    /// a batch is now loaded.
-    fn pull_batch(&mut self) -> bool {
-        let batch: ArrivalBatch = match read_message(&mut self.reader) {
-            Ok(Some(batch)) => batch,
-            Ok(None) => {
-                self.done = true;
-                return false;
-            }
-            Err(e) => {
-                self.fail(e);
-                return false;
-            }
-        };
-        if batch.offsets.len() != batch.capacities.len() + 1
-            || batch.offsets.first() != Some(&0)
-            || batch.offsets.windows(2).any(|w| w[0] > w[1])
-            || batch.offsets.last().copied().unwrap_or(0) as usize != batch.members.len()
-        {
-            self.fail(Error::Protocol(format!(
-                "malformed arrival batch: {} capacities, {} offsets, {} members",
-                batch.capacities.len(),
-                batch.offsets.len(),
-                batch.members.len()
-            )));
-            return false;
-        }
-        if batch.capacities.is_empty() {
-            // An empty frame is pointless but harmless; try the next.
-            return self.pull_batch();
-        }
-        let num_sets = self.sets.len() as u32;
-        if let Some(&bad) = batch.members.iter().find(|&&m| m >= num_sets) {
-            self.fail(Error::UnknownSet {
-                element: ElementId(self.next_element),
-                set: SetId(bad),
-            });
-            return false;
-        }
-        self.capacities = batch.capacities;
-        self.offsets = batch.offsets;
-        self.members = batch.members.into_iter().map(SetId).collect();
-        self.cursor = 0;
-        true
-    }
-}
-
-impl<R: Read> ArrivalSource for FramedSource<R> {
-    fn sets(&self) -> &[SetMeta] {
-        &self.sets
-    }
-
-    fn next_arrival(&mut self) -> Option<Arrival<'_>> {
-        if self.done {
-            return None;
-        }
-        if self.cursor >= self.capacities.len() && !self.pull_batch() {
-            return None;
-        }
-        let i = self.cursor;
-        let element = ElementId(self.next_element);
-        let capacity = self.capacities[i];
-        let members = &self.members[self.offsets[i] as usize..self.offsets[i + 1] as usize];
-        // Untrusted input: the checked constructor, with failures parked
-        // in `error()` rather than panicking the engine.
-        match Arrival::try_new(element, capacity, members) {
-            Ok(_) => {
-                self.cursor += 1;
-                self.next_element += 1;
-                let members = &self.members[self.offsets[i] as usize..self.offsets[i + 1] as usize];
-                Some(Arrival::new(element, capacity, members))
-            }
-            Err(e) => {
-                self.fail(e);
-                None
-            }
-        }
-    }
-
-    fn remaining_hint(&self) -> Option<usize> {
-        self.hint
-            .map(|total| (total.saturating_sub(u64::from(self.next_element))) as usize)
-    }
-}
-
-/// A [`FramedSource`] over a connected worker socket: dial a
-/// [`WorkerAddr`] publishing a [`wire::tap`](crate::wire::tap) stream and replay it live —
-/// the networked twin of the fused generator sources.
-///
-/// # Examples
-///
-/// See `examples/socket_fleet.rs`, which publishes a generator stream
-/// through a loopback socket and drains it with the engine.
-#[derive(Debug)]
-pub struct SocketSource {
-    inner: FramedSource<BufReader<Stream>>,
-}
-
-impl SocketSource {
-    /// Connects to `addr` (deadline `timeout` for the connect and every
-    /// subsequent read) and consumes the stream header.
-    ///
-    /// # Errors
-    ///
-    /// [`WorkerError::Connect`] when the dial fails; otherwise
-    /// [`FramedSource::new`]'s header errors.
-    pub fn connect(addr: &WorkerAddr, timeout: Duration) -> Result<Self, Error> {
-        let stream = Stream::connect(addr, timeout).map_err(|e| WorkerError::Connect {
-            addr: addr.to_string(),
-            attempts: 1,
-            cause: e.to_string(),
-        })?;
-        stream
-            .set_read_timeout(Some(timeout))
-            .map_err(|e| WorkerError::Connect {
-                addr: addr.to_string(),
-                attempts: 1,
-                cause: format!("setting read deadline: {e}"),
-            })?;
-        Ok(SocketSource {
-            inner: FramedSource::new(BufReader::new(stream))?,
-        })
-    }
-
-    /// The failure that ended the stream early, if any.
-    pub fn error(&self) -> Option<&Error> {
-        self.inner.error()
-    }
-}
-
-impl ArrivalSource for SocketSource {
-    fn sets(&self) -> &[SetMeta] {
-        self.inner.sets()
-    }
-
-    fn next_arrival(&mut self) -> Option<Arrival<'_>> {
-        self.inner.next_arrival()
-    }
-
-    fn remaining_hint(&self) -> Option<usize> {
-        self.inner.remaining_hint()
     }
 }
 

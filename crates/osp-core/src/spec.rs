@@ -28,20 +28,17 @@
 //! per-job seeds with [`derive_seed`](crate::derive_seed) exactly as the
 //! in-process lanes do.
 //!
-//! All spec types serialize through the vendored serde stub (enums as
-//! tagged maps, see the manual impls below), which is what lets a
-//! [`JobSpec`] cross a socket to a worker process ([`wire`](crate::wire)).
-
-use serde::{get_field, Deserialize, Error as SerdeError, Value};
+//! All spec types derive their serde impls. Each spec enum is one JSON
+//! object led by its tag (`{"algorithm":"hash_pr","independence":8}`), so
+//! a [`JobSpec`]'s canonical JSON is the job itself: it crosses a socket
+//! to a worker process ([`wire`](crate::wire)), is the
+//! [`job_digest`](crate::job_digest) cache key and the journal record.
 
 use crate::algorithms::{GreedyOnline, HashRandPr, OracleOnline, RandPr, RandomAssign, TieBreak};
 use crate::engine::batch::ReplayScratch;
 use crate::engine::{run_source_with_scratch, Outcome};
 use crate::error::Error;
-use crate::gen::{
-    BiregularSource, CapacityModel, FixedSizeSource, GenError, LoadModel, RandomInstanceConfig,
-    UniformSource, WeightModel,
-};
+use crate::gen::{BiregularSource, FixedSizeSource, GenError, RandomInstanceConfig, UniformSource};
 use crate::source::ArrivalSource;
 use crate::{OnlineAlgorithm, SetId};
 
@@ -50,13 +47,15 @@ use crate::{OnlineAlgorithm, SetId};
 /// Seeds are *not* part of the spec: the job's seed
 /// ([`JobSpec::seed`]) is handed to the resolver at build time, so one
 /// spec fans out across a seed range without rewriting.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(tag = "algorithm")]
 pub enum AlgorithmSpec {
     /// The paper's `randPr` (§3.1): one random priority per set from
     /// `R_w`, seeded per job.
     RandPr,
     /// Distributed `randPr` via a shared `independence`-wise independent
     /// hash (§3.1); every replica with the same seed decides identically.
+    #[serde(rename = "hash_pr")]
     HashRandPr {
         /// Independence level of the hash family (must be ≥ 1).
         independence: usize,
@@ -89,7 +88,11 @@ impl AlgorithmSpec {
             AlgorithmSpec::RandPr => "randPr".into(),
             AlgorithmSpec::HashRandPr { independence } => format!("hashPr{independence}"),
             AlgorithmSpec::Greedy { tie_break } => {
-                format!("greedy[{}]", tie_break_tag(*tie_break))
+                let tag = serde::Serialize::to_value(tie_break);
+                format!(
+                    "greedy[{}]",
+                    serde::variant_tag(&tag, None).unwrap_or_default()
+                )
             }
             AlgorithmSpec::RandomAssign => "random-assign".into(),
             AlgorithmSpec::Oracle { .. } => "oracle".into(),
@@ -102,11 +105,12 @@ impl AlgorithmSpec {
 /// Serializable description of an arrival stream: a generator family with
 /// its parameters, or an osp-net trace reference. The job seed picks the
 /// concrete stream out of the family.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(tag = "scenario")]
 pub enum ScenarioSpec {
     /// [`UniformSource`]: the general random family of
     /// [`random_instance`](crate::gen::random_instance), streamed fused.
-    Uniform(RandomInstanceConfig),
+    Uniform(#[serde(rename = "config")] RandomInstanceConfig),
     /// [`BiregularSource`]: exactly size-`k` sets and load-`σ` elements
     /// (the Theorem 5 instance class).
     Biregular {
@@ -349,270 +353,11 @@ pub fn run_spec_with_scratch<R: SpecResolver + ?Sized>(
     run_source_with_scratch(&mut source, algorithm.as_mut(), scratch)
 }
 
-// ---------------------------------------------------------------------------
-// Serde: enums as tagged maps (the vendored derive handles structs only).
-// ---------------------------------------------------------------------------
-
-fn tagged(tag_key: &str, tag: &str, fields: Vec<(&str, Value)>) -> Value {
-    let mut map = vec![(tag_key.to_string(), Value::Str(tag.to_string()))];
-    map.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-    Value::Map(map)
-}
-
-fn read_tag(value: &Value, tag_key: &str) -> Result<String, SerdeError> {
-    String::from_value(get_field(value, tag_key)?)
-}
-
-fn field<T: serde::Deserialize>(value: &Value, name: &str) -> Result<T, SerdeError> {
-    T::from_value(get_field(value, name)?)
-}
-
-fn tie_break_tag(t: TieBreak) -> &'static str {
-    match t {
-        TieBreak::ByWeight => "weight",
-        TieBreak::ByFewestRemaining => "fewest-remaining",
-        TieBreak::ByMostProgress => "most-progress",
-        TieBreak::ByDensity => "density",
-        TieBreak::ByIndex => "index",
-    }
-}
-
-impl serde::Serialize for TieBreak {
-    fn to_value(&self) -> Value {
-        Value::Str(tie_break_tag(*self).to_string())
-    }
-}
-
-impl serde::Deserialize for TieBreak {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        match String::from_value(value)?.as_str() {
-            "weight" => Ok(TieBreak::ByWeight),
-            "fewest-remaining" => Ok(TieBreak::ByFewestRemaining),
-            "most-progress" => Ok(TieBreak::ByMostProgress),
-            "density" => Ok(TieBreak::ByDensity),
-            "index" => Ok(TieBreak::ByIndex),
-            other => Err(SerdeError::msg(format!("unknown tie-break `{other}`"))),
-        }
-    }
-}
-
-impl serde::Serialize for LoadModel {
-    fn to_value(&self) -> Value {
-        match *self {
-            LoadModel::Fixed(k) => tagged("model", "fixed", vec![("value", k.to_value())]),
-            LoadModel::Uniform { lo, hi } => tagged(
-                "model",
-                "uniform",
-                vec![("lo", lo.to_value()), ("hi", hi.to_value())],
-            ),
-        }
-    }
-}
-
-impl serde::Deserialize for LoadModel {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        match read_tag(value, "model")?.as_str() {
-            "fixed" => Ok(LoadModel::Fixed(field(value, "value")?)),
-            "uniform" => Ok(LoadModel::Uniform {
-                lo: field(value, "lo")?,
-                hi: field(value, "hi")?,
-            }),
-            other => Err(SerdeError::msg(format!("unknown load model `{other}`"))),
-        }
-    }
-}
-
-impl serde::Serialize for WeightModel {
-    fn to_value(&self) -> Value {
-        match *self {
-            WeightModel::Unit => tagged("model", "unit", vec![]),
-            WeightModel::Uniform { lo, hi } => tagged(
-                "model",
-                "uniform",
-                vec![("lo", lo.to_value()), ("hi", hi.to_value())],
-            ),
-            WeightModel::Zipf { exponent } => {
-                tagged("model", "zipf", vec![("exponent", exponent.to_value())])
-            }
-        }
-    }
-}
-
-impl serde::Deserialize for WeightModel {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        match read_tag(value, "model")?.as_str() {
-            "unit" => Ok(WeightModel::Unit),
-            "uniform" => Ok(WeightModel::Uniform {
-                lo: field(value, "lo")?,
-                hi: field(value, "hi")?,
-            }),
-            "zipf" => Ok(WeightModel::Zipf {
-                exponent: field(value, "exponent")?,
-            }),
-            other => Err(SerdeError::msg(format!("unknown weight model `{other}`"))),
-        }
-    }
-}
-
-impl serde::Serialize for CapacityModel {
-    fn to_value(&self) -> Value {
-        match *self {
-            CapacityModel::Unit => tagged("model", "unit", vec![]),
-            CapacityModel::Fixed(b) => tagged("model", "fixed", vec![("value", b.to_value())]),
-            CapacityModel::Uniform { lo, hi } => tagged(
-                "model",
-                "uniform",
-                vec![("lo", lo.to_value()), ("hi", hi.to_value())],
-            ),
-        }
-    }
-}
-
-impl serde::Deserialize for CapacityModel {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        match read_tag(value, "model")?.as_str() {
-            "unit" => Ok(CapacityModel::Unit),
-            "fixed" => Ok(CapacityModel::Fixed(field(value, "value")?)),
-            "uniform" => Ok(CapacityModel::Uniform {
-                lo: field(value, "lo")?,
-                hi: field(value, "hi")?,
-            }),
-            other => Err(SerdeError::msg(format!("unknown capacity model `{other}`"))),
-        }
-    }
-}
-
-impl serde::Serialize for AlgorithmSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            AlgorithmSpec::RandPr => tagged("algorithm", "rand_pr", vec![]),
-            AlgorithmSpec::HashRandPr { independence } => tagged(
-                "algorithm",
-                "hash_pr",
-                vec![("independence", independence.to_value())],
-            ),
-            AlgorithmSpec::Greedy { tie_break } => tagged(
-                "algorithm",
-                "greedy",
-                vec![("tie_break", tie_break.to_value())],
-            ),
-            AlgorithmSpec::RandomAssign => tagged("algorithm", "random_assign", vec![]),
-            AlgorithmSpec::Oracle { target } => {
-                tagged("algorithm", "oracle", vec![("target", target.to_value())])
-            }
-            AlgorithmSpec::TailDrop => tagged("algorithm", "tail_drop", vec![]),
-            AlgorithmSpec::RandomDrop => tagged("algorithm", "random_drop", vec![]),
-        }
-    }
-}
-
-impl serde::Deserialize for AlgorithmSpec {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        match read_tag(value, "algorithm")?.as_str() {
-            "rand_pr" => Ok(AlgorithmSpec::RandPr),
-            "hash_pr" => Ok(AlgorithmSpec::HashRandPr {
-                independence: field(value, "independence")?,
-            }),
-            "greedy" => Ok(AlgorithmSpec::Greedy {
-                tie_break: field(value, "tie_break")?,
-            }),
-            "random_assign" => Ok(AlgorithmSpec::RandomAssign),
-            "oracle" => Ok(AlgorithmSpec::Oracle {
-                target: field(value, "target")?,
-            }),
-            "tail_drop" => Ok(AlgorithmSpec::TailDrop),
-            "random_drop" => Ok(AlgorithmSpec::RandomDrop),
-            other => Err(SerdeError::msg(format!("unknown algorithm spec `{other}`"))),
-        }
-    }
-}
-
-impl serde::Serialize for ScenarioSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            ScenarioSpec::Uniform(cfg) => {
-                tagged("scenario", "uniform", vec![("config", cfg.to_value())])
-            }
-            ScenarioSpec::Biregular {
-                num_sets,
-                set_size,
-                load,
-            } => tagged(
-                "scenario",
-                "biregular",
-                vec![
-                    ("num_sets", num_sets.to_value()),
-                    ("set_size", set_size.to_value()),
-                    ("load", load.to_value()),
-                ],
-            ),
-            ScenarioSpec::FixedSize {
-                num_sets,
-                set_size,
-                num_elements,
-                skew,
-            } => tagged(
-                "scenario",
-                "fixed_size",
-                vec![
-                    ("num_sets", num_sets.to_value()),
-                    ("set_size", set_size.to_value()),
-                    ("num_elements", num_elements.to_value()),
-                    ("skew", skew.to_value()),
-                ],
-            ),
-            ScenarioSpec::VideoTrace {
-                sources,
-                frames_per_source,
-                frame_interval,
-                capacity,
-                jitter,
-            } => tagged(
-                "scenario",
-                "video_trace",
-                vec![
-                    ("sources", sources.to_value()),
-                    ("frames_per_source", frames_per_source.to_value()),
-                    ("frame_interval", frame_interval.to_value()),
-                    ("capacity", capacity.to_value()),
-                    ("jitter", jitter.to_value()),
-                ],
-            ),
-        }
-    }
-}
-
-impl serde::Deserialize for ScenarioSpec {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        match read_tag(value, "scenario")?.as_str() {
-            "uniform" => Ok(ScenarioSpec::Uniform(field(value, "config")?)),
-            "biregular" => Ok(ScenarioSpec::Biregular {
-                num_sets: field(value, "num_sets")?,
-                set_size: field(value, "set_size")?,
-                load: field(value, "load")?,
-            }),
-            "fixed_size" => Ok(ScenarioSpec::FixedSize {
-                num_sets: field(value, "num_sets")?,
-                set_size: field(value, "set_size")?,
-                num_elements: field(value, "num_elements")?,
-                skew: field(value, "skew")?,
-            }),
-            "video_trace" => Ok(ScenarioSpec::VideoTrace {
-                sources: field(value, "sources")?,
-                frames_per_source: field(value, "frames_per_source")?,
-                frame_interval: field(value, "frame_interval")?,
-                capacity: field(value, "capacity")?,
-                jitter: field(value, "jitter")?,
-            }),
-            other => Err(SerdeError::msg(format!("unknown scenario spec `{other}`"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::run_source;
+    use crate::gen::{CapacityModel, LoadModel, WeightModel};
 
     fn uniform_job(seed: u64) -> JobSpec {
         JobSpec {

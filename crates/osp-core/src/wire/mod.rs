@@ -33,12 +33,9 @@
 //! (`OSP_FAULT` in the binary): kill or stall the worker at a chosen job
 //! index, so dispatcher recovery paths replay bit-for-bit in tests and CI.
 //!
-//! [`tap`] carries *arrival streams* (not job specs) over the same
-//! framing: a [`tap::SourceHeader`] declaring the set system followed by
-//! CSR [`tap::ArrivalBatch`] frames — the wire twin of the
-//! [`ArrivalSource`](crate::source::ArrivalSource) contract, consumed by
-//! [`FramedSource`](crate::source::FramedSource) /
-//! [`SocketSource`](crate::source::SocketSource).
+//! Every frame is a job spec, a request or a reply: the wire carries no
+//! arrival streams. A worker builds each job's stream from its spec and
+//! seed, locally.
 
 pub mod socket;
 
@@ -333,33 +330,12 @@ impl Hello {
 }
 
 /// One client → worker message of a socket session.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
     /// Replay this job and answer with a [`reply`] frame.
     Job(JobSpec),
     /// Heartbeat: answer with `{"pong": nonce}` ([`Pong`]) immediately.
     Ping(u64),
-}
-
-impl Serialize for Request {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            Request::Job(job) => serde::Value::Map(vec![("job".to_string(), job.to_value())]),
-            Request::Ping(nonce) => {
-                serde::Value::Map(vec![("ping".to_string(), serde::Value::U64(*nonce))])
-            }
-        }
-    }
-}
-
-impl Deserialize for Request {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        if let Ok(job) = serde::get_field(value, "job") {
-            return Ok(Request::Job(JobSpec::from_value(job)?));
-        }
-        let nonce = u64::from_value(serde::get_field(value, "ping")?)?;
-        Ok(Request::Ping(nonce))
-    }
 }
 
 /// The worker's answer to a [`Request::Ping`]: the same nonce back.
@@ -616,102 +592,6 @@ fn flush<W: Write + ?Sized>(writer: &mut W) -> Result<(), Error> {
     writer
         .flush()
         .map_err(|e| Error::Protocol(format!("flushing reply: {e}")))
-}
-
-/// Arrival streams over the frame protocol — the wire twin of
-/// [`ArrivalSource`](crate::source::ArrivalSource), so a live tap can
-/// feed a remote engine the same `(sets, arrivals…)` contract the fused
-/// generators provide locally.
-///
-/// ```text
-/// stream := SourceHeader ArrivalBatch* EOF
-/// ```
-///
-/// The receiving end is [`FramedSource`](crate::source::FramedSource)
-/// (any `Read`) / [`SocketSource`](crate::source::SocketSource) (a
-/// connected socket); [`send_source`](tap::send_source) is the publishing
-/// end. Batches are CSR-shaped (capacities + offsets + one flat member
-/// pool) so a batch decodes into exactly the buffers the engine's
-/// zero-copy [`Arrival`](crate::Arrival) views borrow.
-pub mod tap {
-    use super::*;
-    use crate::source::ArrivalSource;
-
-    /// The stream's opening frame: the declared set system.
-    #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-    pub struct SourceHeader {
-        /// Set weights, by set id.
-        pub weights: Vec<f64>,
-        /// Set sizes, by set id (parallel to `weights`).
-        pub sizes: Vec<u32>,
-        /// Total arrivals to follow, when the publisher knows
-        /// ([`ArrivalSource::remaining_hint`]); a live tap sends `None`.
-        pub hint: Option<u64>,
-    }
-
-    /// One frame of consecutive arrivals in CSR form. Element ids are
-    /// implicit: the `i`-th arrival of the stream is element `i`.
-    #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-    pub struct ArrivalBatch {
-        /// Per-arrival capacities `b(u)`; the batch length.
-        pub capacities: Vec<u32>,
-        /// CSR offsets into `members`; `offsets.len() == capacities.len() + 1`,
-        /// starting at 0.
-        pub offsets: Vec<u32>,
-        /// The flattened member lists (set ids, each list sorted
-        /// ascending and duplicate-free).
-        pub members: Vec<u32>,
-    }
-
-    /// Publishes `source` onto `writer`: one [`SourceHeader`], then
-    /// [`ArrivalBatch`] frames of up to `batch` arrivals each (zero is
-    /// treated as one). Returns the number of arrivals sent. The writer
-    /// is flushed after every frame so a consuming engine replays while
-    /// the tap is still producing.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Protocol`] on serialization or I/O failure.
-    pub fn send_source<S, W>(source: &mut S, writer: &mut W, batch: usize) -> Result<u64, Error>
-    where
-        S: ArrivalSource + ?Sized,
-        W: Write + ?Sized,
-    {
-        let batch = batch.max(1);
-        let header = SourceHeader {
-            weights: source.sets().iter().map(|s| s.weight()).collect(),
-            sizes: source.sets().iter().map(|s| s.size()).collect(),
-            hint: source.remaining_hint().map(|n| n as u64),
-        };
-        write_message(writer, &header)?;
-        flush(writer)?;
-        let mut sent = 0u64;
-        let mut frame = ArrivalBatch {
-            capacities: Vec::with_capacity(batch),
-            offsets: vec![0],
-            members: Vec::new(),
-        };
-        loop {
-            frame.capacities.clear();
-            frame.offsets.clear();
-            frame.offsets.push(0);
-            frame.members.clear();
-            while frame.capacities.len() < batch {
-                let Some(arrival) = source.next_arrival() else {
-                    break;
-                };
-                frame.capacities.push(arrival.capacity());
-                frame.members.extend(arrival.members().iter().map(|s| s.0));
-                frame.offsets.push(frame.members.len() as u32);
-            }
-            if frame.capacities.is_empty() {
-                return Ok(sent);
-            }
-            sent += frame.capacities.len() as u64;
-            write_message(writer, &frame)?;
-            flush(writer)?;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1033,36 +913,5 @@ mod tests {
                 .is_none(),
             "the killed job must not be answered"
         );
-    }
-
-    #[test]
-    fn tap_stream_round_trips_through_framed_source() {
-        use crate::gen::UniformSource;
-        use crate::source::{ArrivalSource, FramedSource};
-        let config = RandomInstanceConfig::unweighted(12, 30, 3);
-        let mut tap = UniformSource::new(&config, 501).unwrap();
-        let mut buf = Vec::new();
-        let sent = tap::send_source(&mut tap, &mut buf, 7).unwrap();
-        assert_eq!(sent, 30);
-        let mut replay = UniformSource::new(&config, 501).unwrap();
-        let mut framed = FramedSource::new(Cursor::new(buf)).unwrap();
-        assert_eq!(framed.sets().len(), replay.sets().len());
-        assert_eq!(framed.remaining_hint(), Some(30));
-        loop {
-            match (replay.next_arrival(), framed.next_arrival()) {
-                (None, None) => break,
-                (Some(want), Some(got)) => {
-                    assert_eq!(want.element(), got.element());
-                    assert_eq!(want.capacity(), got.capacity());
-                    assert_eq!(want.members(), got.members());
-                }
-                (want, got) => panic!(
-                    "stream lengths diverge: want {:?}, got {:?}",
-                    want.is_some(),
-                    got.is_some()
-                ),
-            }
-        }
-        assert!(framed.error().is_none());
     }
 }

@@ -19,14 +19,14 @@ use std::net::TcpListener;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use osp::core::gen::{CapacityModel, LoadModel, RandomInstanceConfig, UniformSource, WeightModel};
+use osp::core::gen::{CapacityModel, LoadModel, RandomInstanceConfig, WeightModel};
 use osp::core::prelude::*;
 use osp::core::spec::{run_spec, AlgorithmSpec, JobSpec, ScenarioSpec};
 use osp::core::wire::socket::{ping, SocketServer, WorkerAddr};
 use osp::core::wire::{read_message, reply, write_message, Hello, Pong, Request, Stall};
 use osp::core::{
-    derived_jobs, run_source, DispatchEvent, Dispatcher, EventSink, FaultPlan, RetryPolicy,
-    SocketConfig, SocketPool, SocketSource, WorkerError,
+    derived_jobs, DispatchEvent, Dispatcher, EventSink, FaultPlan, RetryPolicy, SocketConfig,
+    SocketPool, WorkerError,
 };
 use osp::net::NetResolver;
 
@@ -648,33 +648,4 @@ fn worker_without_arguments_is_a_usage_error() {
         "stderr must carry the usage: {stderr}"
     );
     assert!(out.stdout.is_empty(), "nothing on stdout");
-}
-
-#[test]
-fn socket_source_streams_arrivals_bit_identically() {
-    // The streaming half of the wire: a server pushing a generator
-    // through `wire::tap::send_source`, a client replaying straight off
-    // the socket via SocketSource — outcome bit-identical to running
-    // the same seeded source in-process.
-    let config = RandomInstanceConfig::unweighted(30, 80, 4);
-    let seed = 816u64;
-    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
-    let addr = WorkerAddr::parse(&listener.local_addr().unwrap().to_string()).unwrap();
-    let server_config = config;
-    let feeder = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().expect("one client");
-        let mut writer = BufWriter::new(stream);
-        let mut source = UniformSource::new(&server_config, seed).expect("feasible source");
-        osp::core::wire::tap::send_source(&mut source, &mut writer, 16).expect("tap stream")
-    });
-
-    let mut remote = SocketSource::connect(&addr, Duration::from_secs(5)).expect("connect");
-    let streamed = run_source(&mut remote, &mut RandPr::from_seed(seed)).unwrap();
-    assert!(remote.error().is_none(), "{:?}", remote.error());
-    let sent = feeder.join().expect("feeder thread");
-    assert_eq!(sent, 80, "every element crossed the wire");
-
-    let mut local = UniformSource::new(&config, seed).unwrap();
-    let direct = run_source(&mut local, &mut RandPr::from_seed(seed)).unwrap();
-    assert_outcomes_identical("socket-streamed source", &direct, &streamed);
 }

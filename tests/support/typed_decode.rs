@@ -4,17 +4,19 @@
 //! `serde_json::from_slice::<T>` reads `T` straight from the bytes
 //! (`Deserialize::read_json`). The tree path parses a `serde::Value` and
 //! converts it with `T::from_value`. On any input both must give the same
-//! value, or both must fail. [`perturb`] makes inputs that probe the
-//! rules the typed readers re-implement: key order, whitespace, unknown
-//! and duplicate keys, variant precedence, the legacy outcome shape, out
-//! of range numbers and cut-off input.
+//! value, or both must fail. [`perturb`] and [`perturb_frame`] make
+//! inputs that probe the rules the typed readers re-implement: key order,
+//! whitespace, unknown and duplicate keys, variant precedence, the legacy
+//! outcome shape, out of range numbers and cut-off input.
 
 use std::fmt::Debug;
 
+use osp::core::algorithms::TieBreak;
 use osp::core::engine::{DecisionDigest, DecisionLog};
-use osp::core::serve::{BatchStatus, ServeReply};
-use osp::core::wire::{reply, Hello, Pong, ServerFrame};
-use osp::core::{ElementId, JobResult, Outcome, SetId};
+use osp::core::serve::{BatchStatus, ServeReply, ServeRequest};
+use osp::core::spec::{AlgorithmSpec, JobSpec, ScenarioSpec};
+use osp::core::wire::{reply, Hello, Pong, Request, ServerFrame};
+use osp::core::{ElementId, FleetCommand, JobResult, Outcome, SetId};
 use serde::{Deserialize, Value};
 
 /// `Ok` if the typed and the tree path agree on `bytes` for `T`.
@@ -32,11 +34,19 @@ fn agree<T: Deserialize + PartialEq + Debug>(bytes: &[u8]) -> Result<(), String>
     }
 }
 
-/// Checks every type an outcome is decoded as on its way between
-/// processes, plus the scalars and containers they are built from.
+/// Checks every type an outcome or a request is decoded as on its way
+/// between processes, plus the scalars and containers they are built
+/// from.
 pub fn typed_matches_tree(bytes: &[u8]) -> Result<(), String> {
     agree::<Outcome>(bytes)?;
     agree::<ServeReply>(bytes)?;
+    agree::<ServeRequest>(bytes)?;
+    agree::<Request>(bytes)?;
+    agree::<FleetCommand>(bytes)?;
+    agree::<JobSpec>(bytes)?;
+    agree::<AlgorithmSpec>(bytes)?;
+    agree::<ScenarioSpec>(bytes)?;
+    agree::<TieBreak>(bytes)?;
     agree::<JobResult>(bytes)?;
     agree::<Vec<JobResult>>(bytes)?;
     agree::<reply::Reply>(bytes)?;
@@ -101,6 +111,22 @@ const KEYS: &[&str] = &[
     "pong",
     "offsets",
     "data",
+    "job",
+    "ping",
+    "submit",
+    "status",
+    "fetch",
+    "fleet",
+    "shutdown",
+    "probe",
+    "add",
+    "scenario",
+    "algorithm",
+    "model",
+    "config",
+    "value",
+    "seed",
+    "tie_break",
     "Completed",
     "died",
     "",
@@ -115,8 +141,17 @@ fn junk(rng: &mut Rng, depth: u32) -> Value {
         3 => Value::I64(rng.pick(&[-1, -129, i64::MIN])),
         4 => Value::F64(rng.pick(&[0.5, -0.0, 1e300, 3.0])),
         5 => Value::Str(
-            rng.pick(&["", "x", "5119084f5912a3174deacdbdf83b1046", "é\n"])
-                .into(),
+            rng.pick(&[
+                "",
+                "x",
+                "5119084f5912a3174deacdbdf83b1046",
+                "é\n",
+                "rand_pr",
+                "uniform",
+                "fixed",
+                "density",
+            ])
+            .into(),
         ),
         6 => Value::Seq(vec![]),
         7 => Value::Seq(vec![Value::Null, Value::U64(rng.below(9) as u64)]),
@@ -234,6 +269,24 @@ fn add_rival_tag(rng: &mut Rng, frame: &mut Value, outcome: Option<&Value>) {
     insert_anywhere(rng, frame, key, v);
 }
 
+/// Adds a second verb, command or spec tag with a well-formed value,
+/// like [`add_rival_tag`] for the request side.
+fn add_request_rival(rng: &mut Rng, frame: &mut Value) {
+    let (key, v) = match rng.below(10) {
+        0 => ("ping", Value::U64(9)),
+        1 => ("submit", Value::Seq(vec![])),
+        2 => ("status", Value::Bool(true)),
+        3 => ("fetch", Value::U64(4)),
+        4 => ("shutdown", Value::Bool(false)),
+        5 => ("probe", Value::Bool(true)),
+        6 => ("add", Value::Str("127.0.0.1:9".into())),
+        7 => ("algorithm", Value::Str("random_assign".into())),
+        8 => ("scenario", Value::Str("biregular".into())),
+        _ => ("model", Value::Str("unit".into())),
+    };
+    insert_anywhere(rng, frame, key, v);
+}
+
 /// Inserts JSON whitespace between every pair of bytes with a small
 /// chance. Inside a token this usually breaks the input, which both
 /// paths must then reject.
@@ -291,8 +344,27 @@ pub fn perturb(outcomes: &[Outcome], seed: u64) -> Vec<u8> {
     if rng.chance(3) {
         add_rival_tag(&mut rng, &mut frame, first.as_ref());
     }
+    scramble(&mut rng, frame)
+}
+
+/// The known-answer `frame` (any message), perturbed as `seed` decides.
+#[allow(dead_code)] // read by `wire_round_trip` only
+pub fn perturb_frame(frame: &str, seed: u64) -> Vec<u8> {
+    let mut rng = Rng(seed);
+    let mut frame: Value = serde_json::from_str(frame).expect("a valid frame");
+    match rng.below(4) {
+        0 => add_rival_tag(&mut rng, &mut frame, None),
+        1 => add_request_rival(&mut rng, &mut frame),
+        _ => {}
+    }
+    scramble(&mut rng, frame)
+}
+
+/// Mutates `frame`, renders it and damages the bytes, each with a small
+/// chance.
+fn scramble(rng: &mut Rng, mut frame: Value) -> Vec<u8> {
     if rng.chance(3) {
-        mutate(&mut rng, &mut frame, 0);
+        mutate(rng, &mut frame, 0);
     }
     let mut bytes = if rng.chance(4) {
         serde_json::to_string_pretty(&frame)
@@ -308,7 +380,7 @@ pub fn perturb(outcomes: &[Outcome], seed: u64) -> Vec<u8> {
         }
     }
     if rng.chance(4) {
-        bytes = sprinkle(&mut rng, &bytes);
+        bytes = sprinkle(rng, &bytes);
     }
     if rng.chance(6) {
         bytes.truncate(rng.below(bytes.len() + 1));

@@ -13,7 +13,7 @@ use osp::core::ElementId;
 
 #[path = "support/typed_decode.rs"]
 mod typed_decode;
-use typed_decode::{perturb, typed_matches_tree};
+use typed_decode::{perturb, perturb_frame, typed_matches_tree};
 
 // --- Strategies -----------------------------------------------------------
 
@@ -654,6 +654,24 @@ fn every_wire_enum_variant_is_pinned() {
     assert_eq!(pinned_variants().len(), 47);
 }
 
+/// Every pinned variant, and perturbations of it, decodes the same
+/// typed and through the tree.
+#[test]
+fn pinned_variants_decode_the_same_typed_and_through_the_tree() {
+    for frame in pinned_variants() {
+        for seed in 0..48 {
+            let bytes = if seed == 0 {
+                frame.clone().into_bytes()
+            } else {
+                perturb_frame(&frame, seed)
+            };
+            if let Err(e) = typed_matches_tree(&bytes) {
+                panic!("{e}");
+            }
+        }
+    }
+}
+
 /// The cache key of one job per scenario and per algorithm variant.
 #[test]
 fn job_digests_are_pinned_per_variant() {
@@ -770,4 +788,97 @@ fn tag_precedence_is_pinned() {
     missing("pending", both::<JobResult>(r#"{"x":1}"#).map(drop));
     missing("shutdown", both::<ServeRequest>("{}").map(drop));
     missing("ping", both::<Request>(r#"{"pong":1}"#).map(drop));
+}
+
+/// Each resolver's roster is the wire tags of exactly the spec variants
+/// it builds, so the hand-listed rosters cannot drift from the derive.
+#[test]
+fn rosters_are_the_tags_of_the_variants_each_resolver_builds() {
+    use osp::net::NetResolver;
+
+    let scenarios = [
+        ScenarioSpec::Uniform(RandomInstanceConfig::unweighted(20, 50, 3)),
+        ScenarioSpec::Biregular {
+            num_sets: 16,
+            set_size: 2,
+            load: 4,
+        },
+        ScenarioSpec::FixedSize {
+            num_sets: 20,
+            set_size: 3,
+            num_elements: 40,
+            skew: 1.0,
+        },
+        ScenarioSpec::VideoTrace {
+            sources: 2,
+            frames_per_source: 4,
+            frame_interval: 4,
+            capacity: 2,
+            jitter: 0,
+        },
+    ];
+    let algorithms = [
+        AlgorithmSpec::RandPr,
+        AlgorithmSpec::HashRandPr { independence: 4 },
+        AlgorithmSpec::Greedy {
+            tie_break: TieBreak::ByWeight,
+        },
+        AlgorithmSpec::RandomAssign,
+        AlgorithmSpec::Oracle { target: vec![] },
+        AlgorithmSpec::TailDrop,
+        AlgorithmSpec::RandomDrop,
+    ];
+    // Exhaustive matches: a new variant must be listed above.
+    let kinds = |s: &ScenarioSpec| match s {
+        ScenarioSpec::Uniform(_) => 0,
+        ScenarioSpec::Biregular { .. } => 1,
+        ScenarioSpec::FixedSize { .. } => 2,
+        ScenarioSpec::VideoTrace { .. } => 3,
+    };
+    assert!(scenarios.iter().map(kinds).eq(0..4));
+    let kinds = |a: &AlgorithmSpec| match a {
+        AlgorithmSpec::RandPr => 0,
+        AlgorithmSpec::HashRandPr { .. } => 1,
+        AlgorithmSpec::Greedy { .. } => 2,
+        AlgorithmSpec::RandomAssign => 3,
+        AlgorithmSpec::Oracle { .. } => 4,
+        AlgorithmSpec::TailDrop => 5,
+        AlgorithmSpec::RandomDrop => 6,
+    };
+    assert!(algorithms.iter().map(kinds).eq(0..7));
+
+    let tag =
+        |spec: serde::Value, key: &str| serde::variant_tag(&spec, Some(key)).unwrap().to_string();
+    let built = |resolver: &dyn SpecResolver| {
+        let mut tags = Vec::new();
+        let mut keep = |result: Result<(), Error>, spec: serde::Value, key: &str| match result {
+            Ok(()) => tags.push(tag(spec, key)),
+            Err(Error::UnsupportedSpec(_)) => {}
+            Err(e) => panic!("{e}"),
+        };
+        for s in &scenarios {
+            keep(
+                resolver.scenario(s, 1).map(drop),
+                serde::Serialize::to_value(s),
+                "scenario",
+            );
+        }
+        for a in &algorithms {
+            keep(
+                resolver.algorithm(a, 1).map(drop),
+                serde::Serialize::to_value(a),
+                "algorithm",
+            );
+        }
+        tags.sort();
+        tags
+    };
+    for (name, resolver) in [
+        ("core", &CoreResolver as &dyn SpecResolver),
+        ("net", &NetResolver),
+    ] {
+        let mut roster = resolver.roster();
+        roster.sort();
+        assert_eq!(roster, built(resolver), "{name} roster");
+    }
 }
