@@ -210,6 +210,9 @@ impl BatchState {
 ///
 /// Callers see decoded [`Outcome`]s (the default `O`); the service itself
 /// holds each outcome as its shared [`OutcomeJson`].
+///
+/// On the wire each is a one-key object; an object holding several
+/// tags decodes as the variant declared first.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum JobResult<O = Outcome> {
     /// The outcome, bit-identical to sequential
@@ -1057,6 +1060,9 @@ pub enum ServeRequest {
 }
 
 /// The `fleet` admin verb's sub-commands (protocol v3).
+///
+/// On the wire each is a one-key object; an object holding several
+/// tags decodes as the variant declared first.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FleetCommand {
     /// Add a worker address (parsed like `OSP_WORKERS`) to the fleet; a
@@ -1072,6 +1078,9 @@ pub enum FleetCommand {
 }
 
 /// One service → client answer.
+///
+/// On the wire each is a one-key object; an object holding several
+/// tags decodes as the variant declared first.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServeReply {
     /// The submitted batch's id.
