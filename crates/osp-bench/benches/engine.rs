@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use osp_core::algorithms::{GreedyOnline, HashRandPr, RandPr, TieBreak};
 use osp_core::gen::{random_instance, RandomInstanceConfig};
-use osp_core::{derive_seed, run, Instance, ReplayPool};
+use osp_core::{derive_seed, run, run_source_with_scratch, Instance, ReplayPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -69,8 +69,15 @@ fn bench_engine(c: &mut Criterion) {
                 b.iter(|| {
                     round += 1;
                     let seeds: Vec<u64> = (0..32).map(|i| derive_seed(round, i)).collect();
-                    pool.run_seeds(inst, &seeds, &|s| Box::new(RandPr::from_seed(s)))
-                        .len()
+                    pool.map(&seeds, |scratch, _, &s| {
+                        run_source_with_scratch(
+                            &mut inst.source(),
+                            &mut RandPr::from_seed(s),
+                            scratch,
+                        )
+                        .unwrap()
+                    })
+                    .len()
                 })
             },
         );

@@ -13,7 +13,7 @@
 
 use osp_core::algorithms::{HashRandPr, RandPr, RandomAssign};
 use osp_core::gen::{random_instance, RandomInstanceConfig};
-use osp_core::{run as engine_run, InstanceBuilder, OnlineAlgorithm, SetId};
+use osp_core::{run_source_with_scratch, InstanceBuilder, OnlineAlgorithm, SetId};
 use osp_net::partial::{partial_benefit, run_logged};
 use osp_net::policy::TailDrop;
 use osp_net::trace::{video_trace, VideoTraceConfig};
@@ -66,7 +66,10 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     for &(name, factory) in variant_specs {
         let trial_seeds = draw_seeds(&mut seeds, trials as usize);
         let mut s = Summary::new();
-        for out in pool().run_seeds(&inst, &trial_seeds, &factory) {
+        for out in pool().map(&trial_seeds, |scratch, _, &s| {
+            run_source_with_scratch(&mut inst.source(), factory(s).as_mut(), scratch)
+                .expect("built-in algorithms emit valid decisions")
+        }) {
             s.add(out.benefit());
         }
         results.push((name.to_string(), s));
@@ -115,10 +118,16 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             rp_seeds.push(seeds.next_seed());
             rc_seeds.push(seeds.next_seed());
         }
-        for out in pool().run_seeds(&deep, &rp_seeds, &|s| Box::new(RandPr::from_seed(s))) {
+        for out in pool().map(&rp_seeds, |scratch, _, &s| {
+            run_source_with_scratch(&mut deep.source(), &mut RandPr::from_seed(s), scratch)
+                .expect("randPr emits valid decisions")
+        }) {
             rp.add(f64::from(u8::from(out.is_completed(SetId(0)))));
         }
-        for out in pool().run_seeds(&deep, &rc_seeds, &|s| Box::new(RandomAssign::from_seed(s))) {
+        for out in pool().map(&rc_seeds, |scratch, _, &s| {
+            run_source_with_scratch(&mut deep.source(), &mut RandomAssign::from_seed(s), scratch)
+                .expect("random-assign emits valid decisions")
+        }) {
             rc.add(f64::from(u8::from(out.is_completed(SetId(0)))));
         }
         collapse.row(vec![
@@ -210,9 +219,9 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             })
             .collect();
         let mut s = Summary::new();
-        for out in pool().map(&shuffled, |_, inst| {
-            let mut alg = factory(fixed_seed);
-            engine_run(inst, alg.as_mut()).unwrap()
+        for out in pool().map(&shuffled, |scratch, _, inst| {
+            run_source_with_scratch(&mut inst.source(), factory(fixed_seed).as_mut(), scratch)
+                .expect("built-in algorithms emit valid decisions")
         }) {
             s.add(out.benefit());
         }

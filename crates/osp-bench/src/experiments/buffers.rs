@@ -58,7 +58,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
                 )
             })
             .collect();
-        let per_repeat = pool().map(&repeat_seeds, |_, (trace_seed, pe_seeds)| {
+        let per_repeat = pool().map(&repeat_seeds, |_, _, (trace_seed, pe_seeds)| {
             let cfg = VideoTraceConfig {
                 sources: 8,
                 frames_per_source: 30,
@@ -115,7 +115,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         let mut offered = 0usize;
         let mut max_burst = 0usize;
         let trace_seeds = draw_seeds(&mut seeds, repeats);
-        for (n, burst, r) in pool().map(&trace_seeds, |_, &seed| {
+        for (n, burst, r) in pool().map(&trace_seeds, |_, _, &seed| {
             let mut rng = StdRng::seed_from_u64(seed);
             let trace = onoff_trace(4, 0.05, 0.05, 300, (1, 3), 2, &mut rng);
             let r = simulate_buffered(&trace, b, BufferPolicy::DropTail);

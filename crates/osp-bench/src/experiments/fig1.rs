@@ -59,7 +59,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     // Construction + feasibility checks are independent per ℓ: build them
     // in parallel, then assert and render rows in sweep order.
     let gen_seeds = draw_seeds(&mut seeds, ells.len());
-    let built = pool().map(ells, |i, &ell| {
+    let built = pool().map(ells, |_, i, &ell| {
         let mut rng = StdRng::seed_from_u64(gen_seeds[i]);
         let g = gadget_lower_bound(ell, &mut rng).expect("ℓ is a prime power");
         let st = InstanceStats::compute(&g.instance);

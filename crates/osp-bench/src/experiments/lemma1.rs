@@ -6,7 +6,7 @@
 //! with 99% confidence intervals.
 
 use osp_core::algorithms::RandPr;
-use osp_core::{Instance, InstanceBuilder, SetId};
+use osp_core::{run_source_with_scratch, Instance, InstanceBuilder, SetId};
 use osp_opt::conflict::neighborhood_weights;
 use osp_stats::{SeedSequence, Summary};
 
@@ -67,7 +67,10 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         let m = inst.num_sets();
         let mut completions: Vec<Summary> = vec![Summary::new(); m];
         let trial_seeds = draw_seeds(&mut seeds, trials as usize);
-        for out in pool().run_seeds(&inst, &trial_seeds, &|s| Box::new(RandPr::from_seed(s))) {
+        for out in pool().map(&trial_seeds, |scratch, _, &s| {
+            run_source_with_scratch(&mut inst.source(), &mut RandPr::from_seed(s), scratch)
+                .expect("randPr emits valid decisions")
+        }) {
             for (i, s) in completions.iter_mut().enumerate() {
                 s.add(if out.is_completed(SetId(i as u32)) {
                     1.0

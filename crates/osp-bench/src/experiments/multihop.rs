@@ -57,7 +57,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             // Each trial runs the federated replicas *and* the centralized
             // reference; trials are independent, so fan them out.
             let trial_seeds = draw_seeds(&mut seeds, hash_trials as usize);
-            for (agreed, delivered) in pool().map(&trial_seeds, |_, &s| {
+            for (agreed, delivered) in pool().map(&trial_seeds, |_, _, &s| {
                 let fed = federated_run(&mh, 8, s).unwrap();
                 let central = engine_run(&mh.instance, &mut HashRandPr::new(8, s)).unwrap();
                 (fed.digest() == central.digest(), fed.completed().len())

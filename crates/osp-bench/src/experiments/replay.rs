@@ -72,8 +72,8 @@ use osp_core::gen::{random_instance, RandomInstanceConfig, UniformSource};
 use osp_core::spec::{run_spec, AlgorithmSpec, ScenarioSpec};
 use osp_core::wire::socket::WorkerAddr;
 use osp_core::{
-    derived_jobs, run as engine_run, run_source, spawn_listening, worker_binary, Dispatcher,
-    OnlineAlgorithm, Outcome, ProcessPool, ReplayJob, SetId, SocketPool, SpecPool,
+    derived_jobs, run as engine_run, run_source, run_source_with_scratch, spawn_listening,
+    worker_binary, Dispatcher, OnlineAlgorithm, Outcome, ProcessPool, SetId, SocketPool, SpecPool,
 };
 use osp_gf::hash::PolyHash;
 use osp_net::NetResolver;
@@ -204,8 +204,12 @@ pub fn run(scale: Scale, seed: u64) -> Report {
                     .collect::<Vec<Outcome>>()
             });
             t_seq = t_seq.min(t);
-            let (t, batched) =
-                timed(|| pool.run_seeds(&inst, &trial_seeds, &|s| Box::new(RandPr::from_seed(s))));
+            let (t, batched) = timed(|| {
+                pool.map(&trial_seeds, |scratch, _, &s| {
+                    run_source_with_scratch(&mut inst.source(), &mut RandPr::from_seed(s), scratch)
+                        .expect("randPr emits valid decisions")
+                })
+            });
             t_batch = t_batch.min(t);
             identical &= sequential == batched;
         }
@@ -256,14 +260,6 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         let mut t_seq = f64::INFINITY;
         let mut t_batch = f64::INFINITY;
         let mut identical = true;
-        let jobs: Vec<ReplayJob<'_>> = trial_seeds
-            .iter()
-            .map(|&seed| ReplayJob {
-                instance: &inst,
-                algorithm: 0,
-                seed,
-            })
-            .collect();
         for _ in 0..rounds {
             let (t, sequential) = timed(|| {
                 trial_seeds
@@ -272,7 +268,11 @@ pub fn run(scale: Scale, seed: u64) -> Report {
                     .collect::<Vec<Outcome>>()
             });
             t_seq = t_seq.min(t);
-            let (t, batched) = timed(|| pool.run_jobs(&jobs, &|_, s| factory(s)));
+            let (t, batched) = timed(|| {
+                pool.map(&trial_seeds, |scratch, _, &s| {
+                    run_source_with_scratch(&mut inst.source(), factory(s).as_mut(), scratch)
+                })
+            });
             t_batch = t_batch.min(t);
             identical &= batched
                 .iter()
@@ -915,7 +915,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut all_pipeline_identical = true;
     {
-        use osp_core::{run_source_pipelined, run_source_with_scratch, ReplayScratch};
+        use osp_core::{run_source_pipelined, ReplayScratch};
         // The paper's regime: m = n/2 sets of σ = 4 members per arrival,
         // so sets have k ≈ 8 elements and a nontrivial share completes.
         let grid: &[usize] = scale.pick(&[200_000usize][..], &[1_000_000, 10_000_000][..]);
@@ -1000,10 +1000,9 @@ pub fn run(scale: Scale, seed: u64) -> Report {
          rounds with the leg that runs first swapped every round, source construction \
          untimed; spread is (max − min) / min. \
          Outcomes are bit-identical to the serial loop (the guarded cells; \
-         tests/parallel_replay.rs pins the full grid). run_source_parallel pipelines \
-         only when the machine reports at least two cores, and the walls depend on the \
-         core count (the nproc column), so like `distributed` only the identity booleans \
-         are guarded.",
+         tests/parallel_replay.rs pins the full grid). The walls depend on the core \
+         count (the nproc column), so like `distributed` only the identity booleans are \
+         guarded.",
     );
 
     report.note(format!(

@@ -12,12 +12,12 @@ use osp_adversary::weak::weak_lower_bound;
 use osp_core::algorithms::{GreedyOnline, RandPr, TieBreak};
 use osp_core::bounds::theorem_2_lower;
 use osp_core::stats::InstanceStats;
-use osp_core::OnlineAlgorithm;
+use osp_core::{run_source_with_scratch, Instance, OnlineAlgorithm};
 use osp_stats::{SeedSequence, Summary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::pool::{pool, ReplayJob};
+use crate::pool::pool;
 use crate::report::{NamedTable, Report};
 use crate::Scale;
 
@@ -83,22 +83,25 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             instances.push(g.instance);
             rp_seeds.push(seeds.next_seed());
         }
-        let jobs: Vec<ReplayJob<'_>> = instances
+        let jobs: Vec<(&Instance, usize, u64)> = instances
             .iter()
             .zip(&rp_seeds)
             .flat_map(|(instance, &seed)| {
                 [FIRST_FIT, BY_WEIGHT, FEWEST_REMAINING, RAND_PR]
                     .into_iter()
-                    .map(move |algorithm| ReplayJob {
-                        instance,
-                        algorithm,
-                        seed,
-                    })
+                    .map(move |algorithm| (instance, algorithm, seed))
             })
             .collect();
-        for (job, out) in jobs.iter().zip(pool().run_jobs(&jobs, &alg_factory)) {
+        let outcomes = pool().map(&jobs, |scratch, _, &(instance, algorithm, seed)| {
+            run_source_with_scratch(
+                &mut instance.source(),
+                alg_factory(algorithm, seed).as_mut(),
+                scratch,
+            )
+        });
+        for (&(_, algorithm, _), out) in jobs.iter().zip(outcomes) {
             let benefit = out.expect("built-in algorithms are valid").benefit();
-            match job.algorithm {
+            match algorithm {
                 FIRST_FIT => ff.add(benefit),
                 BY_WEIGHT => bw.add(benefit),
                 FEWEST_REMAINING => fr.add(benefit),
@@ -146,22 +149,25 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             instances.push(w.instance);
             rp_seeds.push(seeds.next_seed());
         }
-        let jobs: Vec<ReplayJob<'_>> = instances
+        let jobs: Vec<(&Instance, usize, u64)> = instances
             .iter()
             .zip(&rp_seeds)
             .flat_map(|(instance, &seed)| {
                 [FIRST_FIT, RAND_PR]
                     .into_iter()
-                    .map(move |algorithm| ReplayJob {
-                        instance,
-                        algorithm,
-                        seed,
-                    })
+                    .map(move |algorithm| (instance, algorithm, seed))
             })
             .collect();
-        for (job, out) in jobs.iter().zip(pool().run_jobs(&jobs, &alg_factory)) {
+        let outcomes = pool().map(&jobs, |scratch, _, &(instance, algorithm, seed)| {
+            run_source_with_scratch(
+                &mut instance.source(),
+                alg_factory(algorithm, seed).as_mut(),
+                scratch,
+            )
+        });
+        for (&(_, algorithm, _), out) in jobs.iter().zip(outcomes) {
             let benefit = out.expect("built-in algorithms are valid").benefit();
-            match job.algorithm {
+            match algorithm {
                 FIRST_FIT => ff.add(benefit),
                 _ => rp.add(benefit),
             }

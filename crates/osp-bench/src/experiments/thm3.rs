@@ -9,6 +9,7 @@
 use osp_adversary::deterministic::run_deterministic_adversary;
 use osp_core::algorithms::{GreedyOnline, RandPr, TieBreak};
 use osp_core::bounds::theorem_3_lower;
+use osp_core::run_source_with_scratch;
 use osp_net::policy::TailDrop;
 use osp_stats::{SeedSequence, Summary};
 
@@ -79,8 +80,10 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         if let Some(inst) = anti_greedy_instance {
             let mut s = Summary::new();
             let trial_seeds = draw_seeds(&mut seeds, randpr_trials as usize);
-            for out in pool().run_seeds(&inst, &trial_seeds, &|sd| Box::new(RandPr::from_seed(sd)))
-            {
+            for out in pool().map(&trial_seeds, |scratch, _, &sd| {
+                run_source_with_scratch(&mut inst.source(), &mut RandPr::from_seed(sd), scratch)
+                    .expect("randPr emits valid decisions")
+            }) {
                 s.add(out.benefit());
             }
             table.row(vec![

@@ -7,7 +7,7 @@
 //! rate yet lose badly on frame goodput, and the gap widens with load.
 
 use osp_core::algorithms::{GreedyOnline, HashRandPr, RandPr, TieBreak};
-use osp_core::OnlineAlgorithm;
+use osp_core::{run_source_with_scratch, OnlineAlgorithm};
 use osp_net::metrics::goodput;
 use osp_net::policy::{RandomDrop, TailDrop};
 use osp_net::trace::{video_trace, VideoTraceConfig};
@@ -16,7 +16,7 @@ use osp_stats::{SeedSequence, Summary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::pool::{pool, ReplayJob};
+use crate::pool::pool;
 use crate::report::{NamedTable, Report};
 use crate::Scale;
 
@@ -95,17 +95,15 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             specs.push((GREEDY_FR, 0));
             specs.extend((0..randomized_trials).map(|_| (RAND_PR, seeds.next_seed())));
             specs.extend((0..randomized_trials).map(|_| (HASH_PR, seeds.next_seed())));
-            let jobs: Vec<ReplayJob<'_>> = specs
-                .iter()
-                .map(|&(algorithm, seed)| ReplayJob {
-                    instance: &mapped.instance,
-                    algorithm,
-                    seed,
-                })
-                .collect();
-            let outcomes = pool().run_jobs(&jobs, &policy_factory);
-            for (job, out) in jobs.iter().zip(outcomes) {
-                let name = policy_name(job.algorithm);
+            let outcomes = pool().map(&specs, |scratch, _, &(algorithm, seed)| {
+                run_source_with_scratch(
+                    &mut mapped.instance.source(),
+                    policy_factory(algorithm, seed).as_mut(),
+                    scratch,
+                )
+            });
+            for (&(algorithm, _), out) in specs.iter().zip(outcomes) {
+                let name = policy_name(algorithm);
                 let idx = match rows.iter().position(|r| r.0 == name) {
                     Some(i) => i,
                     None => {

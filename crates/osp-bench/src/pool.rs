@@ -7,7 +7,9 @@
 //!    [`SeedSequence`] — in exactly the order the old one-at-a-time loops
 //!    drew them, so reports stay comparable PR-over-PR;
 //! 2. fan the `(instance × seed × algorithm)` work-list across the shared
-//!    [`ReplayPool`];
+//!    [`ReplayPool`], each item replayed through
+//!    [`run_source_with_scratch`](osp_core::run_source_with_scratch) on
+//!    its shard's scratch inside [`ReplayPool::map`];
 //! 3. consume the outcomes in job order.
 //!
 //! Shard count comes from `OSP_REPLAY_SHARDS` (default: all cores); the
@@ -22,9 +24,7 @@
 //! seeds, same order, bit-identical outcomes either way (pinned by
 //! `tests/process_pool_conformance.rs`).
 
-pub use osp_core::{
-    DispatchChoice, Dispatcher, ProcessPool, ReplayJob, ReplayPool, SocketPool, SpecPool,
-};
+pub use osp_core::{DispatchChoice, Dispatcher, ProcessPool, ReplayPool, SocketPool, SpecPool};
 use osp_net::NetResolver;
 use osp_stats::SeedSequence;
 

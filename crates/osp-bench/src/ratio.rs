@@ -1,6 +1,6 @@
 //! Shared measurement machinery: `opt` brackets and algorithm trials.
 
-use osp_core::{Instance, OnlineAlgorithm};
+use osp_core::{run_source_with_scratch, Instance, OnlineAlgorithm};
 use osp_opt::dual::density_dual_bound;
 use osp_opt::greedy::best_greedy;
 use osp_opt::mwu::fractional_packing;
@@ -98,7 +98,10 @@ where
     assert!(trials >= 1, "need at least one trial");
     let trial_seeds = crate::pool::draw_seeds(seeds, trials as usize);
     let name = factory(trial_seeds[0]).name();
-    let outcomes = crate::pool::pool().run_seeds(instance, &trial_seeds, &factory);
+    let outcomes = crate::pool::pool().map(&trial_seeds, |scratch, _, &seed| {
+        run_source_with_scratch(&mut instance.source(), factory(seed).as_mut(), scratch)
+            .expect("built-in algorithms emit valid decisions")
+    });
     let mut summary = Summary::new();
     for outcome in &outcomes {
         summary.add(outcome.benefit());

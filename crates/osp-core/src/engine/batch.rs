@@ -1,34 +1,30 @@
-//! Sharded batch replay: many `(instance × seed × algorithm)` jobs at once.
+//! Sharded batch replay: many seeded jobs at once.
 //!
-//! The experiment harness replays the same frozen [`Instance`]s thousands
-//! of times under different seeds and algorithms. [`ReplayPool`] fans such
-//! a work-list across `std::thread` shards while keeping the results
-//! **bit-identical to sequential replay**:
+//! randPr's and hashPr's priorities are fixed by the seed alone (§3.1),
+//! so a batch of replays is a deterministic, order-preserving map over
+//! seeded jobs. [`ReplayPool::map`] is that map: it fans a work-list
+//! across `std::thread` shards while keeping the results **bit-identical
+//! to sequential replay**:
 //!
 //! * every job's seed is fixed *before* fan-out (either by the caller or
 //!   via [`derive_seed`]'s O(1) SplitMix64 stream access), so no job's
 //!   randomness depends on which shard runs it or in which order;
-//! * every shard executes the one and only engine implementation
-//!   ([`Session`](super::Session), via [`run_with_scratch`]) — there is
-//!   no second "parallel" code path to drift;
+//! * every replay runs the one and only engine loop
+//!   ([`run_source_with_scratch`](super::run_source_with_scratch) or
+//!   [`run_spec_with_scratch`](crate::spec::run_spec_with_scratch)) —
+//!   there is no second "parallel" code path to drift;
 //! * results are returned in job order regardless of shard interleaving.
 //!
-//! Each shard owns a [`ReplayScratch`], so consecutive jobs on a shard
-//! reuse the engine's bookkeeping buffers and the per-arrival hot path
-//! performs no allocations of its own.
+//! Each shard owns a [`ReplayScratch`] that `map` hands to the closure,
+//! so consecutive jobs on a shard reuse the engine's bookkeeping buffers
+//! and the per-arrival hot path performs no allocations of its own.
 //!
 //! The `tests/batch_equivalence.rs` conformance suite in the workspace
 //! root pins the bit-identical claim for every built-in algorithm at shard
 //! counts 1, 2 and 8.
 
-use crate::algorithm::OnlineAlgorithm;
-use crate::error::Error;
 use crate::ids::ElementId;
-use crate::instance::{Instance, SetMeta};
-use crate::source::ArrivalSource;
-use crate::spec::{run_spec_with_scratch, JobSpec, SpecResolver};
-
-use super::{run_source_with_scratch, run_with_scratch, Outcome};
+use crate::instance::SetMeta;
 
 /// Reusable engine buffers for one replay shard.
 ///
@@ -74,7 +70,7 @@ fn splitmix_finalize(state: u64) -> u64 {
 
 /// The machine default: `std::thread::available_parallelism`, 1 if the
 /// platform cannot say.
-pub(crate) fn machine_parallelism() -> usize {
+fn machine_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
@@ -146,59 +142,22 @@ pub fn derive_seed(root: u64, index: u64) -> u64 {
     splitmix_finalize(root.wrapping_add(GOLDEN_GAMMA.wrapping_mul(index.wrapping_add(1))))
 }
 
-/// One replay job: which instance to replay, which algorithm family
-/// (an index the caller's factory interprets), and the seed for the
-/// algorithm's randomness.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplayJob<'a> {
-    /// The frozen instance to replay.
-    pub instance: &'a Instance,
-    /// Caller-defined algorithm selector, passed through to the factory.
-    pub algorithm: usize,
-    /// Seed handed to the factory (ignore it for deterministic algorithms).
-    pub seed: u64,
-}
-
-/// One streamed replay job: which arrival source to build (a selector the
-/// caller's source factory interprets), which algorithm family, and the
-/// seed handed to both factories.
-///
-/// Unlike [`ReplayJob`] there is no borrowed instance here: each shard
-/// *rebuilds* its jobs' sources locally from `(source, seed)`, which is
-/// what lets streamed jobs fan out without materializing anything — the
-/// [`ArrivalSource`] determinism contract (same construction inputs ⇒ same
-/// stream) guarantees the rebuilt stream is the one the caller meant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SourceJob {
-    /// Caller-defined source selector, passed through to the source
-    /// factory.
-    pub source: usize,
-    /// Caller-defined algorithm selector, passed through to the algorithm
-    /// factory.
-    pub algorithm: usize,
-    /// Seed handed to both factories (derive per-job values with
-    /// [`derive_seed`]; ignore it for deterministic jobs).
-    pub seed: u64,
-}
-
-/// A sharded replay pool.
+/// A sharded replay pool: one deterministic, order-preserving map.
 ///
 /// # Examples
 ///
 /// ```
 /// use osp_core::prelude::*;
-/// use osp_core::engine::batch::{derive_seed, ReplayJob, ReplayPool};
 ///
 /// let mut b = InstanceBuilder::new();
 /// let s = b.add_set(1.0, 1);
 /// b.add_element(1, &[s]);
 /// let inst = b.build()?;
 ///
-/// let pool = ReplayPool::new(2);
-/// let jobs: Vec<ReplayJob> = (0..8)
-///     .map(|i| ReplayJob { instance: &inst, algorithm: 0, seed: derive_seed(7, i) })
-///     .collect();
-/// let outcomes = pool.run_jobs(&jobs, &|_, seed| Box::new(RandPr::from_seed(seed)));
+/// let seeds: Vec<u64> = (0..8).map(|i| derive_seed(7, i)).collect();
+/// let outcomes = ReplayPool::new(2).map(&seeds, |scratch, _, &seed| {
+///     run_source_with_scratch(&mut inst.source(), &mut RandPr::from_seed(seed), scratch)
+/// });
 /// assert!(outcomes.iter().all(|o| o.as_ref().unwrap().benefit() == 1.0));
 /// # Ok::<(), osp_core::Error>(())
 /// ```
@@ -229,27 +188,49 @@ impl ReplayPool {
         self.shards
     }
 
-    /// The one sharding kernel every lane rides: [`split_ranges`] hands
-    /// each shard a contiguous run of result slots, the shard builds its
-    /// own state from `init` and applies `f` to the matching items, and
-    /// the results come back **in item order** regardless of which shard
-    /// computed what. With one shard (or one item) it is a plain
-    /// sequential loop on the caller's thread.
-    fn shard_map<T, S, R, I, F>(&self, items: &[T], init: I, f: F) -> Vec<R>
+    /// Deterministic parallel map: applies `f` to every item and returns
+    /// the results **in item order**, regardless of which shard computed
+    /// what. The engine's one scoped-thread splitter hands each shard a
+    /// contiguous run of items; the shard owns one [`ReplayScratch`] and
+    /// passes it to every call, so consecutive replays on a shard reuse
+    /// the engine's buffers (closures that do not replay ignore it). `f`
+    /// also receives the item's index, so callers can derive per-item
+    /// seeds without any shared mutable state. With one shard (or one
+    /// item) it is a plain sequential loop on the caller's thread.
+    ///
+    /// # Examples
+    ///
+    /// A streamed batch: each shard rebuilds its items' sources from their
+    /// seeds, so nothing is materialized and no stream depends on the
+    /// shard count.
+    ///
+    /// ```
+    /// use osp_core::gen::{RandomInstanceConfig, UniformSource};
+    /// use osp_core::prelude::*;
+    ///
+    /// let cfg = RandomInstanceConfig::unweighted(20, 50, 3);
+    /// let seeds: Vec<u64> = (0..8).map(|i| derive_seed(7, i)).collect();
+    /// let outcomes = ReplayPool::new(2).map(&seeds, |scratch, _, &seed| {
+    ///     let mut source = UniformSource::new(&cfg, seed).unwrap();
+    ///     run_source_with_scratch(&mut source, &mut RandPr::from_seed(seed), scratch)
+    /// });
+    /// assert_eq!(outcomes.len(), 8);
+    /// assert!(outcomes.iter().all(|o| o.is_ok()));
+    /// ```
+    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &T) -> R + Sync,
+        F: Fn(&mut ReplayScratch, usize, &T) -> R + Sync,
     {
         let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
         split_ranges(
             &mut results,
             self.shards,
             &|start, slots: &mut [Option<R>]| {
-                let mut state = init();
+                let mut scratch = ReplayScratch::new();
                 for (j, slot) in slots.iter_mut().enumerate() {
-                    *slot = Some(f(&mut state, start + j, &items[start + j]));
+                    *slot = Some(f(&mut scratch, start + j, &items[start + j]));
                 }
             },
         );
@@ -258,169 +239,17 @@ impl ReplayPool {
             .map(|r| r.expect("every slot is filled"))
             .collect()
     }
-
-    /// Deterministic parallel map: applies `f` to every item and returns
-    /// the results **in item order**, regardless of which shard computed
-    /// what. `f` receives the item's index alongside the item, so callers
-    /// can derive per-item seeds without any shared mutable state.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.shard_map(items, || (), |(), i, t| f(i, t))
-    }
-
-    /// Replays every job and returns the outcomes in job order.
-    ///
-    /// `factory(algorithm, seed)` constructs the job's algorithm *inside
-    /// the shard that runs it*; each shard reuses one [`ReplayScratch`]
-    /// across its jobs. A job whose algorithm emits an invalid decision
-    /// yields that job's `Err` without disturbing the others.
-    pub fn run_jobs<F>(&self, jobs: &[ReplayJob<'_>], factory: &F) -> Vec<Result<Outcome, Error>>
-    where
-        F: Fn(usize, u64) -> Box<dyn OnlineAlgorithm> + Sync,
-    {
-        self.shard_map(jobs, ReplayScratch::new, |scratch, _, job| {
-            let mut alg = factory(job.algorithm, job.seed);
-            run_with_scratch(job.instance, alg.as_mut(), scratch)
-        })
-    }
-
-    /// The streamed lane: replays every [`SourceJob`] and returns the
-    /// outcomes in job order, bit-identical to sequential
-    /// [`run_source`](super::run_source) on the same jobs.
-    ///
-    /// `sources(selector, seed)` and `algorithms(selector, seed)` construct
-    /// the job's arrival source and algorithm *inside the shard that runs
-    /// it* — nothing about the stream depends on shard count or
-    /// scheduling, because every job's seed is fixed before fan-out (the
-    /// same [`derive_seed`] discipline as [`run_jobs`](Self::run_jobs))
-    /// and sources are deterministic in their construction inputs. Each
-    /// shard reuses one [`ReplayScratch`] across its jobs.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use osp_core::gen::UniformSource;
-    /// use osp_core::gen::RandomInstanceConfig;
-    /// use osp_core::prelude::*;
-    /// use osp_core::engine::batch::SourceJob;
-    ///
-    /// let cfg = RandomInstanceConfig::unweighted(20, 50, 3);
-    /// let jobs: Vec<SourceJob> = (0..8)
-    ///     .map(|i| SourceJob { source: 0, algorithm: 0, seed: derive_seed(7, i) })
-    ///     .collect();
-    /// let outcomes = ReplayPool::new(2).run_sources(
-    ///     &jobs,
-    ///     &|_, seed| Box::new(UniformSource::new(&cfg, seed).unwrap()),
-    ///     &|_, seed| Box::new(RandPr::from_seed(seed)),
-    /// );
-    /// assert_eq!(outcomes.len(), 8);
-    /// assert!(outcomes.iter().all(|o| o.is_ok()));
-    /// ```
-    pub fn run_sources<'a, SF, AF>(
-        &self,
-        jobs: &[SourceJob],
-        sources: &SF,
-        algorithms: &AF,
-    ) -> Vec<Result<Outcome, Error>>
-    where
-        SF: Fn(usize, u64) -> Box<dyn ArrivalSource + 'a> + Sync,
-        AF: Fn(usize, u64) -> Box<dyn OnlineAlgorithm> + Sync,
-    {
-        self.shard_map(jobs, ReplayScratch::new, |scratch, _, job| {
-            let mut source = sources(job.source, job.seed);
-            let mut alg = algorithms(job.algorithm, job.seed);
-            run_source_with_scratch(&mut source, alg.as_mut(), scratch)
-        })
-    }
-
-    /// The data-driven lane: replays every [`JobSpec`] through `resolver`
-    /// and returns the outcomes in job order — the thread-backed twin of
-    /// the worker-process pool
-    /// ([`ProcessPool`](super::dispatch::ProcessPool)), sharing the same
-    /// seed and ordering contract: seeds are fixed in the specs before
-    /// fan-out, shards resolve their jobs locally, results come back in
-    /// submission order. `tests/process_pool_conformance.rs` pins all
-    /// three lanes (sequential [`run_spec`](crate::spec::run_spec), this
-    /// one, processes) bit-identical.
-    pub fn run_specs<R>(&self, jobs: &[JobSpec], resolver: &R) -> Vec<Result<Outcome, Error>>
-    where
-        R: SpecResolver + Sync,
-    {
-        self.shard_map(jobs, ReplayScratch::new, |scratch, _, job| {
-            run_spec_with_scratch(job, resolver, scratch)
-        })
-    }
-
-    /// Convenience for the common one-source-family/one-algorithm case:
-    /// builds one source per seed and replays each, returning the outcomes
-    /// in seed order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the algorithm emits an invalid decision (the built-in
-    /// algorithms never do); use [`run_sources`](Self::run_sources) to
-    /// observe per-job errors instead.
-    pub fn run_source_seeds<'a, SF, AF>(
-        &self,
-        seeds: &[u64],
-        source: &SF,
-        algorithm: &AF,
-    ) -> Vec<Outcome>
-    where
-        SF: Fn(u64) -> Box<dyn ArrivalSource + 'a> + Sync,
-        AF: Fn(u64) -> Box<dyn OnlineAlgorithm> + Sync,
-    {
-        let jobs: Vec<SourceJob> = seeds
-            .iter()
-            .map(|&seed| SourceJob {
-                source: 0,
-                algorithm: 0,
-                seed,
-            })
-            .collect();
-        self.run_sources(&jobs, &|_, seed| source(seed), &|_, seed| algorithm(seed))
-            .into_iter()
-            .map(|r| r.expect("batch algorithm emitted an invalid decision"))
-            .collect()
-    }
-
-    /// Convenience for the common one-instance/one-algorithm case: replays
-    /// `instance` once per seed and returns the outcomes in seed order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the algorithm emits an invalid decision (the built-in
-    /// algorithms never do); use [`run_jobs`](Self::run_jobs) to observe
-    /// per-job errors instead.
-    pub fn run_seeds<F>(&self, instance: &Instance, seeds: &[u64], factory: &F) -> Vec<Outcome>
-    where
-        F: Fn(u64) -> Box<dyn OnlineAlgorithm> + Sync,
-    {
-        let jobs: Vec<ReplayJob<'_>> = seeds
-            .iter()
-            .map(|&seed| ReplayJob {
-                instance,
-                algorithm: 0,
-                seed,
-            })
-            .collect();
-        self.run_jobs(&jobs, &|_, seed| factory(seed))
-            .into_iter()
-            .map(|r| r.expect("batch algorithm emitted an invalid decision"))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::OnlineAlgorithm;
     use crate::algorithms::{GreedyOnline, RandPr, TieBreak};
-    use crate::engine::run;
+    use crate::engine::{run, run_source_with_scratch, Outcome};
+    use crate::error::Error;
     use crate::gen::{random_instance, RandomInstanceConfig};
+    use crate::instance::Instance;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -457,7 +286,10 @@ mod tests {
             .collect();
         for shards in [1usize, 2, 3, 8, 32] {
             let pool = ReplayPool::new(shards);
-            let batch = pool.run_seeds(&inst, &seeds, &|s| Box::new(RandPr::from_seed(s)));
+            let batch = pool.map(&seeds, |scratch, _, &s| {
+                run_source_with_scratch(&mut inst.source(), &mut RandPr::from_seed(s), scratch)
+                    .unwrap()
+            });
             assert_eq!(batch, sequential, "shards={shards}");
         }
     }
@@ -469,38 +301,19 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(6);
             random_instance(&RandomInstanceConfig::unweighted(10, 25, 3), &mut rng).unwrap()
         };
-        let jobs = vec![
-            ReplayJob {
-                instance: &a,
-                algorithm: 0,
-                seed: 1,
-            },
-            ReplayJob {
-                instance: &b,
-                algorithm: 1,
-                seed: 0,
-            },
-            ReplayJob {
-                instance: &a,
-                algorithm: 1,
-                seed: 0,
-            },
-            ReplayJob {
-                instance: &b,
-                algorithm: 0,
-                seed: 2,
-            },
-        ];
+        let jobs: Vec<(&Instance, usize, u64)> =
+            vec![(&a, 0, 1), (&b, 1, 0), (&a, 1, 0), (&b, 0, 2)];
         let factory = |alg: usize, seed: u64| -> Box<dyn OnlineAlgorithm> {
             match alg {
                 0 => Box::new(RandPr::from_seed(seed)),
                 _ => Box::new(GreedyOnline::new(TieBreak::ByWeight)),
             }
         };
-        let pooled = ReplayPool::new(3).run_jobs(&jobs, &factory);
-        for (job, got) in jobs.iter().zip(&pooled) {
-            let mut alg = factory(job.algorithm, job.seed);
-            let want = run(job.instance, alg.as_mut()).unwrap();
+        let pooled = ReplayPool::new(3).map(&jobs, |scratch, _, &(inst, alg, seed)| {
+            run_source_with_scratch(&mut inst.source(), factory(alg, seed).as_mut(), scratch)
+        });
+        for (&(inst, alg, seed), got) in jobs.iter().zip(&pooled) {
+            let want = run(inst, factory(alg, seed).as_mut()).unwrap();
             assert_eq!(got.as_ref().unwrap(), &want);
         }
     }
@@ -509,7 +322,7 @@ mod tests {
     fn map_preserves_item_order() {
         let items: Vec<u64> = (0..100).collect();
         for shards in [1usize, 2, 7, 16] {
-            let out = ReplayPool::new(shards).map(&items, |i, &x| (i as u64) * 1000 + x);
+            let out = ReplayPool::new(shards).map(&items, |_, i, &x| (i as u64) * 1000 + x);
             let want: Vec<u64> = (0..100).map(|i| i * 1000 + i).collect();
             assert_eq!(out, want, "shards={shards}");
         }
@@ -559,9 +372,30 @@ mod tests {
     }
 
     #[test]
+    fn split_ranges_writes_every_slot_at_any_thread_count() {
+        // A sharded fill into a recycled buffer goes through the engine's
+        // one splitter; every slot must be written at any fan-out,
+        // including more threads than slots.
+        let fill = |start: usize, slots: &mut [u64]| {
+            for (j, slot) in slots.iter_mut().enumerate() {
+                *slot = (start + j) as u64 * 5 + 2;
+            }
+        };
+        let want: Vec<u64> = (0..101u64).map(|i| i * 5 + 2).collect();
+        let mut buf = Vec::new();
+        for threads in [0usize, 1, 2, 3, 8, 101, 300] {
+            buf.clear();
+            buf.resize(101, 0u64);
+            split_ranges(&mut buf, threads, &fill);
+            assert_eq!(buf, want, "threads={threads}");
+        }
+    }
+
+    #[test]
     fn run_specs_matches_sequential_run_spec() {
-        use crate::gen::RandomInstanceConfig;
-        use crate::spec::{run_spec, AlgorithmSpec, CoreResolver, JobSpec, ScenarioSpec};
+        use crate::spec::{
+            run_spec, run_spec_with_scratch, AlgorithmSpec, CoreResolver, JobSpec, ScenarioSpec,
+        };
         let jobs: Vec<JobSpec> = (0..9)
             .map(|i| JobSpec {
                 scenario: ScenarioSpec::Uniform(RandomInstanceConfig::unweighted(20, 50, 3)),
@@ -574,7 +408,9 @@ mod tests {
             .map(|j| run_spec(j, &CoreResolver).unwrap())
             .collect();
         for shards in [1usize, 2, 4] {
-            let pooled = ReplayPool::new(shards).run_specs(&jobs, &CoreResolver);
+            let pooled = ReplayPool::new(shards).map(&jobs, |scratch, _, job| {
+                run_spec_with_scratch(job, &CoreResolver, scratch)
+            });
             let pooled: Vec<Outcome> = pooled.into_iter().map(|r| r.unwrap()).collect();
             assert_eq!(pooled, sequential, "shards={shards}");
         }
@@ -583,11 +419,15 @@ mod tests {
     #[test]
     fn empty_job_list_is_empty_result() {
         let pool = ReplayPool::new(4);
+        let inst = workload();
+        let no_seeds: [u64; 0] = [];
         assert!(pool
-            .run_jobs(&[], &|_, s| Box::new(RandPr::from_seed(s)))
+            .map(&no_seeds, |scratch, _, &s| {
+                run_source_with_scratch(&mut inst.source(), &mut RandPr::from_seed(s), scratch)
+            })
             .is_empty());
         let empty: [u8; 0] = [];
-        assert!(pool.map(&empty, |_, &x| x).is_empty());
+        assert!(pool.map(&empty, |_, _, &x| x).is_empty());
     }
 
     #[test]
@@ -598,21 +438,16 @@ mod tests {
         let s1 = b.add_set(1.0, 1);
         b.add_element(1, &[s0, s1]);
         let inst = b.build().unwrap();
-        let jobs = vec![
-            ReplayJob {
-                instance: &inst,
-                algorithm: 0, // feasible: pick s0 only
-                seed: 0,
-            },
-            ReplayJob {
-                instance: &inst,
-                algorithm: 1, // infeasible: oracle wants both, capacity 1
-                seed: 0,
-            },
+        let picks = vec![
+            vec![s0],     // feasible: pick s0 only
+            vec![s0, s1], // infeasible: oracle wants both, capacity 1
         ];
-        let out = ReplayPool::new(2).run_jobs(&jobs, &|alg, _| match alg {
-            0 => Box::new(OracleOnline::new(vec![s0])),
-            _ => Box::new(OracleOnline::new(vec![s0, s1])),
+        let out = ReplayPool::new(2).map(&picks, |scratch, _, pick| {
+            run_source_with_scratch(
+                &mut inst.source(),
+                &mut OracleOnline::new(pick.clone()),
+                scratch,
+            )
         });
         assert!(out[0].is_ok());
         assert!(matches!(out[1], Err(Error::DecisionOverCapacity { .. })));

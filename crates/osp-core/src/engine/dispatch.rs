@@ -15,9 +15,8 @@
 //!
 //! Three backends implement it, over one wire transport:
 //!
-//! * [`SpecPool`] — `std::thread` shards via
-//!   [`ReplayPool::run_specs`](ReplayPool::run_specs), resolving specs
-//!   in-process;
+//! * [`SpecPool`] — `std::thread` shards via [`ReplayPool::map`],
+//!   resolving specs in-process;
 //! * [`SocketPool`] — a fleet of `osp-worker --listen` endpoints
 //!   (TCP or Unix-domain, [`WorkerAddr`]) spoken to over framed socket
 //!   sessions ([`wire`]), with connect retry/backoff ([`RetryPolicy`]),
@@ -51,7 +50,7 @@ use serde::{Deserialize, Serialize};
 use crate::engine::batch::{derive_seed, env_parallelism, ReplayPool};
 use crate::engine::Outcome;
 use crate::error::{Error, WorkerError};
-use crate::spec::{AlgorithmSpec, JobSpec, ScenarioSpec, SpecResolver};
+use crate::spec::{run_spec_with_scratch, AlgorithmSpec, JobSpec, ScenarioSpec, SpecResolver};
 use crate::wire;
 use crate::wire::socket::{ping, read_hello, Stream, WorkerAddr};
 
@@ -248,7 +247,9 @@ impl<R: SpecResolver + Sync> Dispatcher for SpecPool<R> {
         jobs: &[JobSpec],
         sink: &dyn EventSink,
     ) -> Vec<Result<Outcome, Error>> {
-        let results = self.pool.run_specs(jobs, &self.resolver);
+        let results = self.pool.map(jobs, |scratch, _, job| {
+            run_spec_with_scratch(job, &self.resolver, scratch)
+        });
         // The thread pool blocks until every shard is done, so one final
         // tick is this backend's natural granularity.
         sink.event(DispatchEvent::Progress {
@@ -687,10 +688,9 @@ enum Expected {
 ///
 /// Since PR 8 the fleet is *supervised state*, not a static list:
 /// exclusion persists across runs, a rejoin probe loop re-admits lanes
-/// that answer pings again ([`RejoinPolicy`]), and membership can change
-/// at runtime ([`add_worker`](Self::add_worker) /
-/// [`remove_worker`](Self::remove_worker), also reachable through the
-/// shareable [`FleetHandle`]). Clones of a pool share one fleet.
+/// that answer pings again ([`RejoinPolicy`]), and the shareable
+/// [`FleetHandle`] reports the lanes and forces a probe. Clones of a pool
+/// share one fleet.
 #[derive(Debug, Clone)]
 pub struct SocketPool {
     fleet: Arc<Mutex<FleetState>>,
@@ -767,30 +767,13 @@ impl SocketPool {
         }
     }
 
-    /// A cloneable handle onto this pool's fleet — membership, probe
-    /// triggering and the [`FleetReport`] counters, without holding the
-    /// pool itself.
+    /// A cloneable handle onto this pool's fleet — probe triggering and
+    /// the [`FleetReport`], without holding the pool itself.
     pub fn fleet_handle(&self) -> FleetHandle {
         FleetHandle {
             fleet: Arc::clone(&self.fleet),
             rejoin: self.config.rejoin,
         }
-    }
-
-    /// Adds a worker to the fleet (immediately `Up`). Returns `false`
-    /// (and changes nothing) if the address is already a member.
-    pub fn add_worker(&self, addr: WorkerAddr) -> bool {
-        self.fleet_handle().add(addr)
-    }
-
-    /// Removes a worker from the fleet.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidSpec`] if the address is not a member or is the
-    /// last remaining lane (a fleet must keep at least one).
-    pub fn remove_worker(&self, addr: &WorkerAddr) -> Result<(), Error> {
-        self.fleet_handle().remove(addr)
     }
 
     /// A pool over the fleet named by `OSP_WORKER_ADDRS` (comma-separated
@@ -814,8 +797,7 @@ impl SocketPool {
         Ok(SocketPool::new(addrs))
     }
 
-    /// The fleet's current addresses, in lane order (a snapshot — the
-    /// membership can change under a [`FleetHandle`]).
+    /// The fleet's addresses, in lane order.
     pub fn addrs(&self) -> Vec<WorkerAddr> {
         let fleet = self.fleet.lock().expect("fleet lock");
         fleet.lanes.iter().map(|lane| lane.addr.clone()).collect()
@@ -1120,7 +1102,7 @@ impl Dispatcher for SocketPool {
     }
 }
 
-/// Marks the lane at `addr` excluded (if still a member and `Up`), with
+/// Marks the lane at `addr` excluded (if it is still `Up`), with
 /// its first probe due after the policy's base delay.
 fn exclude_lane(
     fleet: &Mutex<FleetState>,
@@ -1145,7 +1127,7 @@ fn exclude_lane(
 /// One pass of the rejoin probe loop: ping every excluded lane whose
 /// backoff has elapsed (every excluded lane when `force`), re-admitting
 /// the ones that answer. Pings happen outside the fleet lock so a slow
-/// probe cannot stall membership queries. Returns how many rejoined.
+/// probe cannot stall fleet reports. Returns how many rejoined.
 fn probe_excluded(
     fleet: &Mutex<FleetState>,
     rejoin: RejoinPolicy,
@@ -1190,7 +1172,7 @@ fn probe_excluded(
                 ok,
             });
             let Some(lane) = guard.lanes.iter_mut().find(|lane| lane.addr == addr) else {
-                continue; // removed while we probed
+                continue;
             };
             match (&mut lane.status, ok) {
                 (LaneStatus::Up, _) => {}
@@ -1224,8 +1206,8 @@ fn probe_excluded(
     rejoined
 }
 
-/// A cloneable handle onto a [`SocketPool`]'s supervised fleet —
-/// membership changes, probe triggering and the counters, detached from
+/// A cloneable handle onto a [`SocketPool`]'s supervised fleet — probe
+/// triggering and the lane report with its counters, detached from
 /// the pool so the serve layer can keep one after the dispatcher is
 /// boxed away ([`Dispatcher::fleet`]).
 #[derive(Debug, Clone)]
@@ -1262,39 +1244,6 @@ impl FleetHandle {
             rejoined: fleet.rejoined,
             probes: fleet.probes,
         }
-    }
-
-    /// Adds a worker (immediately `Up`); `false` if already a member.
-    pub fn add(&self, addr: WorkerAddr) -> bool {
-        let mut fleet = self.fleet.lock().expect("fleet lock");
-        if fleet.lanes.iter().any(|lane| lane.addr == addr) {
-            return false;
-        }
-        fleet.lanes.push(Lane {
-            addr,
-            status: LaneStatus::Up,
-        });
-        true
-    }
-
-    /// Removes a worker.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidSpec`] if `addr` is not a member or is the last
-    /// remaining lane.
-    pub fn remove(&self, addr: &WorkerAddr) -> Result<(), Error> {
-        let mut fleet = self.fleet.lock().expect("fleet lock");
-        let Some(index) = fleet.lanes.iter().position(|lane| &lane.addr == addr) else {
-            return Err(Error::InvalidSpec(format!("{addr} is not a fleet member")));
-        };
-        if fleet.lanes.len() == 1 {
-            return Err(Error::InvalidSpec(format!(
-                "{addr} is the last lane — a fleet must keep at least one"
-            )));
-        }
-        fleet.lanes.remove(index);
-        Ok(())
     }
 
     /// Force-probes every excluded lane right now (ignoring backoff) and
@@ -1463,14 +1412,12 @@ mod tests {
     }
 
     #[test]
-    fn fleet_membership_adds_removes_and_reports() {
+    fn fleet_reports_a_static_two_lane_fleet() {
         let a = WorkerAddr::Tcp("127.0.0.1:7401".into());
         let b = WorkerAddr::Tcp("127.0.0.1:7402".into());
-        let pool = SocketPool::new(vec![a.clone()]);
+        let pool = SocketPool::new(vec![a.clone(), b.clone()]);
         let handle = pool.fleet().expect("socket pools supervise a fleet");
 
-        assert!(pool.add_worker(b.clone()), "new address joins");
-        assert!(!pool.add_worker(b.clone()), "duplicate is refused");
         assert_eq!(pool.lanes(), 2);
         assert_eq!(pool.addrs(), vec![a.clone(), b.clone()]);
 
@@ -1482,14 +1429,6 @@ mod tests {
             .lanes
             .iter()
             .all(|lane| lane.state == "up" && lane.failures == 0 && lane.cause.is_empty()));
-
-        handle.remove(&a).expect("removing a member");
-        assert_eq!(pool.lanes(), 1);
-        let err = handle.remove(&a).unwrap_err();
-        assert!(err.to_string().contains("not a fleet member"), "{err}");
-        let err = handle.remove(&b).unwrap_err();
-        assert!(err.to_string().contains("last lane"), "{err}");
-        assert_eq!(pool.lanes(), 1, "the last lane survives");
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //!   [`ArrivalSource`] — the primary ingestion path. Sources stream
 //!   arrivals one at a time (a fused generator, a packet trace, a
 //!   materialized instance), so scenario size is bounded by the source's
-//!   resident state, not by RAM holding a hypergraph. Its logged twin
-//!   [`run_source_logged`] also keeps every decision in a
-//!   [`DecisionLog`].
+//!   resident state, not by RAM holding a hypergraph. Its scratch twin
+//!   [`run_source_with_scratch`] reuses a caller's
+//!   [`batch::ReplayScratch`], and its logged twin [`run_source_logged`]
+//!   also keeps every decision in a [`DecisionLog`].
 //! * [`run`] replays a frozen [`Instance`]'s arrival sequence — the
 //!   standard evaluation path. It is a thin wrapper over [`run_source`]
 //!   via [`Instance::source`]: a materialized instance is just one
@@ -18,22 +19,18 @@
 //!   pre-built instance, which is what adaptive adversaries (Theorem 3)
 //!   need: they decide the next element only after seeing the algorithm's
 //!   previous choice. [`Session::drain_source`] feeds it from a source.
-//! * [`run_source_parallel`] (and its instance twin [`run_parallel`])
-//!   replay **one** huge stream with intra-replay parallelism
-//!   ([`parallel`]): a producer thread drains the source into a
-//!   double-buffered chunk ring while the caller's thread runs the same
-//!   [`Session::step`] loop. They pipeline on machines with at least two
-//!   cores and take the serial path otherwise;
-//!   [`parallel::run_source_pipelined`] always pipelines, on a caller's
-//!   [`batch::ReplayScratch`]. Bit-identical to [`run_source`] either
-//!   way.
-//! * [`batch`] fans a work-list across threads ([`batch::ReplayPool`])
-//!   with per-shard reusable [`batch::ReplayScratch`] buffers — both the
-//!   `(instance × seed × algorithm)` lane ([`batch::ReplayPool::run_jobs`])
-//!   and the streamed `(source × seed × algorithm)` lane
-//!   ([`batch::ReplayPool::run_sources`]); outcomes are bit-identical to
-//!   sequential replay because every path executes this module's
-//!   [`Session`] logic.
+//! * [`run_source_pipelined`] replays **one** huge stream with
+//!   intra-replay parallelism ([`parallel`]): a producer thread drains
+//!   the source into a double-buffered chunk ring while the caller's
+//!   thread runs the same [`Session::step`] loop, on a caller's
+//!   [`batch::ReplayScratch`]. Bit-identical to [`run_source`].
+//! * [`batch::ReplayPool::map`] fans a work-list across threads — the one
+//!   way to run many replays at once. Each shard hands its own
+//!   [`batch::ReplayScratch`] to the closure, which replays its item
+//!   through [`run_source_with_scratch`] (or
+//!   [`run_spec_with_scratch`](crate::spec::run_spec_with_scratch));
+//!   outcomes are bit-identical to sequential replay because every path
+//!   executes this module's [`Session`] logic.
 //! * [`dispatch`] runs **data-driven job specs**
 //!   ([`JobSpec`](crate::spec::JobSpec)) behind the backend-agnostic
 //!   [`dispatch::Dispatcher`] contract: [`dispatch::SpecPool`] resolves
@@ -75,8 +72,8 @@
 //!   only unjournaled jobs; and the [`dispatch::SocketPool`] fleet is
 //!   *supervised* — excluded workers are probed with capped exponential
 //!   backoff ([`dispatch::RejoinPolicy`]) and re-admitted when they come
-//!   back, with membership editable at runtime over the serve wire's
-//!   `fleet` verb ([`dispatch::FleetHandle`]). Pinned by
+//!   back; the serve wire's `fleet` verb reports the lanes and forces a
+//!   probe ([`dispatch::FleetHandle`]). Pinned by
 //!   `tests/crash_recovery.rs` against the real binaries.
 //!
 //! Alongside the entry points sits one more intra-replay seam, the
@@ -124,7 +121,7 @@ use crate::instance::{Arrival, Instance, SetMeta};
 use crate::source::ArrivalSource;
 
 pub use batch::{derive_seed, ReplayPool, ReplayScratch};
-pub use parallel::{run_parallel, run_source_parallel, run_source_pipelined};
+pub use parallel::run_source_pipelined;
 
 /// Lane A's starting state: the FNV-1a 64-bit offset basis.
 const DIGEST_BASIS_A: u64 = 0xcbf2_9ce4_8422_2325;
@@ -743,14 +740,6 @@ impl<'a> Session<'a> {
             .filter_map(|(i, &alive)| alive.then_some(SetId(i as u32)))
     }
 
-    /// The ids of all currently active sets, ascending. Prefer
-    /// [`active_sets_iter`](Self::active_sets_iter) (or
-    /// [`active_count`](Self::active_count)) when a materialized vector is
-    /// not actually needed.
-    pub fn active_sets(&self) -> Vec<SetId> {
-        self.active_sets_iter().collect()
-    }
-
     /// A read-only [`EngineView`] of the current session state — what an
     /// algorithm would see if asked to decide right now. Useful when the
     /// decision is computed outside [`offer`](Self::offer) (e.g. by a
@@ -972,27 +961,7 @@ pub fn run<A: OnlineAlgorithm + ?Sized>(
     instance: &Instance,
     algorithm: &mut A,
 ) -> Result<Outcome, Error> {
-    let mut scratch = ReplayScratch::new();
-    run_with_scratch(instance, algorithm, &mut scratch)
-}
-
-/// [`run`] with caller-provided [`ReplayScratch`], so consecutive replays
-/// reuse the engine's bookkeeping buffers. The batch shards call this in a
-/// loop; the outcome is identical to [`run`]'s.
-///
-/// This is a thin wrapper over [`run_source_with_scratch`] on
-/// [`Instance::source`] — the instance and streaming worlds share one
-/// engine loop.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_with_scratch<A: OnlineAlgorithm + ?Sized>(
-    instance: &Instance,
-    algorithm: &mut A,
-    scratch: &mut ReplayScratch,
-) -> Result<Outcome, Error> {
-    run_source_with_scratch(&mut instance.source(), algorithm, scratch)
+    run_source(&mut instance.source(), algorithm)
 }
 
 /// Runs `algorithm` over every arrival `source` yields and returns the
@@ -1329,7 +1298,6 @@ mod tests {
         let d0 = session.offer(&a0, &mut alg).unwrap();
         assert_eq!(d0, vec![SetId(1)]);
         assert!(!session.is_active(SetId(0)));
-        assert_eq!(session.active_sets(), vec![SetId(1)]);
         assert_eq!(session.active_count(), 1);
         assert_eq!(
             session.active_sets_iter().collect::<Vec<_>>(),
@@ -1364,8 +1332,12 @@ mod tests {
         // buffers explicitly.
         for _ in 0..2 {
             let fresh = run(&inst, &mut Scripted::new(script.clone())).unwrap();
-            let reused =
-                run_with_scratch(&inst, &mut Scripted::new(script.clone()), &mut scratch).unwrap();
+            let reused = run_source_with_scratch(
+                &mut inst.source(),
+                &mut Scripted::new(script.clone()),
+                &mut scratch,
+            )
+            .unwrap();
             assert_eq!(fresh.completed(), reused.completed());
             assert_eq!(fresh.benefit().to_bits(), reused.benefit().to_bits());
             assert_eq!(fresh.digest(), reused.digest());
@@ -1394,10 +1366,19 @@ mod tests {
         let small_script = vec![vec![s0], vec![s0], vec![s2]];
 
         let mut scratch = ReplayScratch::new();
-        run_with_scratch(&big, &mut Scripted::new(big_script), &mut scratch).unwrap();
+        run_source_with_scratch(
+            &mut big.source(),
+            &mut Scripted::new(big_script),
+            &mut scratch,
+        )
+        .unwrap();
         let fresh = run(&small, &mut Scripted::new(small_script.clone())).unwrap();
-        let reused =
-            run_with_scratch(&small, &mut Scripted::new(small_script), &mut scratch).unwrap();
+        let reused = run_source_with_scratch(
+            &mut small.source(),
+            &mut Scripted::new(small_script),
+            &mut scratch,
+        )
+        .unwrap();
         assert_eq!(fresh, reused);
         assert_eq!(reused.arrivals(), 3);
     }

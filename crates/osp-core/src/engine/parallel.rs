@@ -4,8 +4,8 @@
 //!
 //! A producer thread drains the [`ArrivalSource`] into a double-buffered
 //! ring of chunk arenas (arrivals copied into a reused CSR arena per
-//! chunk — the same flat layout [`Instance`] uses, so the steady state
-//! allocates nothing) while the caller's thread runs the existing
+//! chunk — the same flat layout [`Instance`](crate::Instance) uses, so
+//! the steady state allocates nothing) while the caller's thread runs the existing
 //! [`Session::step`] loop over the previous chunk. Decisions are
 //! order-dependent, so the arrival loop itself stays sequential; what the
 //! pipeline hides is generation cost behind decision cost. The arrivals
@@ -13,11 +13,11 @@
 //! yielded, so outcomes are bit-identical to
 //! [`run_source`](super::run_source) by construction.
 //!
-//! One producer and one consumer is the only shape: there is no thread
-//! count to tune. [`run_source_parallel`] and [`run_parallel`] pipeline
-//! when the machine has at least two cores and run the plain serial path
-//! ([`run_source_with_scratch`]) otherwise; [`run_source_pipelined`]
-//! always pipelines, on a caller-provided [`ReplayScratch`].
+//! One producer and one consumer is the only shape, and
+//! [`run_source_pipelined`] is the one entry: there is no thread count to
+//! tune and no core-count switch — it always pipelines, on a
+//! caller-provided [`ReplayScratch`]. The serial path is
+//! [`run_source_with_scratch`](super::run_source_with_scratch).
 //! `tests/parallel_replay.rs` pins the pipeline bit-identical to
 //! sequential replay across the full algorithm × generator grid.
 
@@ -26,11 +26,11 @@ use std::sync::mpsc::sync_channel;
 use crate::algorithm::OnlineAlgorithm;
 use crate::error::Error;
 use crate::ids::{ElementId, SetId};
-use crate::instance::{Arrival, Instance};
+use crate::instance::Arrival;
 use crate::source::ArrivalSource;
 
-use super::batch::{machine_parallelism, ReplayScratch};
-use super::{run_source_with_scratch, Outcome, Session};
+use super::batch::ReplayScratch;
+use super::{Outcome, Session};
 
 /// Arrivals staged per pipeline chunk: large enough to amortize the
 /// channel round trip to well under a nanosecond per arrival, small
@@ -88,12 +88,17 @@ impl Chunk {
     }
 }
 
-/// Replays a frozen [`Instance`] through [`run_source_parallel`] — the
-/// intra-replay-parallel twin of [`run`](super::run), bit-identical to it.
+/// Drives `algorithm` over `source` through the pipelined session, on
+/// caller-provided [`ReplayScratch`] — the intra-replay-parallel twin of
+/// [`run_source`](super::run_source), bit-identical to it. One producer
+/// thread fills chunk arenas while the caller's thread consumes them; the
+/// consumer replays exactly the arrivals the producer copied, in order,
+/// through the same [`Session`] logic.
 ///
 /// # Errors
 ///
-/// Same contract as [`run`](super::run): the first invalid decision.
+/// Same contract as [`run_source`](super::run_source): the first invalid
+/// decision.
 ///
 /// # Examples
 ///
@@ -104,51 +109,16 @@ impl Chunk {
 /// let s = b.add_set(1.0, 1);
 /// b.add_element(1, &[s]);
 /// let inst = b.build()?;
-/// let parallel = run_parallel(&inst, &mut GreedyOnline::new(TieBreak::ByWeight))?;
+/// let mut scratch = ReplayScratch::new();
+/// let pipelined = run_source_pipelined(
+///     &mut inst.source(),
+///     &mut GreedyOnline::new(TieBreak::ByWeight),
+///     &mut scratch,
+/// )?;
 /// let serial = run(&inst, &mut GreedyOnline::new(TieBreak::ByWeight))?;
-/// assert_eq!(parallel, serial);
+/// assert_eq!(pipelined, serial);
 /// # Ok::<(), osp_core::Error>(())
 /// ```
-pub fn run_parallel<A: OnlineAlgorithm + ?Sized>(
-    instance: &Instance,
-    algorithm: &mut A,
-) -> Result<Outcome, Error> {
-    run_source_parallel(&mut instance.source(), algorithm)
-}
-
-/// Drives `algorithm` over `source`, pipelined when
-/// `std::thread::available_parallelism()` reports at least two cores and
-/// through the plain serial loop otherwise — the intra-replay-parallel
-/// twin of [`run_source`](super::run_source), bit-identical to it either
-/// way.
-///
-/// # Errors
-///
-/// Same contract as [`run_source`](super::run_source): the first invalid
-/// decision.
-pub fn run_source_parallel<S, A>(source: &mut S, algorithm: &mut A) -> Result<Outcome, Error>
-where
-    S: ArrivalSource + Send + ?Sized,
-    A: OnlineAlgorithm + ?Sized,
-{
-    run_source_on(
-        source,
-        algorithm,
-        &mut ReplayScratch::new(),
-        machine_parallelism(),
-    )
-}
-
-/// Always runs the pipelined session, on caller-provided [`ReplayScratch`]
-/// — the entry tests, the example and the bench ride, so the pipeline is
-/// exercised whatever the machine's core count. One producer thread fills
-/// chunk arenas while the caller's thread consumes them; the consumer
-/// replays exactly the arrivals the producer copied, in order, through
-/// the same [`Session`] logic.
-///
-/// # Errors
-///
-/// Same contract as [`run_source`](super::run_source).
 pub fn run_source_pipelined<S, A>(
     source: &mut S,
     algorithm: &mut A,
@@ -159,24 +129,6 @@ where
     A: OnlineAlgorithm + ?Sized,
 {
     pipeline(source, algorithm, scratch, PIPELINE_CHUNK)
-}
-
-/// The core-count dispatch of [`run_source_parallel`]: fewer than two
-/// cores is exactly the serial path (no producer thread, no chunk copies).
-fn run_source_on<S, A>(
-    source: &mut S,
-    algorithm: &mut A,
-    scratch: &mut ReplayScratch,
-    cores: usize,
-) -> Result<Outcome, Error>
-where
-    S: ArrivalSource + Send + ?Sized,
-    A: OnlineAlgorithm + ?Sized,
-{
-    if cores < 2 {
-        return run_source_with_scratch(source, algorithm, scratch);
-    }
-    run_source_pipelined(source, algorithm, scratch)
 }
 
 /// The chunked pipeline behind [`run_source_pipelined`], with the chunk
@@ -264,12 +216,12 @@ where
 mod tests {
     use super::*;
     use crate::algorithms::{GreedyOnline, HashRandPr, RandPr, TieBreak};
-    use crate::engine::{run, run_source};
+    use crate::engine::run_source;
     use crate::gen::{
         BiregularSource, CapacityModel, FixedSizeSource, LoadModel, RandomInstanceConfig,
         UniformSource, WeightModel,
     };
-    use crate::instance::InstanceBuilder;
+    use crate::instance::{Instance, InstanceBuilder};
 
     fn tiny_instance() -> Instance {
         let mut b = InstanceBuilder::new();
@@ -357,33 +309,15 @@ mod tests {
     }
 
     #[test]
-    fn one_thread_is_the_exact_serial_path() {
-        let inst = tiny_instance();
-        let want = run(&inst, &mut GreedyOnline::new(TieBreak::ByWeight)).unwrap();
-        for cores in [0usize, 1, 2] {
-            let got = run_source_on(
-                &mut inst.source(),
-                &mut GreedyOnline::new(TieBreak::ByWeight),
-                &mut ReplayScratch::new(),
-                cores,
-            )
-            .unwrap();
-            assert_eq!(got, want, "cores={cores}");
-        }
-    }
-
-    #[test]
     fn empty_source_finishes_cleanly() {
         let inst = InstanceBuilder::new().build().unwrap();
-        let out = run_parallel(&inst, &mut RandPr::from_seed(0)).unwrap();
-        assert_eq!(out.benefit(), 0.0);
-        assert_eq!(out.arrivals(), 0);
         let out = run_source_pipelined(
             &mut inst.source(),
             &mut RandPr::from_seed(0),
             &mut ReplayScratch::new(),
         )
         .unwrap();
+        assert_eq!(out.benefit(), 0.0);
         assert_eq!(out.arrivals(), 0);
     }
 
@@ -407,25 +341,5 @@ mod tests {
             8,
         );
         assert!(matches!(got, Err(Error::DecisionOverCapacity { .. })));
-    }
-
-    #[test]
-    fn fill_sharded_writes_every_slot_at_any_thread_count() {
-        // A sharded fill into a recycled buffer goes through the engine's
-        // one splitter; every slot must be written at any fan-out,
-        // including more threads than slots.
-        let fill = |start: usize, slots: &mut [u64]| {
-            for (j, slot) in slots.iter_mut().enumerate() {
-                *slot = (start + j) as u64 * 5 + 2;
-            }
-        };
-        let want: Vec<u64> = (0..101u64).map(|i| i * 5 + 2).collect();
-        let mut buf = Vec::new();
-        for threads in [0usize, 1, 2, 3, 8, 101, 300] {
-            buf.clear();
-            buf.resize(101, 0u64);
-            super::super::batch::split_ranges(&mut buf, threads, &fill);
-            assert_eq!(buf, want, "threads={threads}");
-        }
     }
 }

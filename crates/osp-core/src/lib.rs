@@ -60,17 +60,15 @@ pub mod store;
 pub mod wire;
 
 pub use algorithm::{EngineView, OnlineAlgorithm};
-pub use engine::batch::{
-    derive_seed, env_parallelism, ReplayJob, ReplayPool, ReplayScratch, SourceJob,
-};
+pub use engine::batch::{derive_seed, env_parallelism, ReplayPool, ReplayScratch};
 pub use engine::dispatch::{
     derived_jobs, spawn_listening, worker_binary, DispatchChoice, DispatchEvent, Dispatcher,
     EventSink, FleetHandle, FleetReport, LaneReport, ProcessPool, RejoinPolicy, RetryPolicy,
     SocketConfig, SocketPool, SpecPool, StderrSink,
 };
 pub use engine::{
-    run, run_parallel, run_source, run_source_logged, run_source_parallel, run_source_pipelined,
-    run_source_with_scratch, run_with_scratch, DecisionDigest, DecisionLog, Outcome, Session,
+    run, run_source, run_source_logged, run_source_pipelined, run_source_with_scratch,
+    DecisionDigest, DecisionLog, Outcome, Session,
 };
 pub use error::{Error, WorkerError};
 pub use ids::{ElementId, SetId};

@@ -9,11 +9,11 @@ pub use crate::algorithm::{EngineView, OnlineAlgorithm};
 pub use crate::algorithms::{
     GreedyOnline, HashRandPr, OracleOnline, RandPr, RandomAssign, TieBreak,
 };
-pub use crate::engine::batch::{derive_seed, ReplayJob, ReplayPool, ReplayScratch, SourceJob};
+pub use crate::engine::batch::{derive_seed, ReplayPool, ReplayScratch};
 pub use crate::engine::dispatch::{derived_jobs, Dispatcher, ProcessPool, SpecPool};
 pub use crate::engine::{
-    run, run_parallel, run_source, run_source_logged, run_source_parallel, run_source_pipelined,
-    run_source_with_scratch, run_with_scratch, DecisionDigest, DecisionLog, Outcome, Session,
+    run, run_source, run_source_logged, run_source_pipelined, run_source_with_scratch,
+    DecisionDigest, DecisionLog, Outcome, Session,
 };
 pub use crate::error::Error;
 pub use crate::ids::{ElementId, SetId};

@@ -32,9 +32,11 @@
 //! * [`ServeServer`] — the wire front door: a [`WorkerAddr`] listener
 //!   (TCP or Unix-domain, the same transports as the worker fleet)
 //!   answering framed [`ServeRequest`]s — submit, status, fetch, cancel,
-//!   shutdown, and the `fleet` admin verb ([`FleetCommand`]: inspect,
-//!   add/remove workers, trigger a rejoin probe) — against an embedded
-//!   `ReplayService`, one thread per connection, strict request/reply;
+//!   shutdown, and the `fleet` admin verb ([`FleetCommand`]: inspect the
+//!   lanes, trigger a rejoin probe) — against an embedded
+//!   `ReplayService`, one thread per connection, strict request/reply. A
+//!   frame that arrives whole but does not decode is answered with
+//!   [`ServeReply::Error`] and the connection keeps serving;
 //! * [`ServeClient`] — the caller side: connect + [`Hello`] check, then
 //!   typed submit/status/fetch/cancel calls and a polling
 //!   [`wait`](ServeClient::wait) helper.
@@ -379,10 +381,10 @@ struct ServiceState {
     /// Excluded-worker log (`addr: cause`), capped at
     /// [`EXCLUDED_LOG_CAP`] most recent entries.
     excluded: Vec<String>,
-    /// Handle into the socket fleet's membership state, when the backend
+    /// Handle into the socket fleet's supervision state, when the backend
     /// has one — lets `Status` report rejoin counters and the `fleet`
-    /// admin verb mutate membership while the executor owns the
-    /// dispatcher. Lock order is always service state → fleet state.
+    /// admin verb report lanes and force probes while the executor owns
+    /// the dispatcher. Lock order is always service state → fleet state.
     fleet: Option<FleetHandle>,
 }
 
@@ -596,15 +598,13 @@ impl ReplayService {
     }
 
     /// Runs a fleet-supervision command against the backend's socket
-    /// fleet: inspect membership, add or remove a worker, or force a
-    /// rejoin probe of every excluded lane. Always answers with the
-    /// post-command [`FleetReport`].
+    /// fleet: inspect the lanes, or force a rejoin probe of every
+    /// excluded lane. Always answers with the post-command
+    /// [`FleetReport`].
     ///
     /// # Errors
     ///
-    /// [`Error::Unavailable`] when the backend is not a socket fleet;
-    /// [`Error::InvalidSpec`] for an unparseable address, removing a
-    /// non-member, or removing the last lane.
+    /// [`Error::Unavailable`] when the backend is not a socket fleet.
     pub fn fleet(&self, command: FleetCommand) -> Result<FleetReport, Error> {
         let handle = {
             let state = self.state.lock().expect("service state poisoned");
@@ -618,14 +618,6 @@ impl ReplayService {
         };
         match command {
             FleetCommand::Status => {}
-            FleetCommand::Add(addr) => {
-                let addr = WorkerAddr::parse(&addr).map_err(Error::InvalidSpec)?;
-                handle.add(addr);
-            }
-            FleetCommand::Remove(addr) => {
-                let addr = WorkerAddr::parse(&addr).map_err(Error::InvalidSpec)?;
-                handle.remove(&addr)?;
-            }
             FleetCommand::Probe => {
                 handle.probe();
             }
@@ -1061,19 +1053,14 @@ pub enum ServeRequest {
 
 /// The `fleet` admin verb's sub-commands (protocol v3).
 ///
-/// On the wire each is a one-key object; an object holding several
-/// tags decodes as the variant declared first.
+/// On the wire each is a one-key object, like every other verb; an object
+/// holding several tags decodes as the variant declared first.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(shape = "object")]
 pub enum FleetCommand {
-    /// Add a worker address (parsed like `OSP_WORKERS`) to the fleet; a
-    /// duplicate address is a no-op.
-    Add(String),
-    /// Remove a worker address from the fleet. Removing a non-member or
-    /// the last lane is refused.
-    Remove(String),
     /// Probe every excluded lane now, ignoring its backoff deadline.
     Probe,
-    /// Report membership and rejoin counters; mutates nothing.
+    /// Report the lanes and rejoin counters; mutates nothing.
     Status,
 }
 
@@ -1224,18 +1211,22 @@ fn serve_connection(
     writer
         .flush()
         .map_err(|e| Error::Protocol(format!("flushing hello: {e}")))?;
-    while let Some(request) = wire::read_message::<_, ServeRequest>(&mut reader)? {
-        let reply = match request {
-            ServeRequest::Submit(jobs) => match service.submit(jobs) {
+    // A framing error (bad length, oversized, truncated) closes the
+    // connection. A whole frame that does not decode leaves the stream at
+    // a frame boundary, so it is answered and the loop keeps serving.
+    while let Some(payload) = wire::read_frame(&mut reader)? {
+        let reply = match serde_json::from_slice::<ServeRequest>(&payload) {
+            Err(e) => ServeReply::Error(format!("decoding frame: {e}")),
+            Ok(ServeRequest::Submit(jobs)) => match service.submit(jobs) {
                 Ok(id) => ServeReply::Batch(id),
                 Err(Error::Unavailable(why)) => ServeReply::Busy(why),
                 Err(e) => ServeReply::Error(e.to_string()),
             },
-            ServeRequest::Status(id) => match service.try_status(id) {
+            Ok(ServeRequest::Status(id)) => match service.try_status(id) {
                 Ok(status) => ServeReply::Report(status),
                 Err(e) => lookup_refusal(e),
             },
-            ServeRequest::Fetch(id) => match service.results(id) {
+            Ok(ServeRequest::Fetch(id)) => match service.results(id) {
                 Ok(results) => {
                     // Spliced from the stored bytes, never re-encoded.
                     write_results(&mut writer, &results)?;
@@ -1244,12 +1235,12 @@ fn serve_connection(
                 }
                 Err(e) => lookup_refusal(e),
             },
-            ServeRequest::Cancel(id) => ServeReply::Cancelled(service.cancel(id)),
-            ServeRequest::Fleet(command) => match service.fleet(command) {
+            Ok(ServeRequest::Cancel(id)) => ServeReply::Cancelled(service.cancel(id)),
+            Ok(ServeRequest::Fleet(command)) => match service.fleet(command) {
                 Ok(report) => ServeReply::Fleet(report),
                 Err(e) => ServeReply::Error(e.to_string()),
             },
-            ServeRequest::Shutdown => {
+            Ok(ServeRequest::Shutdown) => {
                 shutdown_requested.store(true, Ordering::SeqCst);
                 ServeReply::Bye
             }
@@ -1359,17 +1350,24 @@ impl ServeClient {
         Ok(ServeClient { stream, addr })
     }
 
-    /// One request/reply round trip. A fresh reader per call is safe:
-    /// the protocol is strictly one reply per request, so no bytes are in
-    /// flight between calls.
+    /// One request/reply round trip.
     fn call(&mut self, request: &ServeRequest) -> Result<ServeReply, Error> {
         let mut writer = &self.stream;
         wire::write_message(&mut writer, request)?;
         writer
             .flush()
             .map_err(|e| Error::Protocol(format!("flushing request: {e}")))?;
+        self.reply()
+    }
+
+    /// Reads the reply to the request just sent; a [`ServeReply::Error`]
+    /// is the service's refusal, [`WorkerError::Remote`]. A fresh reader
+    /// per call is safe: the protocol is strictly one reply per request,
+    /// so no bytes are in flight between calls.
+    fn reply(&mut self) -> Result<ServeReply, Error> {
         let mut reader = BufReader::new(&self.stream);
         match wire::read_message::<_, ServeReply>(&mut reader)? {
+            Some(ServeReply::Error(why)) => Err(Error::Worker(WorkerError::Remote(why))),
             Some(reply) => Ok(reply),
             None => Err(Error::Worker(WorkerError::Disconnect {
                 addr: self.addr.clone(),
@@ -1395,7 +1393,6 @@ impl ServeClient {
         match self.call(&ServeRequest::Submit(jobs.to_vec()))? {
             ServeReply::Batch(id) => Ok(id),
             ServeReply::Busy(why) => Err(Error::Unavailable(why)),
-            ServeReply::Error(why) => Err(Error::Worker(WorkerError::Remote(why))),
             other => Err(self.unexpected(&other)),
         }
     }
@@ -1411,7 +1408,6 @@ impl ServeClient {
         match self.call(&ServeRequest::Status(id))? {
             ServeReply::Report(status) => Ok(status),
             ServeReply::Busy(why) => Err(Error::Unavailable(why)),
-            ServeReply::Error(why) => Err(Error::Worker(WorkerError::Remote(why))),
             other => Err(self.unexpected(&other)),
         }
     }
@@ -1428,7 +1424,6 @@ impl ServeClient {
         match self.call(&ServeRequest::Fetch(id))? {
             ServeReply::Results(results) => Ok(results),
             ServeReply::Busy(why) => Err(Error::Unavailable(why)),
-            ServeReply::Error(why) => Err(Error::Worker(WorkerError::Remote(why))),
             other => Err(self.unexpected(&other)),
         }
     }
@@ -1442,7 +1437,6 @@ impl ServeClient {
     pub fn cancel(&mut self, id: u64) -> Result<bool, Error> {
         match self.call(&ServeRequest::Cancel(id))? {
             ServeReply::Cancelled(took) => Ok(took),
-            ServeReply::Error(why) => Err(Error::Worker(WorkerError::Remote(why))),
             other => Err(self.unexpected(&other)),
         }
     }
@@ -1453,12 +1447,10 @@ impl ServeClient {
     /// # Errors
     ///
     /// [`WorkerError::Remote`] when the service refuses the command
-    /// (non-socket backend, bad address, last lane), [`Error::Worker`]
-    /// for transport failures.
+    /// (non-socket backend), [`Error::Worker`] for transport failures.
     pub fn fleet(&mut self, command: FleetCommand) -> Result<FleetReport, Error> {
         match self.call(&ServeRequest::Fleet(command))? {
             ServeReply::Fleet(report) => Ok(report),
-            ServeReply::Error(why) => Err(Error::Worker(WorkerError::Remote(why))),
             other => Err(self.unexpected(&other)),
         }
     }
@@ -2042,8 +2034,6 @@ mod tests {
             ServeRequest::Fetch(8),
             ServeRequest::Cancel(9),
             ServeRequest::Fleet(FleetCommand::Status),
-            ServeRequest::Fleet(FleetCommand::Add("127.0.0.1:7411".into())),
-            ServeRequest::Fleet(FleetCommand::Remove("uds:/tmp/w0.sock".into())),
             ServeRequest::Fleet(FleetCommand::Probe),
             ServeRequest::Shutdown,
         ];
@@ -2112,6 +2102,31 @@ mod tests {
             let got: ServeReply = wire::read_message(&mut cursor).unwrap().unwrap();
             assert_eq!(&got, want);
         }
+    }
+
+    #[test]
+    fn undecodable_frames_are_answered_and_the_connection_keeps_serving() {
+        let server = ServeServer::bind(&WorkerAddr::Tcp("127.0.0.1:0".into()), service()).unwrap();
+        let mut client =
+            ServeClient::connect(server.local_addr(), Duration::from_secs(10)).unwrap();
+        // An old client's membership edit and a verb that never existed:
+        // both arrive as whole frames that do not decode.
+        for frame in [
+            r#"{"fleet":{"add":"127.0.0.1:7411"}}"#,
+            r#"{"reboot":true}"#,
+        ] {
+            wire::write_frame(&mut &client.stream, frame.as_bytes()).unwrap();
+            match client.reply() {
+                Err(Error::Worker(WorkerError::Remote(why))) => {
+                    assert!(why.starts_with("decoding frame: "), "{frame}: {why}")
+                }
+                other => panic!("{frame}: expected a remote decode error, got {other:?}"),
+            }
+        }
+        // The same connection still answers.
+        let id = client.submit(&jobs(2)).unwrap();
+        assert_eq!(client.status(id).unwrap().id, id);
+        server.stop();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! pull-based stream of `(element, b(u), C(u))` arrivals. The engine's
 //! source-generic entry points ([`run_source`](crate::engine::run_source),
 //! [`Session::drain_source`](crate::engine::Session::drain_source),
-//! [`ReplayPool::run_sources`](crate::engine::batch::ReplayPool::run_sources))
+//! [`run_source_pipelined`](crate::engine::run_source_pipelined))
 //! consume any source, so scenario size is bounded by the *source's*
 //! resident state — O(m) for the fused generators in
 //! [`gen::stream`](crate::gen) — not by RAM holding a materialized
@@ -26,7 +26,7 @@
 //! the same seed) must yield identical streams — same set metadata, same
 //! arrivals, in the same order. This is what makes streamed replay
 //! reproducible and lets
-//! [`ReplayPool::run_sources`](crate::engine::batch::ReplayPool::run_sources)
+//! [`ReplayPool::map`](crate::engine::batch::ReplayPool::map)
 //! shard streamed jobs with the same SplitMix64 seed derivation and
 //! bit-identical outcomes as sequential replay: each shard rebuilds its
 //! jobs' sources from `(selector, seed)` locally, so no stream ever

@@ -185,8 +185,7 @@ impl ScenarioSpec {
 /// One complete replayable unit: which stream, which algorithm, which
 /// seed. Everything a worker needs; nothing borrowed.
 ///
-/// The seed feeds *both* factories (scenario and algorithm), exactly as
-/// the in-process [`SourceJob`](crate::SourceJob) lane does, and is fixed
+/// The seed feeds *both* factories (scenario and algorithm), and is fixed
 /// by the scheduler before fan-out — typically with
 /// [`derive_seed`](crate::derive_seed) — so no job's randomness depends on
 /// which worker runs it.

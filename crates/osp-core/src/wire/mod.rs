@@ -53,8 +53,9 @@ use crate::spec::{run_spec_with_scratch, JobSpec, SpecResolver};
 ///
 /// * `v2` added the service front door ([`serve`](crate::serve):
 ///   submit/status/fetch/cancel frames);
-/// * `v3` added the `fleet` admin verb (inspect/adjust the supervised
-///   socket fleet at runtime);
+/// * `v3` added the `fleet` admin verb (inspect the supervised socket
+///   fleet, force a rejoin probe; its membership edits were later
+///   removed, and a server answers them as undecodable frames);
 /// * `v4` made outcomes O(m): an [`Outcome`] carries a 128-bit
 ///   [`DecisionDigest`](crate::engine::DecisionDigest) with arrival and
 ///   assignment counts instead of the full per-arrival `decisions` log.

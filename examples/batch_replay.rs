@@ -8,10 +8,10 @@
 //! Generates one random workload, replays `randPr` under 2000 seeds three
 //! ways — sequentially, on a 1-shard pool and on an all-cores pool — and
 //! shows that all three produce bit-identical outcomes while the parallel
-//! run finishes fastest. A fourth leg replays the same trials through the
-//! pool's *streamed* lane (`run_sources`), where every shard regenerates
-//! its jobs' scenarios on the fly instead of sharing a materialized
-//! instance — same outcomes again. Shard count can be pinned with
+//! run finishes fastest. A fourth leg replays the same trials *streamed*
+//! through the same `ReplayPool::map`: every shard regenerates its jobs'
+//! scenarios on the fly instead of sharing a materialized instance —
+//! same outcomes again. Shard count can be pinned with
 //! `OSP_REPLAY_SHARDS=n`.
 
 use std::time::Instant;
@@ -37,7 +37,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // deterministic no matter how it is sharded.
     const TRIALS: u64 = 2_000;
     let seeds: Vec<u64> = (0..TRIALS).map(|i| derive_seed(7, i)).collect();
-    let factory = |s: u64| -> Box<dyn OnlineAlgorithm> { Box::new(RandPr::from_seed(s)) };
+    // One replay of the shared instance on a shard's recycled scratch.
+    let replay = |scratch: &mut ReplayScratch, _: usize, &s: &u64| {
+        run_source_with_scratch(&mut instance.source(), &mut RandPr::from_seed(s), scratch)
+            .expect("randPr emits valid decisions")
+    };
 
     let t = Instant::now();
     let sequential: Vec<Outcome> = seeds
@@ -47,29 +51,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t_seq = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
-    let one_shard = ReplayPool::new(1).run_seeds(&instance, &seeds, &factory);
+    let one_shard = ReplayPool::new(1).map(&seeds, replay);
     let t_one = t.elapsed().as_secs_f64();
 
     let pool = ReplayPool::from_env();
     let t = Instant::now();
-    let parallel = pool.run_seeds(&instance, &seeds, &factory);
+    let parallel = pool.map(&seeds, replay);
     let t_par = t.elapsed().as_secs_f64();
 
-    // The streamed lane: no shared instance at all — each shard rebuilds
+    // The streamed leg: no shared instance at all — each shard rebuilds
     // its jobs' scenario from (config, GEN_SEED) as it replays. Sources
     // are deterministic in their construction inputs, so this too is
     // bit-identical to the sequential reference.
     let t = Instant::now();
-    let streamed = pool.run_source_seeds(
-        &seeds,
-        &|_| Box::new(UniformSource::new(&config, GEN_SEED).expect("feasible config")),
-        &factory,
-    );
+    let streamed = pool.map(&seeds, |scratch, _, &s| {
+        let mut source = UniformSource::new(&config, GEN_SEED).expect("feasible config");
+        run_source_with_scratch(&mut source, &mut RandPr::from_seed(s), scratch)
+            .expect("randPr emits valid decisions")
+    });
     let t_stream = t.elapsed().as_secs_f64();
 
     assert_eq!(sequential, one_shard, "1-shard pool must match sequential");
     assert_eq!(sequential, parallel, "parallel pool must match sequential");
-    assert_eq!(sequential, streamed, "streamed lane must match sequential");
+    assert_eq!(sequential, streamed, "streamed leg must match sequential");
 
     let benefits: Summary = parallel.iter().map(Outcome::benefit).collect();
     println!("trials:            {TRIALS} (identical outcomes on all paths)");
@@ -85,6 +89,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pool.shards(),
         t_seq / t_par.max(1e-9)
     );
-    println!("streamed lane:     {t_stream:.3}s  (regenerates per job, no shared instance)");
+    println!("streamed:          {t_stream:.3}s  (regenerates per job, no shared instance)");
     Ok(())
 }

@@ -20,8 +20,8 @@ use osp_core::gen::{
     RandomInstanceConfig, WeightModel,
 };
 use osp_core::{
-    derive_seed, run, run_source_logged, DecisionLog, Instance, OnlineAlgorithm, Outcome,
-    ReplayJob, ReplayPool, SetId,
+    derive_seed, run, run_source_logged, run_source_with_scratch, DecisionLog, Instance,
+    OnlineAlgorithm, Outcome, ReplayPool, SetId,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -141,15 +141,13 @@ fn batch_replay_is_bit_identical_to_sequential() {
                 .collect();
             for shards in SHARD_COUNTS {
                 let pool = ReplayPool::new(shards);
-                let jobs: Vec<ReplayJob<'_>> = seeds
-                    .iter()
-                    .map(|&seed| ReplayJob {
-                        instance: &instance,
-                        algorithm: family,
-                        seed,
-                    })
-                    .collect();
-                let batched = pool.run_jobs(&jobs, &|fam, s| algorithm(fam, s, &target));
+                let batched = pool.map(&seeds, |scratch, _, &s| {
+                    run_source_with_scratch(
+                        &mut instance.source(),
+                        algorithm(family, s, &target).as_mut(),
+                        scratch,
+                    )
+                });
                 assert_eq!(batched.len(), sequential.len());
                 for (trial, (seq, bat)) in sequential.iter().zip(&batched).enumerate() {
                     let bat = bat
@@ -167,7 +165,7 @@ fn batch_replay_is_bit_identical_to_sequential() {
 #[test]
 fn mixed_worklist_is_order_stable_across_shard_counts() {
     // One big heterogeneous work-list — every instance crossed with the
-    // seed-driven families — replayed through a SINGLE run_jobs call per
+    // seed-driven families — replayed through a SINGLE map call per
     // shard count. Results must land in job order and agree with the
     // sequential reference job-for-job. (The oracle family needs per-
     // instance context and is covered by the per-family test above.)
@@ -176,11 +174,7 @@ fn mixed_worklist_is_order_stable_across_shard_counts() {
     for (gi, (_, instance)) in grid.iter().enumerate() {
         for family in 0..4 {
             for trial in 0..3u64 {
-                jobs.push(ReplayJob {
-                    instance,
-                    algorithm: family,
-                    seed: derive_seed(1000 + gi as u64, trial),
-                });
+                jobs.push((instance, family, derive_seed(1000 + gi as u64, trial)));
             }
         }
     }
@@ -188,10 +182,17 @@ fn mixed_worklist_is_order_stable_across_shard_counts() {
         |family: usize, seed: u64| -> Box<dyn OnlineAlgorithm> { algorithm(family, seed, &[]) };
     let reference: Vec<Outcome> = jobs
         .iter()
-        .map(|job| run(job.instance, factory(job.algorithm, job.seed).as_mut()).unwrap())
+        .map(|&(instance, family, seed)| run(instance, factory(family, seed).as_mut()).unwrap())
         .collect();
     for shards in SHARD_COUNTS {
-        let batched = ReplayPool::new(shards).run_jobs(&jobs, &factory);
+        let batched =
+            ReplayPool::new(shards).map(&jobs, |scratch, _, &(instance, family, seed)| {
+                run_source_with_scratch(
+                    &mut instance.source(),
+                    factory(family, seed).as_mut(),
+                    scratch,
+                )
+            });
         assert_eq!(batched.len(), reference.len());
         for (i, (seq, bat)) in reference.iter().zip(&batched).enumerate() {
             assert_eq!(
@@ -328,8 +329,10 @@ fn lazy_hash_pr_matches_eager_on_the_grid() {
 fn empty_instance_and_single_job_edge_cases() {
     let empty = osp_core::InstanceBuilder::new().build().unwrap();
     for shards in SHARD_COUNTS {
-        let out =
-            ReplayPool::new(shards).run_seeds(&empty, &[7], &|s| Box::new(RandPr::from_seed(s)));
+        let out = ReplayPool::new(shards).map(&[7u64], |scratch, _, &s| {
+            run_source_with_scratch(&mut empty.source(), &mut RandPr::from_seed(s), scratch)
+                .unwrap()
+        });
         assert_eq!(out.len(), 1);
         assert!(out[0].completed().is_empty());
         assert_eq!(out[0].benefit(), 0.0);

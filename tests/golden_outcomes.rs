@@ -23,7 +23,9 @@ use osp_core::gen::{
 };
 use osp_core::serve::ServeReply;
 use osp_core::wire::reply;
-use osp_core::{run, Instance, JobResult, OnlineAlgorithm, Outcome, ReplayPool, SetId};
+use osp_core::{
+    run, run_source_with_scratch, Instance, JobResult, OnlineAlgorithm, Outcome, ReplayPool, SetId,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -137,7 +139,14 @@ fn golden_outcomes_are_stable() {
         );
 
         // The batch path must reproduce the same golden.
-        let batched = pool.run_seeds(&instance, &[g.alg_seed], &|s| build_algorithm(g.alg, s));
+        let batched = pool.map(&[g.alg_seed], |scratch, _, &s| {
+            run_source_with_scratch(
+                &mut instance.source(),
+                build_algorithm(g.alg, s).as_mut(),
+                scratch,
+            )
+            .unwrap()
+        });
         assert_eq!(batched[0], sequential, "{label}: batch diverged");
     }
 }

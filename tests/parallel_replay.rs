@@ -300,8 +300,8 @@ fn pipeline_matches_serial_on_wide_arrivals() {
 
 #[test]
 fn batch_and_intra_replay_parallelism_compose() {
-    // Job fan-out over ReplayPool shards, each job pipelined on its own
-    // scratch, against plain sequential run_source.
+    // Job fan-out over ReplayPool shards, each job pipelined on its
+    // shard's scratch, against plain sequential run_source.
     let cfg = RandomInstanceConfig::unweighted(30, 200, 4);
     let seeds: Vec<u64> = (0..10).map(|i| derive_seed(5, i)).collect();
     let reference: Vec<Outcome> = seeds
@@ -315,28 +315,14 @@ fn batch_and_intra_replay_parallelism_compose() {
         })
         .collect();
     for shards in [1usize, 2, 4] {
-        let got = ReplayPool::new(shards).map(&seeds, |_, &seed| {
+        let got = ReplayPool::new(shards).map(&seeds, |scratch, _, &seed| {
             run_source_pipelined(
                 &mut UniformSource::new(&cfg, seed).unwrap(),
                 &mut RandPr::from_seed(seed),
-                &mut ReplayScratch::new(),
+                scratch,
             )
             .unwrap()
         });
         assert_eq!(got, reference, "{shards} shards");
     }
-}
-
-#[test]
-fn run_parallel_and_run_source_parallel_agree_with_run() {
-    // The core-count-driven entry points themselves: they pipeline on
-    // this machine or run serially, and either way must be
-    // bit-identical.
-    let (_, instance) = instance_grid().swap_remove(1);
-    let want = run(&instance, &mut RandPr::from_seed(9)).unwrap();
-    let via_instance = osp_core::run_parallel(&instance, &mut RandPr::from_seed(9)).unwrap();
-    assert_eq!(want, via_instance);
-    let via_source =
-        osp_core::run_source_parallel(&mut instance.source(), &mut RandPr::from_seed(9)).unwrap();
-    assert_eq!(want, via_source);
 }

@@ -5,8 +5,8 @@
 //! generator model, replaying a [`JobSpec`] work-list through `osp-worker`
 //! child processes ([`ProcessPool`]) produces **bit-identical**
 //! [`Outcome`]s — completed sets, benefit, per-arrival [`DecisionLog`]
-//! and `died_at` — to the thread pool ([`ReplayPool::run_specs`] /
-//! [`SpecPool`]) and to sequential [`run_spec`], at worker counts 1, 2
+//! and `died_at` — to the thread pool ([`SpecPool`]) and to sequential
+//! [`run_spec`], at worker counts 1, 2
 //! and 4. The osp-net roster (video-trace scenario, tail-drop and
 //! random-drop) rides the same contract. The children are socket
 //! workers, so the socket fleet's fault model applies to them too: a

@@ -9,8 +9,8 @@
 //! materializing generator builds from the same seed. Likewise for a
 //! materialized instance streamed back through [`Instance::source`], for
 //! a packet trace streamed through [`TraceSource`] vs the mapped
-//! instance, and for the pool's streamed lane
-//! ([`ReplayPool::run_sources`]) at shard counts 1, 2 and 8.
+//! instance, and for streamed jobs fanned out through
+//! [`ReplayPool::map`] at shard counts 1, 2 and 8.
 
 use osp::core::algorithms::{
     GreedyOnline, HashRandPr, OracleOnline, RandPr, RandomAssign, TieBreak,
@@ -180,7 +180,7 @@ fn session_drain_source_matches_stepwise_replay() {
 #[test]
 fn pool_run_sources_is_shard_count_invariant() {
     // A heterogeneous streamed work-list — every fused source family ×
-    // the seeded algorithms — through the pool's streamed lane. The
+    // the seeded algorithms — each shard rebuilding its jobs' sources. The
     // sequential reference is run_source on identically-built jobs; the
     // pool must match it bit-for-bit at every shard count.
     let uniform = uniform_cfg();
@@ -197,23 +197,26 @@ fn pool_run_sources_is_shard_count_invariant() {
     for source in 0..3usize {
         for family in 0..4usize {
             for trial in 0..3u64 {
-                jobs.push(SourceJob {
-                    source,
-                    algorithm: family,
-                    seed: derive_seed(900 + source as u64 * 10 + family as u64, trial),
-                });
+                let seed = derive_seed(900 + source as u64 * 10 + family as u64, trial);
+                jobs.push((source, family, seed));
             }
         }
     }
     let reference: Vec<Outcome> = jobs
         .iter()
-        .map(|job| {
-            let mut source = source_factory(job.source, job.seed);
-            run_source(&mut source, alg_factory(job.algorithm, job.seed).as_mut()).unwrap()
+        .map(|&(source, family, seed)| {
+            let mut source = source_factory(source, seed);
+            run_source(&mut source, alg_factory(family, seed).as_mut()).unwrap()
         })
         .collect();
     for shards in SHARD_COUNTS {
-        let pooled = ReplayPool::new(shards).run_sources(&jobs, &source_factory, &alg_factory);
+        let pooled = ReplayPool::new(shards).map(&jobs, |scratch, _, &(source, family, seed)| {
+            run_source_with_scratch(
+                &mut source_factory(source, seed),
+                alg_factory(family, seed).as_mut(),
+                scratch,
+            )
+        });
         assert_eq!(pooled.len(), reference.len());
         for (i, (want, got)) in reference.iter().zip(&pooled).enumerate() {
             let got = got.as_ref().unwrap_or_else(|e| panic!("job {i}: {e}"));
@@ -224,20 +227,20 @@ fn pool_run_sources_is_shard_count_invariant() {
 
 #[test]
 fn pool_run_source_seeds_matches_materialized_run_seeds() {
-    // The two convenience lanes agree: run_seeds over the materialized
-    // instance vs run_source_seeds over fused sources of the same
-    // generator seed.
+    // Replaying the materialized instance and fused sources of the same
+    // generator seed through one pool agree.
     let cfg = uniform_cfg();
     let gen_seed = 42u64;
     let instance = random_instance(&cfg, &mut StdRng::seed_from_u64(gen_seed)).unwrap();
     let seeds: Vec<u64> = (0..12).map(|i| derive_seed(7, i)).collect();
     let pool = ReplayPool::new(4);
-    let materialized = pool.run_seeds(&instance, &seeds, &|s| Box::new(RandPr::from_seed(s)));
-    let streamed = pool.run_source_seeds(
-        &seeds,
-        &|_| Box::new(UniformSource::new(&cfg, gen_seed).unwrap()),
-        &|s| Box::new(RandPr::from_seed(s)),
-    );
+    let materialized = pool.map(&seeds, |scratch, _, &s| {
+        run_source_with_scratch(&mut instance.source(), &mut RandPr::from_seed(s), scratch).unwrap()
+    });
+    let streamed = pool.map(&seeds, |scratch, _, &s| {
+        let mut source = UniformSource::new(&cfg, gen_seed).unwrap();
+        run_source_with_scratch(&mut source, &mut RandPr::from_seed(s), scratch).unwrap()
+    });
     assert_eq!(materialized, streamed);
 }
 
