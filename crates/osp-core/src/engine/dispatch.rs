@@ -52,7 +52,7 @@ use crate::engine::Outcome;
 use crate::error::{Error, WorkerError};
 use crate::spec::{run_spec_with_scratch, AlgorithmSpec, JobSpec, ScenarioSpec, SpecResolver};
 use crate::wire;
-use crate::wire::socket::{ping, read_hello, Stream, WorkerAddr};
+use crate::wire::socket::{handshake, ping, Stream, WorkerAddr};
 
 /// A structured event emitted while a [`Dispatcher`] runs a work-list —
 /// what embedders (the replay service, progress UIs) observe instead of
@@ -846,39 +846,23 @@ impl SocketPool {
     }
 
     /// Runs the chunk `assigned` (indices into `jobs`) over one
-    /// connection to `addr`. Returns every answer obtained plus the
-    /// connection's fate; on an `Err` fate the unanswered indices are the
-    /// caller's to re-dispatch.
-    #[allow(clippy::type_complexity)]
+    /// connection to `addr`, pushing every answer obtained onto
+    /// `answered`, and returns the connection's fate; on an `Err` fate
+    /// the unanswered indices are the caller's to re-dispatch.
     fn run_chunk(
         &self,
         addr: &WorkerAddr,
         assigned: &[usize],
         jobs: &[JobSpec],
-    ) -> (
-        Vec<(usize, Result<Outcome, Error>)>,
-        Result<(), WorkerError>,
-    ) {
-        let mut answered = Vec::with_capacity(assigned.len());
-        let stream = match self.connect(addr) {
-            Ok(stream) => stream,
-            Err(e) => return (answered, Err(e)),
+        answered: &mut Vec<(usize, Result<Outcome, Error>)>,
+    ) -> Result<(), WorkerError> {
+        let disconnect = |cause: String| WorkerError::Disconnect {
+            addr: addr.to_string(),
+            cause,
         };
-        if let Err(e) = stream.set_read_timeout(Some(self.config.read_timeout)) {
-            return (
-                answered,
-                Err(WorkerError::Connect {
-                    addr: addr.to_string(),
-                    attempts: 1,
-                    cause: format!("setting read deadline: {e}"),
-                }),
-            );
-        }
-        let mut reader = BufReader::new(&stream);
+        let stream = self.connect(addr)?;
+        let (mut reader, _) = handshake(&stream, &addr.to_string(), self.config.read_timeout)?;
         let mut writer = &stream;
-        if let Err(e) = read_hello(&mut reader, &addr.to_string()) {
-            return (answered, Err(e));
-        }
 
         let window = self.config.window.max(1);
         let mut expected: VecDeque<Expected> = VecDeque::with_capacity(window);
@@ -890,54 +874,32 @@ impl SocketPool {
             // Keep the window full, interleaving a heartbeat every
             // `heartbeat_every` jobs.
             while !sent_all && expected.len() < window {
-                if self.config.heartbeat_every > 0 && jobs_since_ping >= self.config.heartbeat_every
+                let request = if self.config.heartbeat_every > 0
+                    && jobs_since_ping >= self.config.heartbeat_every
                 {
                     ping_nonce += 1;
-                    if let Err(e) =
-                        wire::write_message(&mut writer, &wire::Request::Ping(ping_nonce))
-                    {
-                        return (
-                            answered,
-                            Err(WorkerError::Disconnect {
-                                addr: addr.to_string(),
-                                cause: e.to_string(),
-                            }),
-                        );
-                    }
-                    expected.push_back(Expected::Ping(ping_nonce));
                     jobs_since_ping = 0;
-                    continue;
-                }
-                match to_send.next() {
-                    Some(index) => {
-                        if let Err(e) = wire::write_message(
-                            &mut writer,
-                            &wire::Request::Job(jobs[index].clone()),
-                        ) {
-                            return (
-                                answered,
-                                Err(WorkerError::Disconnect {
-                                    addr: addr.to_string(),
-                                    cause: e.to_string(),
-                                }),
-                            );
-                        }
-                        expected.push_back(Expected::Job(index));
-                        jobs_since_ping += 1;
-                    }
-                    None => {
-                        sent_all = true;
-                        let _ = writer.flush();
-                        // Clean EOF between frames is the shutdown signal.
-                        stream.shutdown_write();
-                    }
-                }
+                    expected.push_back(Expected::Ping(ping_nonce));
+                    wire::Request::Ping(ping_nonce)
+                } else if let Some(index) = to_send.next() {
+                    jobs_since_ping += 1;
+                    expected.push_back(Expected::Job(index));
+                    wire::Request::Job(jobs[index].clone())
+                } else {
+                    sent_all = true;
+                    let _ = writer.flush();
+                    // Clean EOF between frames is the shutdown signal.
+                    stream.shutdown_write();
+                    break;
+                };
+                wire::write_message(&mut writer, &request)
+                    .map_err(|e| disconnect(e.to_string()))?;
             }
             if !sent_all {
                 let _ = writer.flush();
             }
             let Some(next) = expected.pop_front() else {
-                return (answered, Ok(()));
+                return Ok(());
             };
             let started = Instant::now();
             // Read whichever frame the worker sent, then check it against
@@ -951,12 +913,9 @@ impl SocketPool {
                         Expected::Job(_) => "stream closed with replies outstanding",
                         Expected::Ping(_) => "stream closed at a heartbeat",
                     };
-                    return (
-                        answered,
-                        Err(self.classify(addr, started, cause.to_string())),
-                    );
+                    return Err(self.classify(addr, started, cause.to_string()));
                 }
-                Err(e) => return (answered, Err(self.classify(addr, started, e.to_string()))),
+                Err(e) => return Err(self.classify(addr, started, e.to_string())),
             };
             match (next, frame) {
                 (Expected::Job(index), wire::ServerFrame::Reply(reply)) => {
@@ -964,30 +923,20 @@ impl SocketPool {
                 }
                 (Expected::Ping(nonce), wire::ServerFrame::Pong(wire::Pong { pong })) => {
                     if pong != nonce {
-                        return (
-                            answered,
-                            Err(WorkerError::Disconnect {
-                                addr: addr.to_string(),
-                                cause: format!(
-                                    "heartbeat answered out of order: sent {nonce}, got {pong}"
-                                ),
-                            }),
-                        );
+                        return Err(disconnect(format!(
+                            "heartbeat answered out of order: sent {nonce}, got {pong}"
+                        )));
                     }
                 }
                 (expected, got) => {
-                    let expected = match expected {
-                        Expected::Job(_) => "job reply",
-                        Expected::Ping(_) => "pong",
-                    };
-                    return (
-                        answered,
-                        Err(WorkerError::FrameOrder {
-                            addr: addr.to_string(),
-                            expected,
-                            got: got.kind(),
-                        }),
-                    );
+                    return Err(WorkerError::FrameOrder {
+                        addr: addr.to_string(),
+                        expected: match expected {
+                            Expected::Job(_) => "job reply",
+                            Expected::Ping(_) => "pong",
+                        },
+                        got: got.kind(),
+                    });
                 }
             }
         }
@@ -1053,7 +1002,11 @@ impl Dispatcher for SocketPool {
                     .chunks(chunk)
                     .zip(&lanes)
                     .map(|(slice, addr)| {
-                        let handle = scope.spawn(move || self.run_chunk(addr, slice, jobs));
+                        let handle = scope.spawn(move || {
+                            let mut answers = Vec::with_capacity(slice.len());
+                            let fate = self.run_chunk(addr, slice, jobs, &mut answers);
+                            (answers, fate)
+                        });
                         (addr, handle)
                     })
                     .collect();

@@ -34,9 +34,12 @@
 //!   answering framed [`ServeRequest`]s — submit, status, fetch, cancel,
 //!   shutdown, and the `fleet` admin verb ([`FleetCommand`]: inspect the
 //!   lanes, trigger a rejoin probe) — against an embedded
-//!   `ReplayService`, one thread per connection, strict request/reply. A
-//!   frame that arrives whole but does not decode is answered with
-//!   [`ServeReply::Error`] and the connection keeps serving;
+//!   `ReplayService`, strict request/reply. It runs on the worker's
+//!   accept loop ([`wire::socket`]): one thread per connection, at most
+//!   [`MAX_CONNECTIONS`](crate::wire::socket::MAX_CONNECTIONS) at once,
+//!   accept errors retried. A frame that arrives whole but does not
+//!   decode is answered with [`ServeReply::Error`] and the connection
+//!   keeps serving;
 //! * [`ServeClient`] — the caller side: connect + [`Hello`] check, then
 //!   typed submit/status/fetch/cancel calls and a polling
 //!   [`wait`](ServeClient::wait) helper.
@@ -75,7 +78,7 @@
 //! ```
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -91,7 +94,7 @@ use crate::error::{Error, WorkerError};
 use crate::spec::JobSpec;
 use crate::store::{JournalStore, MemStore, OutcomeJson, ResultStore, StoreLimits};
 use crate::wire;
-use crate::wire::socket::{read_hello, Listener, Stream, WorkerAddr};
+use crate::wire::socket::{dial, FrameServer, Stream, WorkerAddr};
 use crate::wire::Hello;
 
 /// FNV-1a 64-bit prime.
@@ -1100,7 +1103,8 @@ fn serve_roster() -> Vec<String> {
 }
 
 /// The wire front door: a listener answering [`ServeRequest`] frames
-/// against an embedded [`ReplayService`], one thread per connection.
+/// against an embedded [`ReplayService`], one thread per connection, at
+/// most [`MAX_CONNECTIONS`](crate::wire::socket::MAX_CONNECTIONS) at once.
 ///
 /// On accept the server sends a [`Hello`] (protocol
 /// [`WIRE_VERSION`](crate::wire::WIRE_VERSION), roster = the serve
@@ -1111,11 +1115,9 @@ fn serve_roster() -> Vec<String> {
 /// binary to observe — the server itself keeps serving until stopped, so
 /// in-flight connections drain.
 pub struct ServeServer {
-    addr: WorkerAddr,
+    server: FrameServer,
     service: Arc<ReplayService>,
-    stop: Arc<AtomicBool>,
     shutdown_requested: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
 }
 
 impl ServeServer {
@@ -1126,42 +1128,26 @@ impl ServeServer {
     ///
     /// [`WorkerError::Spawn`] if the address cannot be bound.
     pub fn bind(addr: &WorkerAddr, service: ReplayService) -> Result<ServeServer, Error> {
-        let (listener, local) = Listener::bind(addr)?;
         let service = Arc::new(service);
-        let stop = Arc::new(AtomicBool::new(false));
         let shutdown_requested = Arc::new(AtomicBool::new(false));
-        let accept_thread = {
+        let server = {
             let service = Arc::clone(&service);
-            let stop = Arc::clone(&stop);
             let shutdown_requested = Arc::clone(&shutdown_requested);
-            std::thread::spawn(move || loop {
-                let stream = match listener.accept() {
-                    Ok(stream) => stream,
-                    Err(_) => break,
-                };
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let service = Arc::clone(&service);
-                let shutdown_requested = Arc::clone(&shutdown_requested);
-                std::thread::spawn(move || {
-                    let _ = serve_connection(&stream, &service, &shutdown_requested);
-                });
-            })
+            FrameServer::bind(addr, move |stream, _| {
+                let _ = serve_connection(stream, &service, &shutdown_requested);
+            })?
         };
         Ok(ServeServer {
-            addr: local,
+            server,
             service,
-            stop,
             shutdown_requested,
-            accept_thread: Some(accept_thread),
         })
     }
 
     /// The actually-bound address (the resolved port, for TCP `:0`) —
     /// what clients dial.
     pub fn local_addr(&self) -> &WorkerAddr {
-        &self.addr
+        self.server.local_addr()
     }
 
     /// The embedded service, for in-process observation (tests, the
@@ -1179,17 +1165,9 @@ impl ServeServer {
 
     /// Stops accepting, joins the accept loop, and shuts the embedded
     /// [`ReplayService`] down (its executor finishes the running batch).
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // A blocked accept only wakes on a connection: poke ourselves.
-        let _ = Stream::connect(&self.addr, Duration::from_millis(200));
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+    pub fn stop(self) {
+        self.server.stop();
         self.service.shutdown();
-        if let WorkerAddr::Uds(path) = &self.addr {
-            let _ = std::fs::remove_file(path);
-        }
     }
 }
 
@@ -1200,20 +1178,19 @@ fn serve_connection(
     shutdown_requested: &AtomicBool,
 ) -> Result<(), Error> {
     let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(stream);
-    wire::write_message(
-        &mut writer,
-        &Hello {
-            version: wire::WIRE_VERSION,
-            roster: serve_roster(),
-        },
-    )?;
-    writer
-        .flush()
-        .map_err(|e| Error::Protocol(format!("flushing hello: {e}")))?;
+    // Unbuffered: every frame goes out in one write, so nothing waits on
+    // a flush.
+    let mut writer = stream;
+    let hello = Hello {
+        version: wire::WIRE_VERSION,
+        roster: serve_roster(),
+    };
+    wire::send(&mut writer, &hello)?;
     // A framing error (bad length, oversized, truncated) closes the
     // connection. A whole frame that does not decode leaves the stream at
-    // a frame boundary, so it is answered and the loop keeps serving.
+    // a frame boundary, and the client reads exactly one reply per
+    // request, so it is answered with `ServeReply::Error` and the loop
+    // keeps serving.
     while let Some(payload) = wire::read_frame(&mut reader)? {
         let reply = match serde_json::from_slice::<ServeRequest>(&payload) {
             Err(e) => ServeReply::Error(format!("decoding frame: {e}")),
@@ -1230,7 +1207,6 @@ fn serve_connection(
                 Ok(results) => {
                     // Spliced from the stored bytes, never re-encoded.
                     write_results(&mut writer, &results)?;
-                    flush_reply(&mut writer)?;
                     continue;
                 }
                 Err(e) => lookup_refusal(e),
@@ -1245,16 +1221,9 @@ fn serve_connection(
                 ServeReply::Bye
             }
         };
-        wire::write_message(&mut writer, &reply)?;
-        flush_reply(&mut writer)?;
+        wire::send(&mut writer, &reply)?;
     }
     Ok(())
-}
-
-fn flush_reply(writer: &mut impl Write) -> Result<(), Error> {
-    writer
-        .flush()
-        .map_err(|e| Error::Protocol(format!("flushing reply: {e}")))
 }
 
 /// The reply to a `Status` or `Fetch` the service refused: a retired
@@ -1332,31 +1301,16 @@ impl ServeClient {
     /// [`WorkerError::Connect`] / [`WorkerError::Handshake`] with the
     /// typed cause.
     pub fn connect(addr: &WorkerAddr, timeout: Duration) -> Result<ServeClient, Error> {
-        let stream = Stream::connect(addr, timeout).map_err(|e| WorkerError::Connect {
+        let (stream, _) = dial(addr, timeout)?;
+        Ok(ServeClient {
+            stream,
             addr: addr.to_string(),
-            attempts: 1,
-            cause: e.to_string(),
-        })?;
-        stream
-            .set_read_timeout(Some(timeout))
-            .map_err(|e| WorkerError::Connect {
-                addr: addr.to_string(),
-                attempts: 1,
-                cause: format!("setting read deadline: {e}"),
-            })?;
-        let addr = addr.to_string();
-        let mut reader = BufReader::new(&stream);
-        read_hello(&mut reader, &addr)?;
-        Ok(ServeClient { stream, addr })
+        })
     }
 
     /// One request/reply round trip.
     fn call(&mut self, request: &ServeRequest) -> Result<ServeReply, Error> {
-        let mut writer = &self.stream;
-        wire::write_message(&mut writer, request)?;
-        writer
-            .flush()
-            .map_err(|e| Error::Protocol(format!("flushing request: {e}")))?;
+        wire::send(&mut &self.stream, request)?;
         self.reply()
     }
 

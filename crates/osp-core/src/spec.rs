@@ -42,6 +42,12 @@ use crate::gen::{BiregularSource, FixedSizeSource, GenError, RandomInstanceConfi
 use crate::source::ArrivalSource;
 use crate::{OnlineAlgorithm, SetId};
 
+/// The largest `independence` a [`AlgorithmSpec::HashRandPr`] may ask
+/// for. The hash holds one coefficient per degree of independence, and a
+/// spec may come from any client. §3.1 needs only `k_max·σ_max`-wise
+/// independence; the largest any workload in this repository uses is 64.
+pub const MAX_INDEPENDENCE: usize = 4096;
+
 /// Serializable description of an online algorithm and its parameters.
 ///
 /// Seeds are *not* part of the spec: the job's seed
@@ -57,7 +63,9 @@ pub enum AlgorithmSpec {
     /// hash (§3.1); every replica with the same seed decides identically.
     #[serde(rename = "hash_pr")]
     HashRandPr {
-        /// Independence level of the hash family (must be ≥ 1).
+        /// Independence level of the hash family: at least 1 and at most
+        /// [`MAX_INDEPENDENCE`], or the spec is an
+        /// [`Error::InvalidSpec`].
         independence: usize,
     },
     /// Deterministic greedy under a [`TieBreak`] ranking policy.
@@ -263,6 +271,12 @@ impl SpecResolver for CoreResolver {
                     return Err(Error::InvalidSpec(
                         "hash_pr independence must be at least 1".into(),
                     ));
+                }
+                if *independence > MAX_INDEPENDENCE {
+                    return Err(Error::InvalidSpec(format!(
+                        "hash_pr independence {independence} exceeds the limit of \
+                         {MAX_INDEPENDENCE}"
+                    )));
                 }
                 Ok(Box::new(HashRandPr::new(*independence, seed)))
             }
@@ -482,10 +496,20 @@ mod tests {
             run_spec(&job, &CoreResolver),
             Err(Error::InvalidSpec(_))
         ));
-        assert!(matches!(
-            CoreResolver.algorithm(&AlgorithmSpec::HashRandPr { independence: 0 }, 0),
-            Err(Error::InvalidSpec(_))
-        ));
+        for independence in [0, MAX_INDEPENDENCE + 1, 1 << 62] {
+            assert!(matches!(
+                CoreResolver.algorithm(&AlgorithmSpec::HashRandPr { independence }, 0),
+                Err(Error::InvalidSpec(_))
+            ));
+        }
+        assert!(CoreResolver
+            .algorithm(
+                &AlgorithmSpec::HashRandPr {
+                    independence: MAX_INDEPENDENCE
+                },
+                0
+            )
+            .is_ok());
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! `osp-worker --listen` and by [`SocketPool`](crate::SocketPool) (and
 //! so by [`ProcessPool`](crate::ProcessPool), which launches such
 //! workers): on accept the worker first sends a [`Hello`] handshake frame
-//! (protocol version + resolver roster); the client then sends
+//! (protocol version + resolver roster), or a [`Refusal`] when it is at
+//! its connection cap; the client then sends
 //! [`Request`] frames — `{"job": JobSpec}` answered by a [`reply`]
 //! envelope (`{"ok": Outcome}` or `{"err": "message"}`), or the heartbeat
 //! `{"ping": nonce}` answered by `{"pong": nonce}` — strictly in order.
@@ -330,6 +331,18 @@ impl Hello {
     }
 }
 
+/// The frame a server sends where its [`Hello`] would go when it turns a
+/// connection away (it is already serving
+/// [`MAX_CONNECTIONS`](socket::MAX_CONNECTIONS)); the server then closes
+/// the connection. [`read_hello`](socket::read_hello) reports it as a
+/// [`WorkerError::Handshake`](crate::error::WorkerError::Handshake) whose
+/// cause is `refused`.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct Refusal {
+    /// Why the connection was turned away.
+    pub refused: String,
+}
+
 /// One client → worker message of a socket session.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
@@ -560,15 +573,11 @@ where
     In: Read + ?Sized,
     Out: Write + ?Sized,
 {
-    write_message(writer, &Hello::for_resolver(resolver))?;
-    flush(writer)?;
+    send(writer, &Hello::for_resolver(resolver))?;
     let mut scratch = ReplayScratch::new();
     while let Some(request) = read_message::<_, Request>(reader)? {
         match request {
-            Request::Ping(nonce) => {
-                write_message(writer, &Pong { pong: nonce })?;
-                flush(writer)?;
-            }
+            Request::Ping(nonce) => send(writer, &Pong { pong: nonce })?,
             Request::Job(job) => {
                 let index = jobs_answered.load(Ordering::SeqCst);
                 if fault.die_after.is_some_and(|n| index >= n) {
@@ -580,8 +589,7 @@ where
                     }
                 }
                 let result = run_spec_with_scratch(&job, resolver, &mut scratch);
-                write_message(writer, &reply::encode(&result))?;
-                flush(writer)?;
+                send(writer, &reply::encode(&result))?;
                 jobs_answered.fetch_add(1, Ordering::SeqCst);
             }
         }
@@ -589,10 +597,16 @@ where
     Ok(SessionEnd::Eof)
 }
 
-fn flush<W: Write + ?Sized>(writer: &mut W) -> Result<(), Error> {
+/// Writes `message` as one frame and flushes it, so the peer sees it at
+/// once: every hello and reply of both servers, and every serve request.
+pub(crate) fn send<W: Write + ?Sized, T: Serialize>(
+    writer: &mut W,
+    message: &T,
+) -> Result<(), Error> {
+    write_message(writer, message)?;
     writer
         .flush()
-        .map_err(|e| Error::Protocol(format!("flushing reply: {e}")))
+        .map_err(|e| Error::Protocol(format!("flushing frame: {e}")))
 }
 
 #[cfg(test)]

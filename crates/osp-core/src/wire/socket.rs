@@ -9,14 +9,21 @@
 //!   `osp-worker --listen` command line;
 //! * [`Stream`] — one connected byte stream over either transport, with
 //!   connect/read deadlines;
-//! * [`SocketServer`] — an in-process worker fleet member: an accept loop
+//! * the one accept loop, shared by the worker and the service front door
+//!   ([`serve`](crate::serve)): a thread per connection, at most
+//!   [`MAX_CONNECTIONS`] at once (an over-cap connection gets a
+//!   [`Refusal`] frame where the [`Hello`] would go, then is closed); an
+//!   accept error (out of file descriptors, say) is retried, and only a
+//!   stop or a fault kill ends the loop;
+//! * [`SocketServer`] — an in-process worker fleet member: that loop
 //!   serving [`serve_session`] per connection, used by tests and examples
 //!   (the `osp-worker --listen` binary wraps the same loop around a real
 //!   process);
-//! * [`ping`] — one full handshake + heartbeat round trip, the readiness
-//!   probe behind `osp-worker --ping` and CI fleet bring-up.
+//! * [`read_hello`] and [`ping`] — the client half of the handshake, and
+//!   one full handshake + heartbeat round trip, the readiness probe
+//!   behind `osp-worker --ping` and CI fleet bring-up.
 
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -26,8 +33,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use super::{
-    read_message, serve_session, write_message, FaultPlan, Hello, Pong, Request, SessionEnd,
-    MIN_WIRE_VERSION, WIRE_VERSION,
+    read_frame, read_message, send, serve_session, write_message, FaultPlan, Hello, Pong, Refusal,
+    Request, SessionEnd, MIN_WIRE_VERSION, WIRE_VERSION,
 };
 use crate::error::{Error, WorkerError};
 use crate::spec::SpecResolver;
@@ -205,37 +212,6 @@ impl Stream {
     }
 }
 
-macro_rules! delegate_io {
-    ($ty:ty) => {
-        impl Read for $ty {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                match self {
-                    Stream::Tcp(s) => s.read(buf),
-                    Stream::Uds(s) => s.read(buf),
-                }
-            }
-        }
-
-        impl Write for $ty {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                match self {
-                    Stream::Tcp(s) => s.write(buf),
-                    Stream::Uds(s) => s.write(buf),
-                }
-            }
-
-            fn flush(&mut self) -> std::io::Result<()> {
-                match self {
-                    Stream::Tcp(s) => s.flush(),
-                    Stream::Uds(s) => s.flush(),
-                }
-            }
-        }
-    };
-}
-
-delegate_io!(Stream);
-
 impl Read for &Stream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
@@ -261,42 +237,79 @@ impl Write for &Stream {
     }
 }
 
-/// Client side of the handshake: reads the worker's [`Hello`] and checks
+/// Client side of the handshake: reads the server's [`Hello`] and checks
 /// the protocol version.
 ///
 /// # Errors
 ///
 /// [`WorkerError::Handshake`] if the stream closes or garbles before a
-/// hello arrives, or the worker speaks a version outside the compatible
-/// range [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`] (older versions whose
-/// session frames are unchanged stay dialable after a bump).
+/// hello arrives, the server sent a [`Refusal`] instead (its cause names
+/// the connection limit), or the server speaks a version outside the
+/// compatible range [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`] (older
+/// versions whose session frames are unchanged stay dialable after a
+/// bump).
 pub fn read_hello<R: Read + ?Sized>(reader: &mut R, addr: &str) -> Result<Hello, WorkerError> {
-    let hello = match read_message::<_, Hello>(reader) {
-        Ok(Some(hello)) => hello,
-        Ok(None) => {
-            return Err(WorkerError::Handshake {
-                addr: addr.to_string(),
-                cause: "stream closed before the hello frame".to_string(),
-            })
-        }
+    let failed = |cause: String| WorkerError::Handshake {
+        addr: addr.to_string(),
+        cause,
+    };
+    let payload = match read_frame(reader) {
+        Ok(Some(payload)) => payload,
+        Ok(None) => return Err(failed("stream closed before the hello frame".to_string())),
+        Err(e) => return Err(failed(e.to_string())),
+    };
+    let hello: Hello = match serde_json::from_slice(&payload) {
+        Ok(hello) => hello,
         Err(e) => {
-            return Err(WorkerError::Handshake {
-                addr: addr.to_string(),
-                cause: e.to_string(),
-            })
+            return Err(failed(match serde_json::from_slice::<Refusal>(&payload) {
+                Ok(Refusal { refused }) => refused,
+                Err(_) => Error::Protocol(format!("decoding frame: {e}")).to_string(),
+            }))
         }
     };
     if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&hello.version) {
-        return Err(WorkerError::Handshake {
-            addr: addr.to_string(),
-            cause: format!(
-                "protocol version mismatch: worker speaks {}, this build speaks \
-                 {MIN_WIRE_VERSION}..={WIRE_VERSION}",
-                hello.version
-            ),
-        });
+        return Err(failed(format!(
+            "protocol version mismatch: worker speaks {}, this build speaks \
+             {MIN_WIRE_VERSION}..={WIRE_VERSION}",
+            hello.version
+        )));
     }
     Ok(hello)
+}
+
+/// The client half of every handshake, on a freshly connected `stream`:
+/// sets the read deadline for all later reads, then reads the server's
+/// [`Hello`] through the returned reader, which the caller keeps reading
+/// replies from.
+pub(crate) fn handshake<'a>(
+    stream: &'a Stream,
+    addr: &str,
+    read_timeout: Duration,
+) -> Result<(BufReader<&'a Stream>, Hello), WorkerError> {
+    stream
+        .set_read_timeout(Some(read_timeout))
+        .map_err(|e| WorkerError::Connect {
+            addr: addr.to_string(),
+            attempts: 1,
+            cause: format!("setting read deadline: {e}"),
+        })?;
+    let mut reader = BufReader::new(stream);
+    let hello = read_hello(&mut reader, addr)?;
+    Ok((reader, hello))
+}
+
+/// Connects to `addr` once within `timeout` and completes the handshake,
+/// with `timeout` as the read deadline. The server sends nothing after
+/// its [`Hello`] until it is asked, so the caller may read later replies
+/// through a fresh reader.
+pub(crate) fn dial(addr: &WorkerAddr, timeout: Duration) -> Result<(Stream, Hello), WorkerError> {
+    let stream = Stream::connect(addr, timeout).map_err(|e| WorkerError::Connect {
+        addr: addr.to_string(),
+        attempts: 1,
+        cause: e.to_string(),
+    })?;
+    let (_, hello) = handshake(&stream, &addr.to_string(), timeout)?;
+    Ok((stream, hello))
 }
 
 /// One full liveness probe: connect, handshake, one ping/pong. Returns
@@ -307,45 +320,28 @@ pub fn read_hello<R: Read + ?Sized>(reader: &mut R, addr: &str) -> Result<Hello,
 ///
 /// [`Error::Worker`] with the typed connect/handshake/disconnect cause.
 pub fn ping(addr: &WorkerAddr, timeout: Duration) -> Result<Hello, Error> {
-    let stream = Stream::connect(addr, timeout).map_err(|e| WorkerError::Connect {
+    let (stream, hello) = dial(addr, timeout)?;
+    write_message(&mut &stream, &Request::Ping(PING_NONCE))?;
+    let cause = match read_message::<_, Pong>(&mut BufReader::new(&stream)) {
+        Ok(Some(Pong { pong })) if pong == PING_NONCE => return Ok(hello),
+        Ok(Some(Pong { pong })) => {
+            return Err(WorkerError::Handshake {
+                addr: addr.to_string(),
+                cause: format!("pong nonce mismatch: sent {PING_NONCE}, got {pong}"),
+            }
+            .into())
+        }
+        Ok(None) => "stream closed before the pong".to_string(),
+        Err(e) => e.to_string(),
+    };
+    Err(WorkerError::Disconnect {
         addr: addr.to_string(),
-        attempts: 1,
-        cause: e.to_string(),
-    })?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| WorkerError::Connect {
-            addr: addr.to_string(),
-            attempts: 1,
-            cause: format!("setting read deadline: {e}"),
-        })?;
-    let mut reader = BufReader::new(&stream);
-    let hello = read_hello(&mut reader, &addr.to_string())?;
-    let mut writer = &stream;
-    write_message(&mut writer, &Request::Ping(PING_NONCE))?;
-    match read_message::<_, Pong>(&mut reader) {
-        Ok(Some(Pong { pong })) if pong == PING_NONCE => Ok(hello),
-        Ok(Some(Pong { pong })) => Err(WorkerError::Handshake {
-            addr: addr.to_string(),
-            cause: format!("pong nonce mismatch: sent {PING_NONCE}, got {pong}"),
-        }
-        .into()),
-        Ok(None) => Err(WorkerError::Disconnect {
-            addr: addr.to_string(),
-            cause: "stream closed before the pong".to_string(),
-        }
-        .into()),
-        Err(e) => Err(WorkerError::Disconnect {
-            addr: addr.to_string(),
-            cause: e.to_string(),
-        }
-        .into()),
+        cause,
     }
+    .into())
 }
 
-/// Either flavor of listener behind one accept call — shared by the
-/// worker-side [`SocketServer`] and the service front door
-/// ([`serve`](crate::serve)).
+/// Either flavor of listener behind one accept call.
 pub(crate) enum Listener {
     Tcp(TcpListener),
     Uds(UnixListener),
@@ -390,10 +386,120 @@ impl Listener {
     }
 }
 
-/// An in-process socket worker: a bound listener plus an accept loop
-/// serving [`serve_session`] on every connection, sharing one
-/// worker-lifetime job counter (so a [`FaultPlan`] kill is a pure
-/// function of the plan even across reconnects).
+/// The most connections one server serves at once, worker or service
+/// front door. A fleet holds one connection per worker per batch and a
+/// service a few clients, so the cap only bites on a flood: each served
+/// connection holds a thread and its buffers.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// How long the accept loop waits before accepting again after an accept
+/// error (out of file descriptors, say): connections that end meanwhile
+/// free what the next accept needs.
+const ACCEPT_RETRY: Duration = Duration::from_millis(20);
+
+/// The socket-server scaffolding both protocols share: a bound
+/// [`Listener`], one accept thread that serves each connection on a
+/// thread of its own through the protocol's handler, at most
+/// [`MAX_CONNECTIONS`] at once, and a [`stop`](FrameServer::stop) that
+/// wakes, joins and cleans up.
+///
+/// An over-cap connection is accepted, sent a [`Refusal`] where its
+/// [`Hello`] would go, and closed. An accept error does not end the
+/// server; only a [`Halt`] does.
+pub(crate) struct FrameServer {
+    halt: Halt,
+    accept_thread: JoinHandle<()>,
+}
+
+/// Lets a connection's handler stop the server it runs under: the accept
+/// loop ends, the listener drops, and later connects are refused.
+/// Connections already being served run on.
+#[derive(Clone)]
+pub(crate) struct Halt {
+    stop: Arc<AtomicBool>,
+    addr: WorkerAddr,
+}
+
+impl Halt {
+    pub(crate) fn halt(&self) {
+        if !self.stop.swap(true, Ordering::SeqCst) {
+            // A blocked accept only wakes on a connection: poke it.
+            let _ = Stream::connect(&self.addr, Duration::from_millis(200));
+        }
+    }
+}
+
+impl FrameServer {
+    /// Binds `addr` and serves every accepted connection through
+    /// `handler`.
+    pub(crate) fn bind<H>(addr: &WorkerAddr, handler: H) -> Result<FrameServer, Error>
+    where
+        H: Fn(&Stream, &Halt) + Send + Sync + 'static,
+    {
+        let (listener, local) = Listener::bind(addr)?;
+        let halt = Halt {
+            stop: Arc::new(AtomicBool::new(false)),
+            addr: local,
+        };
+        let accept_thread = {
+            let halt = halt.clone();
+            let handler = Arc::new(handler);
+            // Each served connection's thread holds a clone, dropped when
+            // the thread ends (a panic included): the count past this
+            // thread's own is the number of connections being served.
+            let slots = Arc::new(());
+            std::thread::spawn(move || loop {
+                let accepted = listener.accept();
+                if halt.stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(stream) = accepted else {
+                    std::thread::sleep(ACCEPT_RETRY);
+                    continue;
+                };
+                // Only this thread takes slots, so the check cannot race.
+                if Arc::strong_count(&slots) > MAX_CONNECTIONS {
+                    let refusal = Refusal {
+                        refused: format!("connection limit of {MAX_CONNECTIONS} reached"),
+                    };
+                    let _ = send(&mut &stream, &refusal);
+                    stream.shutdown_write();
+                    continue;
+                }
+                let (slot, handler, halt) =
+                    (Arc::clone(&slots), Arc::clone(&handler), halt.clone());
+                // A failed spawn drops the closure: the slot is released
+                // and the connection closed.
+                let _ = std::thread::Builder::new().spawn(move || {
+                    let _slot = slot;
+                    handler(&stream, &halt);
+                });
+            })
+        };
+        Ok(FrameServer {
+            halt,
+            accept_thread,
+        })
+    }
+
+    pub(crate) fn local_addr(&self) -> &WorkerAddr {
+        &self.halt.addr
+    }
+
+    /// Halts the accept loop, joins it, and unlinks a Unix socket's file.
+    pub(crate) fn stop(self) {
+        self.halt.halt();
+        let _ = self.accept_thread.join();
+        if let WorkerAddr::Uds(path) = &self.halt.addr {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// An in-process socket worker: the shared accept loop serving
+/// [`serve_session`] on every connection, sharing one worker-lifetime job
+/// counter (so a [`FaultPlan`] kill is a pure function of the plan even
+/// across reconnects).
 ///
 /// This is the same worker loop `osp-worker --listen` runs in a real
 /// process; the in-process form lets tests and examples stand up a whole
@@ -405,11 +511,9 @@ impl Listener {
 /// without `stop` leaks the accept thread until process exit (harmless,
 /// but noisy under thread-leak tooling).
 pub struct SocketServer {
-    addr: WorkerAddr,
-    stop: Arc<AtomicBool>,
+    server: FrameServer,
     fault_killed: Arc<AtomicBool>,
     jobs_answered: Arc<AtomicU64>,
-    accept_thread: Option<JoinHandle<()>>,
 }
 
 impl SocketServer {
@@ -423,41 +527,37 @@ impl SocketServer {
     where
         R: SpecResolver + Send + Sync + 'static,
     {
-        let (listener, local) = Listener::bind(addr)?;
-        let stop = Arc::new(AtomicBool::new(false));
         let fault_killed = Arc::new(AtomicBool::new(false));
         let jobs_answered = Arc::new(AtomicU64::new(0));
-        let accept_thread = {
-            let stop = Arc::clone(&stop);
+        let server = {
             let fault_killed = Arc::clone(&fault_killed);
             let jobs_answered = Arc::clone(&jobs_answered);
-            let local = local.clone();
-            let resolver = Arc::new(resolver);
-            std::thread::spawn(move || {
-                accept_loop(
-                    &listener,
-                    &local,
-                    &resolver,
-                    fault,
-                    &stop,
-                    &fault_killed,
-                    &jobs_answered,
-                );
-            })
+            FrameServer::bind(addr, move |stream, halt| {
+                // A malformed frame ends the session and closes the
+                // connection: a worker reply carries no job index, so an
+                // error reply would misalign the dispatcher's in-order
+                // count of answers. Unbuffered writes: a frame is one write.
+                let (mut reader, mut writer) = (BufReader::new(stream), stream);
+                let end = serve_session(&resolver, &mut reader, &mut writer, fault, &jobs_answered);
+                if matches!(end, Ok(SessionEnd::FaultKill)) {
+                    fault_killed.store(true, Ordering::SeqCst);
+                    halt.halt();
+                }
+                // Dropping the stream closes the connection; a client
+                // mid-read sees EOF where a reply was expected.
+            })?
         };
         Ok(SocketServer {
-            addr: local,
-            stop,
+            server,
             fault_killed,
             jobs_answered,
-            accept_thread: Some(accept_thread),
         })
     }
 
     /// The actually-bound address (the resolved port, for TCP `:0`) —
     /// what clients dial.
     pub fn local_addr(&self) -> &WorkerAddr {
-        &self.addr
+        self.server.local_addr()
     }
 
     /// Whether this worker's [`FaultPlan`] has killed it (it no longer
@@ -473,57 +573,8 @@ impl SocketServer {
 
     /// Stops accepting and joins the accept loop. Connections already
     /// being served run to their client-driven end.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // A blocked accept only wakes on a connection: poke ourselves.
-        let _ = Stream::connect(&self.addr, Duration::from_millis(200));
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        if let WorkerAddr::Uds(path) = &self.addr {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn accept_loop<R>(
-    listener: &Listener,
-    local: &WorkerAddr,
-    resolver: &Arc<R>,
-    fault: FaultPlan,
-    stop: &Arc<AtomicBool>,
-    fault_killed: &Arc<AtomicBool>,
-    jobs_answered: &Arc<AtomicU64>,
-) where
-    R: SpecResolver + Send + Sync + 'static,
-{
-    loop {
-        let stream = match listener.accept() {
-            Ok(stream) => stream,
-            Err(_) => break,
-        };
-        if stop.load(Ordering::SeqCst) || fault_killed.load(Ordering::SeqCst) {
-            break;
-        }
-        let resolver = Arc::clone(resolver);
-        let stop = Arc::clone(stop);
-        let fault_killed = Arc::clone(fault_killed);
-        let jobs_answered = Arc::clone(jobs_answered);
-        let local = local.clone();
-        std::thread::spawn(move || {
-            let mut reader = BufReader::new(&stream);
-            let mut writer = BufWriter::new(&stream);
-            let end = serve_session(&*resolver, &mut reader, &mut writer, fault, &jobs_answered);
-            if matches!(end, Ok(SessionEnd::FaultKill)) && !stop.load(Ordering::SeqCst) {
-                fault_killed.store(true, Ordering::SeqCst);
-                // Unblock the accept loop so the listener drops and
-                // further connects are refused — the worker is "dead".
-                let _ = Stream::connect(&local, Duration::from_millis(200));
-            }
-            // Dropping the stream closes the connection; a client mid-read
-            // sees EOF where a reply was expected (a Disconnect).
-        });
+    pub fn stop(self) {
+        self.server.stop();
     }
 }
 

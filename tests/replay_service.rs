@@ -354,3 +354,52 @@ fn cancel_stops_at_a_chunk_boundary_and_keeps_computed_answers() {
     assert_eq!(answered as u64, status.answered);
     service.shutdown();
 }
+
+#[test]
+fn an_oversized_hash_independence_fails_only_its_job_and_the_service_keeps_serving() {
+    // `independence` sizes the hash's coefficient vector; a spec asking
+    // for 2^62 of them once panicked the executor, leaving the batch
+    // `running` forever and every later submit refused.
+    let service = ReplayService::new(
+        Box::new(SpecPool::new(ReplayPool::new(2), NetResolver)),
+        ServiceConfig::default(),
+    )
+    .expect("service starts");
+    let mut jobs = grid_jobs();
+    let bad = 4;
+    jobs[bad].algorithm = AlgorithmSpec::HashRandPr {
+        independence: 1 << 62,
+    };
+    let want = sequential(&grid_jobs());
+    let wait = |id: u64| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        loop {
+            let status = service.status(id).expect("accepted batch exists");
+            if !matches!(status.state.as_str(), "queued" | "running") {
+                return status;
+            }
+            assert!(std::time::Instant::now() < deadline, "batch {id} stuck");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    };
+    let id = service.submit(jobs.clone()).expect("submit");
+    assert_eq!(wait(id).state, "failed");
+    let results = service.fetch(id).expect("results");
+    for (i, result) in results.iter().enumerate() {
+        match result {
+            JobResult::Err(why) if i == bad => {
+                assert!(why.contains("independence"), "job {i}: {why}")
+            }
+            JobResult::Ok(got) if i != bad => {
+                assert_bit_identical(&format!("job {i}"), &want[i], got)
+            }
+            other => panic!("job {i}: got {other:?}"),
+        }
+    }
+    // The next batch is served as usual.
+    let next = service
+        .submit(grid_jobs())
+        .expect("the service still accepts");
+    assert_eq!(wait(next).state, "done");
+    service.shutdown();
+}

@@ -14,19 +14,22 @@
 //! fully dead fleet fails every job with a clean, typed
 //! [`Error::Worker`] — never a panic, never a hang.
 
-use std::io::BufWriter;
+use std::io::{BufReader, BufWriter};
 use std::net::TcpListener;
+use std::process::{Command, Stdio};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use osp::core::gen::{CapacityModel, LoadModel, RandomInstanceConfig, WeightModel};
 use osp::core::prelude::*;
 use osp::core::spec::{run_spec, AlgorithmSpec, JobSpec, ScenarioSpec};
-use osp::core::wire::socket::{ping, SocketServer, WorkerAddr};
+use osp::core::wire::socket::{
+    ping, read_hello, SocketServer, Stream, WorkerAddr, MAX_CONNECTIONS,
+};
 use osp::core::wire::{read_message, reply, write_message, Hello, Pong, Request, Stall};
 use osp::core::{
-    derived_jobs, DispatchEvent, Dispatcher, EventSink, FaultPlan, RetryPolicy, SocketConfig,
-    SocketPool, WorkerError,
+    derived_jobs, spawn_listening, DispatchEvent, Dispatcher, EventSink, FaultPlan, RetryPolicy,
+    SocketConfig, SocketPool, WorkerError,
 };
 use osp::net::NetResolver;
 
@@ -198,29 +201,19 @@ fn socket_pool_is_bit_identical_to_sequential_at_fleet_sizes_1_2_4() {
     }
 }
 
-#[test]
-fn malformed_spec_fails_only_its_own_job() {
-    // A zero-capacity generator model (which the samplers used to assert
-    // on, killing the worker thread) sits in the middle of a healthy
-    // batch. It must come back as its own typed per-job error; no worker
-    // is excluded, and every other job is bit-identical to sequential
-    // replay.
-    let cfg = RandomInstanceConfig::unweighted(30, 80, 4);
-    let mut jobs = derived_jobs(&ScenarioSpec::Uniform(cfg), &AlgorithmSpec::RandPr, 819, 8);
-    let bad = 3;
-    jobs[bad].scenario = ScenarioSpec::Uniform(RandomInstanceConfig {
-        capacities: CapacityModel::Fixed(0),
-        ..cfg
-    });
+/// Runs `jobs` on a two-worker fleet and asserts that job `bad` alone
+/// fails, with a remote error containing `needle`, that every other job
+/// is bit-identical to sequential replay, and that no lane is excluded.
+fn assert_only_job_fails(jobs: &[JobSpec], bad: usize, needle: &str) {
     let servers = fleet(2);
     let recorder = Recorder::default();
-    let out = pool_over(&servers).run_specs_with_events(&jobs, &recorder);
+    let out = pool_over(&servers).run_specs_with_events(jobs, &recorder);
     assert_eq!(out.len(), jobs.len());
     for (i, (job, got)) in jobs.iter().zip(&out).enumerate() {
         if i == bad {
             match got {
                 Err(Error::Worker(WorkerError::Remote(why))) => {
-                    assert!(why.contains("capacity range"), "job {i}: {why}");
+                    assert!(why.contains(needle), "job {i}: {why}");
                 }
                 other => panic!("job {i}: want a remote InvalidSpec, got {other:?}"),
             }
@@ -239,6 +232,38 @@ fn malformed_spec_fails_only_its_own_job() {
     for server in servers {
         server.stop();
     }
+}
+
+#[test]
+fn malformed_spec_fails_only_its_own_job() {
+    // A zero-capacity generator model (which the samplers used to assert
+    // on, killing the worker thread) sits in the middle of a healthy
+    // batch. It must come back as its own typed per-job error; no worker
+    // is excluded, and every other job is bit-identical to sequential
+    // replay.
+    let cfg = RandomInstanceConfig::unweighted(30, 80, 4);
+    let mut jobs = derived_jobs(&ScenarioSpec::Uniform(cfg), &AlgorithmSpec::RandPr, 819, 8);
+    let bad = 3;
+    jobs[bad].scenario = ScenarioSpec::Uniform(RandomInstanceConfig {
+        capacities: CapacityModel::Fixed(0),
+        ..cfg
+    });
+    assert_only_job_fails(&jobs, bad, "capacity range");
+}
+
+#[test]
+fn oversized_hash_independence_fails_only_its_own_job() {
+    // `independence` sizes the hash's coefficient vector. 2^62 of them
+    // once panicked each worker's connection thread; the lane was
+    // excluded, rejoined and handed the same job again, without end.
+    let cfg = RandomInstanceConfig::unweighted(30, 80, 4);
+    let hash = AlgorithmSpec::HashRandPr { independence: 8 };
+    let mut jobs = derived_jobs(&ScenarioSpec::Uniform(cfg), &hash, 823, 8);
+    let bad = 5;
+    jobs[bad].algorithm = AlgorithmSpec::HashRandPr {
+        independence: 1 << 62,
+    };
+    assert_only_job_fails(&jobs, bad, "independence");
 }
 
 #[test]
@@ -648,4 +673,97 @@ fn worker_without_arguments_is_a_usage_error() {
         "stderr must carry the usage: {stderr}"
     );
     assert!(out.stdout.is_empty(), "nothing on stdout");
+}
+
+/// Connects to `addr` and reads the server's hello within `deadline`;
+/// `None` if the connect itself is refused.
+fn connect_and_greet(
+    addr: &WorkerAddr,
+    deadline: Duration,
+) -> Option<(Stream, Result<Hello, WorkerError>)> {
+    let stream = Stream::connect(addr, Duration::from_secs(5)).ok()?;
+    stream.set_read_timeout(Some(deadline)).unwrap();
+    let hello = read_hello(&mut BufReader::new(&stream), &addr.to_string());
+    Some((stream, hello))
+}
+
+/// Pings `addr` until it answers, for up to ten seconds: a slot or a
+/// descriptor frees only once the server has seen its connection close.
+fn ping_until_served(addr: &WorkerAddr) -> Result<Hello, Error> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match ping(addr, Duration::from_secs(5)) {
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
+            result => return result,
+        }
+    }
+}
+
+#[test]
+fn connections_over_the_cap_are_refused_and_served_ones_are_not() {
+    let server = worker(FaultPlan::NONE);
+    let addr = server.local_addr().clone();
+    let mut held: Vec<Stream> = (0..MAX_CONNECTIONS)
+        .map(|i| {
+            let (stream, hello) =
+                connect_and_greet(&addr, Duration::from_secs(10)).expect("loopback connect");
+            hello.unwrap_or_else(|e| panic!("connection {i} within the cap: {e}"));
+            stream
+        })
+        .collect();
+    // Over the cap: a refusal frame where the hello would go, typed by
+    // the client as a handshake failure naming the limit.
+    for _ in 0..2 {
+        match ping(&addr, Duration::from_secs(10)) {
+            Err(Error::Worker(WorkerError::Handshake { cause, .. })) => assert!(
+                cause.contains(&format!("connection limit of {MAX_CONNECTIONS}")),
+                "{cause}"
+            ),
+            other => panic!("want a refused handshake, got {other:?}"),
+        }
+    }
+    // A connection accepted before the cap filled still answers.
+    write_message(&mut &held[0], &Request::Ping(5)).unwrap();
+    let pong: Pong = read_message(&mut BufReader::new(&held[0]))
+        .unwrap()
+        .unwrap();
+    assert_eq!(pong.pong, 5);
+    // Closing one frees its slot for the next connect.
+    drop(held.pop());
+    ping_until_served(&addr).expect("a freed slot serves a new connect");
+    drop(held);
+    server.stop();
+}
+
+#[test]
+fn an_accept_error_does_not_end_the_worker() {
+    // The real worker with its soft limit on open files lowered to 8, so
+    // a handful of held connections exhausts its descriptors and the
+    // next accept fails (EMFILE).
+    let mut command = Command::new("sh");
+    command
+        .args([
+            "-c",
+            r#"ulimit -S -n 8 && exec "$0" --listen 127.0.0.1:0"#,
+            env!("CARGO_BIN_EXE_osp-worker"),
+        ])
+        .stderr(Stdio::null());
+    let (mut child, addr) = spawn_listening(&mut command).expect("the worker comes up");
+    let mut held = Vec::new();
+    let starved = (0..8).any(|_| match connect_and_greet(&addr, Duration::from_secs(2)) {
+        // Refused: a worker that gives up on an accept error has
+        // dropped its listener.
+        None => true,
+        Some((stream, hello)) => {
+            held.push(stream);
+            hello.is_err()
+        }
+    });
+    // Close the greeted connections (and a starved one, if any).
+    drop(held);
+    let served = ping_until_served(&addr);
+    let _ = child.kill();
+    let _ = child.wait();
+    assert!(starved, "the worker never ran out of descriptors");
+    served.expect("the worker accepts again once descriptors are free");
 }

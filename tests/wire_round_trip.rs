@@ -425,6 +425,29 @@ fn worker_reply_bytes_are_pinned() {
     );
 }
 
+/// A server at its connection limit sends this frame where the hello
+/// would go; the client's handshake reports it as a typed refusal.
+#[test]
+fn refusal_frame_bytes_are_pinned() {
+    use osp::core::wire::socket::{read_hello, MAX_CONNECTIONS};
+    use osp::core::wire::Refusal;
+    use osp::core::WorkerError;
+
+    let refusal = Refusal {
+        refused: format!("connection limit of {MAX_CONNECTIONS} reached"),
+    };
+    pin(&refusal, r#"{"refused":"connection limit of 64 reached"}"#);
+    let mut frame = Vec::new();
+    write_message(&mut frame, &refusal).unwrap();
+    match read_hello(&mut Cursor::new(frame), "127.0.0.1:7401") {
+        Err(WorkerError::Handshake { addr, cause }) => {
+            assert_eq!(addr, "127.0.0.1:7401");
+            assert_eq!(cause, "connection limit of 64 reached");
+        }
+        other => panic!("want a refused handshake, got {other:?}"),
+    }
+}
+
 /// Every known answer above decodes to the same value typed and through
 /// the tree, as does each shape earlier builds wrote.
 #[test]
@@ -446,6 +469,7 @@ fn known_answer_frames_decode_the_same_typed_and_through_the_tree() {
         ),
         r#"{"pong":7}"#.to_string(),
         r#"{"version":4,"roster":["uniform"]}"#.to_string(),
+        r#"{"refused":"connection limit of 64 reached"}"#.to_string(),
         legacy.to_string(),
         format!(r#"{{"ok":{legacy}}}"#),
         r#"{"completed":[],"benefit":0.0,"died_at":[]}"#.to_string(),
