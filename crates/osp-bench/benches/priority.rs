@@ -38,6 +38,29 @@ fn bench_priority(c: &mut Criterion) {
         });
     }
 
+    // The begin-time table fill's shape: the hash at the set ids
+    // 0..5·10⁴, by the range kernel and by the batch kernel, each writing
+    // every value into the same output buffer.
+    const KEYS: usize = 50_000;
+    let keys: Vec<u64> = (0..KEYS as u64).collect();
+    for independence in [4usize, 16, 64] {
+        let h = PolyHash::new(independence, 1);
+        let mut out = vec![0u64; KEYS];
+        group.bench_function(format!("poly_hash_range_{independence}wise"), |b| {
+            b.iter(|| {
+                let mut slots = out.iter_mut();
+                h.eval_range(0, KEYS, |v| *slots.next().unwrap() = v);
+                black_box(out[KEYS - 1])
+            })
+        });
+        group.bench_function(format!("poly_hash_batch_{independence}wise"), |b| {
+            b.iter(|| {
+                h.eval_batch(black_box(&keys), &mut out);
+                black_box(out[KEYS - 1])
+            })
+        });
+    }
+
     group.bench_function("alias_table_sample_4096", |b| {
         let weights: Vec<f64> = (0..4096).map(|j| ((j + 1) as f64).powf(-1.2)).collect();
         let table = osp_stats::AliasTable::new(&weights).unwrap();

@@ -25,9 +25,10 @@ use crate::SetId;
 
 use super::{retain_top_b_by_key, retain_top_b_scored};
 
-/// Lane-sized staging buffers for chunked [`PolyHash::eval_batch`] calls:
-/// 64 keys per round trip keeps the buffers on the stack (no allocation
-/// on any path that uses them) while amortizing the batch call overhead.
+/// Lane-sized staging buffers for the lazy mode's chunked
+/// [`PolyHash::eval_batch`] calls: 64 candidate keys per round trip keeps
+/// the buffers on the stack (the warm per-arrival path stays
+/// allocation-free) while amortizing the batch call overhead.
 const BATCH_CHUNK: usize = 64;
 
 /// The one place a raw hash word becomes a [`Priority`]: the hash output
@@ -136,10 +137,12 @@ impl HashRandPr {
     /// the seam [`begin`](OnlineAlgorithm::begin) rides with the
     /// `OSP_PROLOGUE_THREADS` policy value, exposed so conformance tests
     /// and benchmarks can pin any shard count without touching the
-    /// process environment. Each slot is a pure function of
-    /// `(hash, index, weight)`, so every thread count writes the same
-    /// bytes; keys are hashed in [`PolyHash::eval_batch`] chunks — one
-    /// polynomial evaluation per set.
+    /// process environment. Each shard hashes its consecutive set ids in
+    /// one [`PolyHash::eval_range`] call, seeding its own forward
+    /// differences, and writes every slot straight from the visited
+    /// value — one polynomial evaluation per set, no staging buffer.
+    /// Each slot is a pure function of `(hash, index, weight)` and the
+    /// range kernel is exact, so every thread count writes the same bytes.
     pub fn begin_with_threads(&mut self, sets: &[SetMeta], threads: usize) {
         let hash = &self.hash;
         self.priorities = prologue::build_table(
@@ -147,20 +150,12 @@ impl HashRandPr {
             Priority::zero(),
             threads,
             &|start, slots: &mut [Priority]| {
-                let mut keys = [0u64; BATCH_CHUNK];
-                let mut raws = [0u64; BATCH_CHUNK];
-                let mut i = start;
-                for chunk in slots.chunks_mut(BATCH_CHUNK) {
-                    let k = chunk.len();
-                    for (j, key) in keys[..k].iter_mut().enumerate() {
-                        *key = (i + j) as u64;
-                    }
-                    hash.eval_batch(&keys[..k], &mut raws[..k]);
-                    for (j, slot) in chunk.iter_mut().enumerate() {
-                        *slot = priority_from_raw(raws[j], sets[i + j].weight());
-                    }
-                    i += k;
-                }
+                let len = slots.len();
+                let mut targets = slots.iter_mut().zip(&sets[start..]);
+                hash.eval_range(start as u64, len, |raw| {
+                    let (slot, set) = targets.next().expect("one value per slot");
+                    *slot = priority_from_raw(raw, set.weight());
+                });
             },
         );
     }
@@ -314,6 +309,25 @@ mod tests {
                 sharded.priorities, reference.priorities,
                 "threads={threads}"
             );
+        }
+    }
+
+    #[test]
+    fn table_matches_scalar_eval_at_every_shard_count() {
+        // Against a reference built key by key with scalar `eval`: at
+        // t = 64 and m = 1000, shards of 1000/8 keys and more take the
+        // difference path, shards of 1000/64 keys the batch path.
+        let sets = mixed_weight_sets(1000);
+        let hash = PolyHash::new(64, 23);
+        let want: Vec<Priority> = sets
+            .iter()
+            .enumerate()
+            .map(|(i, set)| priority_from_raw(hash.eval(i as u64), set.weight()))
+            .collect();
+        for threads in [1usize, 2, 3, 8, 64] {
+            let mut alg = HashRandPr::new(64, 23);
+            alg.begin_with_threads(&sets, threads);
+            assert_eq!(alg.priorities, want, "threads={threads}");
         }
     }
 

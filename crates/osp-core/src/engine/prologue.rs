@@ -4,7 +4,9 @@
 //! `begin()`-time state — `randPr`'s priority table, `hashPr`'s hashed
 //! priorities — is one value per set, and every built-in algorithm
 //! computes slot `i` as a **pure function of `(seed, i)`**: `hashPr`
-//! evaluates a shared polynomial at the set id, and `randPr` draws from a
+//! evaluates a shared polynomial at the set id (each shard walks its
+//! range of ids by forward differences seeded at the range's first id,
+//! which is exact in the hash field), and `randPr` draws from a
 //! counter-based SplitMix64 stream whose position before set `i` is known
 //! without generating (two draws per positive-weight set, none
 //! otherwise, plus `StdRng::advance` jump-ahead). That makes the table

@@ -102,6 +102,11 @@ pub enum Error {
         /// What failed: checksum mismatch, undecodable payload, …
         cause: String,
     },
+    /// A job panicked while it ran; the text is the panic's message.
+    /// Caught at the job boundary
+    /// ([`run_spec_with_scratch`](crate::spec::run_spec_with_scratch)),
+    /// so the job fails alone and its thread, worker or service goes on.
+    JobPanicked(String),
     /// A worker failed out-of-band — see [`WorkerError`] for the typed
     /// failure modes (spawn, connect, handshake, timeout, disconnect,
     /// fleet exhaustion, or a remote failure that crossed the boundary as
@@ -275,6 +280,7 @@ impl fmt::Display for Error {
             Error::Corrupt { offset, cause } => {
                 write!(f, "corrupt journal record at byte {offset}: {cause}")
             }
+            Error::JobPanicked(why) => write!(f, "job panicked: {why}"),
             Error::Worker(why) => write!(f, "worker error: {why}"),
         }
     }

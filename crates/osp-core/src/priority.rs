@@ -75,11 +75,20 @@ impl Rw {
 
     /// Quantile function (inverse CDF): `F^{-1}(u) = u^(1/w)`.
     ///
+    /// `R_1` is the uniform law, and for `w == 1` this returns `u` itself
+    /// without calling `pow`: `pow(u, 1.0)` is exactly `u`, so the
+    /// shortcut changes no bit (pinned against `powf` at 0, subnormals,
+    /// powers of two and random draws) and saves one libm call per
+    /// unit-weight set.
+    ///
     /// # Panics
     ///
     /// Panics in debug builds if `u ∉ [0, 1]`.
     pub fn quantile(&self, u: f64) -> f64 {
         debug_assert!((0.0..=1.0).contains(&u));
+        if self.weight == 1.0 {
+            return u;
+        }
         u.powf(1.0 / self.weight)
     }
 
@@ -187,6 +196,28 @@ mod tests {
         let r = Rw::new(1.0).unwrap();
         for x in [0.2, 0.4, 0.8] {
             assert!((r.cdf(x) - x).abs() < 1e-15);
+        }
+    }
+
+    #[test]
+    fn unit_weight_quantile_is_bitwise_pow_one() {
+        // The w == 1 shortcut must return exactly what `powf(u, 1.0)`
+        // does; `black_box` keeps the compiler from folding the call.
+        let r = Rw::new(1.0).unwrap();
+        let one = std::hint::black_box(1.0f64);
+        let mut inputs = vec![0.0, f64::MIN_POSITIVE, 1.0, 1.0 - f64::EPSILON / 2.0];
+        // Subnormals.
+        inputs.extend([1u64, 2, 1 << 20, (1 << 52) - 1].map(f64::from_bits));
+        // Every power of two 2^-k down to 2^-1074, and each predecessor.
+        let mut p = 1.0f64;
+        while p > 0.0 {
+            inputs.extend([p, f64::from_bits(p.to_bits() - 1)]);
+            p /= 2.0;
+        }
+        let mut rng = StdRng::seed_from_u64(17);
+        inputs.extend((0..100_000).map(|_| rng.gen::<f64>()));
+        for u in inputs {
+            assert_eq!(r.quantile(u).to_bits(), u.powf(one).to_bits(), "u={u:e}");
         }
     }
 

@@ -11,7 +11,8 @@
 //!   `Dispatcher` (threads, processes, or a socket fleet — the service
 //!   does not care), plus a **content-addressed results cache** keyed by
 //!   the digest of each job's canonical JSON ([`job_digest`]): a
-//!   resubmitted spec is answered without recompute, and the hit/miss
+//!   resubmitted spec is answered without recompute (a batch the cache
+//!   answers whole is done at submit, without queueing), and the hit/miss
 //!   counters are surfaced in every [`BatchStatus`]. The cache is a
 //!   [`ResultStore`]: bounded in memory (LRU, [`ServiceConfig`] caps)
 //!   and — with [`ServiceConfig::state_dir`] set — journaled to disk
@@ -128,6 +129,12 @@ pub fn job_digest(job: &JobSpec) -> Result<(u64, u64), Error> {
         .map_err(|e| Error::Protocol(format!("digesting job spec: {e}")))?;
     let bytes = json.as_bytes();
     Ok((fnv1a(bytes, FNV_OFFSET_A), fnv1a(bytes, FNV_OFFSET_B)))
+}
+
+/// [`job_digest`] of every job; `None` marks a spec that does not
+/// serialize, which is never cached.
+fn job_digests(jobs: &[JobSpec]) -> Vec<Option<(u64, u64)>> {
+    jobs.iter().map(|job| job_digest(job).ok()).collect()
 }
 
 /// Tuning for a [`ReplayService`].
@@ -396,6 +403,29 @@ impl ServiceState {
         self.batches.get_mut(&id).expect("running batch exists")
     }
 
+    /// The cache pass over batch `id`: answers every job whose digest
+    /// hits the results cache as a cached result, counts the hits and
+    /// misses, and returns the indices of the misses — the jobs left to
+    /// dispatch.
+    fn answer_from_cache(&mut self, id: u64, digests: &[Option<(u64, u64)>]) -> Vec<usize> {
+        let mut uncached = Vec::new();
+        for (index, digest) in digests.iter().enumerate() {
+            match digest.and_then(|d| self.cache.get_json(d)) {
+                Some(json) => {
+                    self.cache_hits += 1;
+                    let record = self.record(id);
+                    record.results[index] = JobResult::Ok(json);
+                    record.from_cache[index] = true;
+                }
+                None => {
+                    self.cache_misses += 1;
+                    uncached.push(index);
+                }
+            }
+        }
+        uncached
+    }
+
     /// Moves batch `id` to a terminal `state`, then retires the oldest
     /// finished batches while their charges exceed the cap. The newest
     /// finished batch always stays, so its caller can fetch it; queued
@@ -561,7 +591,9 @@ impl ReplayService {
 
     /// Submits a batch; returns its id immediately (the batch runs in the
     /// background — poll [`status`](Self::status), then
-    /// [`fetch`](Self::fetch)).
+    /// [`fetch`](Self::fetch)). A batch whose every job the results
+    /// cache holds is answered here and reads `done` at once: it writes
+    /// no manifest and does not queue behind the running batch.
     ///
     /// # Errors
     ///
@@ -569,16 +601,36 @@ impl ReplayService {
     /// service is shutting down; nothing was enqueued and the id was not
     /// consumed durably — resubmit later.
     pub fn submit(&self, jobs: Vec<JobSpec>) -> Result<u64, Error> {
+        let digests = job_digests(&jobs);
+        if self
+            .sender
+            .lock()
+            .expect("service sender poisoned")
+            .is_none()
+        {
+            return Err(Error::Unavailable("service is shutting down".to_string()));
+        }
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         {
             let mut state = self.state.lock().expect("service state poisoned");
             state.batches.insert(id, BatchRecord::new(jobs.clone()));
+            // A batch the cache answers whole needs no executor: answer
+            // it here, with no manifest and no place in the queue.
+            if digests
+                .iter()
+                .all(|d| d.is_some_and(|d| state.cache.contains(d)))
+            {
+                let uncached = state.answer_from_cache(id, &digests);
+                debug_assert!(uncached.is_empty());
+                state.finish(id, BatchState::Done);
+                return Ok(id);
+            }
         }
         // Checkpoint the manifest *before* enqueueing: once the executor
         // can see the batch, the on-disk record must already exist, or a
         // crash in the gap would lose it.
         if let Some(dir) = &self.state_dir {
-            write_manifest(dir, &BatchManifest::new(id, &jobs));
+            write_manifest(dir, &BatchManifest::new(id, &jobs, &digests));
         }
         let sender = self.sender.lock().expect("service sender poisoned");
         let enqueue = match sender.as_ref() {
@@ -784,31 +836,11 @@ fn executor_loop(
         // misses. Digests computed outside the lock; it is pure CPU. On a
         // post-crash resume this is where journaled outcomes short-circuit
         // recompute — they surface as cache hits.
-        let digests: Vec<Option<(u64, u64)>> =
-            jobs.iter().map(|job| job_digest(job).ok()).collect();
-        let uncached: Vec<usize> = {
-            let mut guard = state.lock().expect("service state poisoned");
-            let mut uncached = Vec::new();
-            for (index, digest) in digests.iter().enumerate() {
-                let hit = match digest {
-                    Some(d) => guard.cache.get_json(*d),
-                    None => None,
-                };
-                match hit {
-                    Some(json) => {
-                        guard.cache_hits += 1;
-                        let record = guard.record(id);
-                        record.results[index] = JobResult::Ok(json);
-                        record.from_cache[index] = true;
-                    }
-                    None => {
-                        guard.cache_misses += 1;
-                        uncached.push(index);
-                    }
-                }
-            }
-            uncached
-        };
+        let digests = job_digests(&jobs);
+        let uncached = state
+            .lock()
+            .expect("service state poisoned")
+            .answer_from_cache(id, &digests);
 
         let mut cancelled = false;
         for slice in uncached.chunks(chunk) {
@@ -931,8 +963,7 @@ struct BatchManifest {
 
 impl BatchManifest {
     /// The submission-time manifest: nothing completed yet.
-    fn new(id: u64, jobs: &[JobSpec]) -> BatchManifest {
-        let digests: Vec<Option<(u64, u64)>> = jobs.iter().map(|j| job_digest(j).ok()).collect();
+    fn new(id: u64, jobs: &[JobSpec], digests: &[Option<(u64, u64)>]) -> BatchManifest {
         BatchManifest {
             id,
             jobs: jobs.to_vec(),
@@ -1459,7 +1490,7 @@ mod tests {
     use crate::engine::batch::ReplayPool;
     use crate::engine::dispatch::{derived_jobs, LaneReport, SpecPool};
     use crate::gen::RandomInstanceConfig;
-    use crate::spec::{run_spec, AlgorithmSpec, CoreResolver, ScenarioSpec};
+    use crate::spec::{run_spec, AlgorithmSpec, CoreResolver, ScenarioSpec, SpecResolver};
 
     fn jobs(n: u64) -> Vec<JobSpec> {
         derived_jobs(
@@ -1615,6 +1646,124 @@ mod tests {
         service.shutdown();
     }
 
+    /// Delegates to [`CoreResolver`], except for the job seeded `seed`:
+    /// building its algorithm waits at `gate`, or panics without one.
+    struct Rigged {
+        seed: u64,
+        gate: Option<Arc<std::sync::Barrier>>,
+    }
+
+    impl SpecResolver for Rigged {
+        fn algorithm(
+            &self,
+            spec: &AlgorithmSpec,
+            seed: u64,
+        ) -> Result<Box<dyn crate::OnlineAlgorithm>, Error> {
+            if seed == self.seed {
+                match &self.gate {
+                    Some(gate) => {
+                        gate.wait();
+                    }
+                    None => panic!("rigged job {seed}"),
+                }
+            }
+            CoreResolver.algorithm(spec, seed)
+        }
+
+        fn scenario(
+            &self,
+            spec: &ScenarioSpec,
+            seed: u64,
+        ) -> Result<Box<dyn crate::ArrivalSource>, Error> {
+            CoreResolver.scenario(spec, seed)
+        }
+    }
+
+    fn rigged_service(resolver: Rigged) -> ReplayService {
+        ReplayService::new(
+            Box::new(SpecPool::new(ReplayPool::new(2), resolver)),
+            ServiceConfig {
+                queue_capacity: 4,
+                chunk: 3,
+                ..ServiceConfig::default()
+            },
+        )
+        .expect("in-memory service never fails to start")
+    }
+
+    #[test]
+    fn a_panicking_job_fails_alone_and_the_service_goes_on() {
+        let batch = jobs(5);
+        let bad = 2;
+        let service = rigged_service(Rigged {
+            seed: batch[bad].seed,
+            gate: None,
+        });
+        let id = service.submit(batch.clone()).unwrap();
+        let status = wait_terminal(&service, id);
+        assert_eq!(status.state, "failed");
+        assert_eq!(status.failed, 1);
+        let results = service.fetch(id).unwrap();
+        for (i, (result, job)) in results.iter().zip(&batch).enumerate() {
+            match result {
+                JobResult::Err(why) if i == bad => {
+                    assert!(why.contains("job panicked: rigged job"), "{why}");
+                }
+                JobResult::Ok(got) if i != bad => {
+                    assert_eq!(got, &run_spec(job, &CoreResolver).unwrap(), "job {i}");
+                }
+                other => panic!("job {i}: {other:?}"),
+            }
+        }
+        // The executor survived: a batch it has to run still completes.
+        let fresh = derived_jobs(
+            &ScenarioSpec::Uniform(RandomInstanceConfig::unweighted(18, 45, 3)),
+            &AlgorithmSpec::RandPr,
+            12,
+            3,
+        );
+        let next = service.submit(fresh).unwrap();
+        assert_eq!(wait_terminal(&service, next).state, "done");
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_fully_cached_batch_is_done_at_submit_while_another_runs() {
+        let cached = jobs(3);
+        let blocked = derived_jobs(
+            &ScenarioSpec::Uniform(RandomInstanceConfig::unweighted(18, 45, 3)),
+            &AlgorithmSpec::RandPr,
+            13,
+            1,
+        );
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let service = rigged_service(Rigged {
+            seed: blocked[0].seed,
+            gate: Some(Arc::clone(&gate)),
+        });
+        let first = service.submit(cached.clone()).unwrap();
+        assert_eq!(wait_terminal(&service, first).state, "done");
+
+        let running = service.submit(blocked).unwrap();
+        let started = Instant::now();
+        while service.status(running).unwrap().state != "running" {
+            assert!(started.elapsed() < Duration::from_secs(60), "never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The executor is held inside `running`; the resubmission must
+        // not wait for it. Both states are read before the gate opens,
+        // and checked after, so a failure cannot leave the executor held.
+        let again = service.submit(cached).unwrap();
+        let status = service.status(again).unwrap();
+        let other = service.status(running).unwrap().state;
+        gate.wait();
+        assert_eq!(status.state, "done");
+        assert_eq!(status.cached, 3);
+        assert_eq!(other, "running");
+        assert_eq!(wait_terminal(&service, running).state, "done");
+        service.shutdown();
+    }
+
     #[test]
     fn shutdown_rejects_new_submissions() {
         let service = service();
@@ -1693,7 +1842,7 @@ mod tests {
             }
             store.flush();
         }
-        write_manifest(&dir, &BatchManifest::new(9, &batch));
+        write_manifest(&dir, &BatchManifest::new(9, &batch, &job_digests(&batch)));
 
         let service = persistent_service(&dir);
         let status = wait_terminal(&service, 9);

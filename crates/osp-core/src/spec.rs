@@ -34,6 +34,9 @@
 //! to a worker process ([`wire`](crate::wire)), is the
 //! [`job_digest`](crate::job_digest) cache key and the journal record.
 
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use crate::algorithms::{GreedyOnline, HashRandPr, OracleOnline, RandPr, RandomAssign, TieBreak};
 use crate::engine::batch::ReplayScratch;
 use crate::engine::{run_source_with_scratch, Outcome};
@@ -353,17 +356,39 @@ pub fn run_spec<R: SpecResolver + ?Sized>(job: &JobSpec, resolver: &R) -> Result
 /// worker reuse the engine's buffers (the worker loop and the dispatcher
 /// shards call this).
 ///
+/// This is the one job boundary: a panic anywhere in the job — resolver,
+/// source or algorithm — fails this job alone, as
+/// [`Error::JobPanicked`] with the panic's message, and the caller's
+/// thread goes on to its next job. Reusing `scratch` after an unwind is
+/// safe because [`Session::with_scratch`](crate::engine::Session::with_scratch)
+/// clears and resizes every buffer before a job reads it.
+///
 /// # Errors
 ///
-/// Same contract as [`run_spec`].
+/// Same contract as [`run_spec`], plus [`Error::JobPanicked`].
 pub fn run_spec_with_scratch<R: SpecResolver + ?Sized>(
     job: &JobSpec,
     resolver: &R,
     scratch: &mut ReplayScratch,
 ) -> Result<Outcome, Error> {
-    let mut source = resolver.scenario(&job.scenario, job.seed)?;
-    let mut algorithm = resolver.algorithm(&job.algorithm, job.seed)?;
-    run_source_with_scratch(&mut source, algorithm.as_mut(), scratch)
+    catch_unwind(AssertUnwindSafe(|| {
+        let mut source = resolver.scenario(&job.scenario, job.seed)?;
+        let mut algorithm = resolver.algorithm(&job.algorithm, job.seed)?;
+        run_source_with_scratch(&mut source, algorithm.as_mut(), scratch)
+    }))
+    .unwrap_or_else(|payload| Err(Error::JobPanicked(panic_message(payload.as_ref()))))
+}
+
+/// The text a panic was raised with (`panic!` with a literal or a format
+/// string), or a placeholder for any other payload.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(text) => (*text).to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "a panic without a message".to_string()),
+    }
 }
 
 #[cfg(test)]

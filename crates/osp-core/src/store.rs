@@ -178,6 +178,9 @@ pub trait ResultStore: Send {
     /// Look up a cached outcome's shared bytes, marking it
     /// most-recently-used.
     fn get_json(&mut self, digest: (u64, u64)) -> Option<OutcomeJson>;
+    /// Whether an outcome is cached under `digest`, without touching its
+    /// LRU position.
+    fn contains(&self, digest: (u64, u64)) -> bool;
     /// Insert (or overwrite) an outcome's bytes, evicting LRU entries if
     /// a cap is exceeded. The store keeps `json` itself, not a copy.
     fn put_json(&mut self, digest: (u64, u64), json: OutcomeJson);
@@ -333,6 +336,10 @@ impl ResultStore for MemStore {
         }
         self.touch(digest);
         self.enforce_caps();
+    }
+
+    fn contains(&self, digest: (u64, u64)) -> bool {
+        self.entries.contains_key(&digest)
     }
 
     fn len(&self) -> usize {
@@ -516,6 +523,10 @@ impl ResultStore for JournalStore {
             }
         }
         self.maybe_compact();
+    }
+
+    fn contains(&self, digest: (u64, u64)) -> bool {
+        self.mem.contains(digest)
     }
 
     fn len(&self) -> usize {

@@ -21,9 +21,10 @@ pub const MERSENNE_61: u64 = (1 << 61) - 1;
 ///
 /// Compiled only under `debug_assertions` so the release hot path carries
 /// zero bookkeeping; the counter is thread-local, so concurrent table
-/// builds don't race it. [`eval`](PolyHash::eval) and
-/// [`eval_batch`](PolyHash::eval_batch) each count one evaluation per key,
-/// whichever lane group evaluates it.
+/// builds don't race it. [`eval`](PolyHash::eval),
+/// [`eval_batch`](PolyHash::eval_batch) and
+/// [`eval_range`](PolyHash::eval_range) each count one evaluation per
+/// key, whichever kernel evaluates it.
 #[cfg(debug_assertions)]
 pub mod eval_count {
     use std::cell::Cell;
@@ -71,6 +72,16 @@ fn reduce128(x: u128) -> u64 {
         s - MERSENNE_61
     } else {
         s
+    }
+}
+
+/// `a − b` modulo `2^61 − 1` for canonical `a` and `b`.
+#[inline]
+fn sub_mod(a: u64, b: u64) -> u64 {
+    if a >= b {
+        a - b
+    } else {
+        a + MERSENNE_61 - b
     }
 }
 
@@ -158,11 +169,11 @@ impl PolyHash {
     /// self.eval(xs[i])` — bit-identical to the scalar path for every key,
     /// measurably more than 2× faster at 64-wise independence.
     ///
-    /// This is the kernel entry every bulk-scoring path rides: hashPr's
-    /// `begin`-time table fill, which the osp-core prologue calls from
-    /// several scoped threads at once over disjoint key ranges (`&self`
-    /// and stack-resident lane state keep it trivially reentrant), and
-    /// the table-free lazy scoring mode.
+    /// This is the kernel for arbitrary keys: hashPr's table-free lazy
+    /// scoring mode hashes each arrival's candidates through it (`&self`
+    /// and stack-resident lane state keep it trivially reentrant).
+    /// Consecutive keys, such as the set ids `0..m` of the `begin`-time
+    /// table fill, go through [`eval_range`](Self::eval_range) instead.
     ///
     /// Keys are processed in transposed lanes of 8, then 4; the last 1–3
     /// keys run as a 1- or 2-lane group, or (three keys) a 4-lane group
@@ -209,6 +220,12 @@ impl PolyHash {
             "eval_batch requires one output slot per key"
         );
         count_evals(xs.len() as u64);
+        self.batch(xs, out);
+    }
+
+    /// The uncounted body of [`eval_batch`](Self::eval_batch): lane-group
+    /// dispatch over equal-length `xs` and `out`.
+    fn batch(&self, xs: &[u64], out: &mut [u64]) {
         let n = xs.len();
         let mut i = 0;
         while n - i >= 8 {
@@ -231,6 +248,74 @@ impl PolyHash {
                 keys[..3].copy_from_slice(&xs[i..]);
                 Self::eval_lanes::<4>(&self.coeffs, &keys, &mut vals);
                 out[i..].copy_from_slice(&vals[..3]);
+            }
+        }
+    }
+
+    /// Evaluates the hash at the `len` consecutive keys `start`,
+    /// `start + 1`, …, handing each value to `visit` in key order — the
+    /// same values [`eval`](Self::eval) returns, bit for bit.
+    ///
+    /// A polynomial of degree `t − 1` has a constant `(t−1)`-th forward
+    /// difference, so after seeding the `t` differences at `start` the
+    /// kernel steps from one key to the next with `t − 1` field additions
+    /// instead of `t` multiply-and-fold Horner steps. Seeding evaluates
+    /// `h(start..start+t)` with the batch kernel and turns them into
+    /// differences in place with `t(t−1)/2` canonical subtractions. Each
+    /// step then sets `d[j] ← d[j] + d[j+1]` for ascending `j`, every
+    /// addition reading the *old* `d[j+1]`, so the `t − 1` additions are
+    /// independent of one another. A sum of two values in `[0, P]` (`P =
+    /// 2^61 − 1`) is below `2^62`, and one fold `(s & P) + (s >> 61)`
+    /// brings it back into `[0, P]`; `P` stands for 0 there, and each
+    /// emitted value is canonicalized. The arithmetic is exact in the
+    /// field, so a range that crosses a multiple of `P` (where keys wrap
+    /// to 0 modulo `P`) is still exact.
+    ///
+    /// A range shorter than `t` keys is not worth a difference table and
+    /// runs through the batch kernel. Either way this counts one
+    /// evaluation per key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the keys would wrap around `u64` (`start + len > 2^64`).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use osp_gf::hash::PolyHash;
+    ///
+    /// let h = PolyHash::new(16, 7);
+    /// let mut values = Vec::new();
+    /// h.eval_range(1000, 50, |v| values.push(v));
+    /// for (key, &v) in (1000u64..).zip(&values) {
+    ///     assert_eq!(v, h.eval(key));
+    /// }
+    /// ```
+    pub fn eval_range(&self, start: u64, len: usize, mut visit: impl FnMut(u64)) {
+        assert!(
+            u128::from(start) + len as u128 <= 1 << 64,
+            "eval_range keys must not wrap around u64"
+        );
+        count_evals(len as u64);
+        let t = self.coeffs.len();
+        let seeds = len.min(t);
+        let keys: Vec<u64> = (0..seeds as u64).map(|j| start + j).collect();
+        let mut d = vec![0u64; seeds];
+        self.batch(&keys, &mut d);
+        if len < t {
+            d.into_iter().for_each(visit);
+            return;
+        }
+        for level in 1..t {
+            for j in (level..t).rev() {
+                d[j] = sub_mod(d[j], d[j - 1]);
+            }
+        }
+        for _ in 0..len {
+            visit(if d[0] == MERSENNE_61 { 0 } else { d[0] });
+            for j in 0..t - 1 {
+                let s = d[j] + d[j + 1];
+                d[j] = (s & MERSENNE_61) + (s >> 61);
             }
         }
     }
@@ -417,6 +502,19 @@ mod tests {
         h.eval_batch(&xs, &mut out);
         wide.eval_batch(&xs, &mut out);
         assert_eq!(eval_count::get(), 30);
+        // One per key on both sides of the short-range cutoff, though
+        // the difference path seeds its table through the batch kernel.
+        for len in [0usize, 5, 63, 64, 65, 1000] {
+            eval_count::reset();
+            wide.eval_range(7, len, |_| {});
+            assert_eq!(eval_count::get(), len as u64, "len {len}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must not wrap around u64")]
+    fn eval_range_rejects_keys_past_u64_max() {
+        PolyHash::new(4, 0).eval_range(u64::MAX, 2, |_| {});
     }
 
     #[test]

@@ -220,6 +220,40 @@ proptest! {
     }
 
     #[test]
+    fn eval_range_agrees_with_naive_key_by_key(
+        independence in 1usize..=70,
+        seed in 0u64..5000,
+        len_pick in 0usize..290,
+        place in 0usize..5,
+        offset in 0u64..u64::MAX,
+        boundary_coeffs in proptest::arbitrary::any::<bool>(),
+    ) {
+        // Lengths 0..4t+10 straddle the short-range cutoff at t keys.
+        let len = len_pick % (4 * independence + 10);
+        let h = if boundary_coeffs {
+            PolyHash::from_coeffs(vec![MERSENNE_61 - 1; independence])
+        } else {
+            PolyHash::new(independence, seed)
+        };
+        // The highest start whose keys do not wrap around u64.
+        let last = u64::MAX - (len as u64).saturating_sub(1);
+        let start = match place {
+            0 => offset % 10_000,
+            // Ranges that cross a multiple of P.
+            1 => MERSENNE_61 - 1 - offset % (len as u64 + 1),
+            2 => 2 * MERSENNE_61 - offset % (len as u64 + 1),
+            3 => last,
+            _ => offset % last,
+        };
+        let mut got = Vec::with_capacity(len);
+        h.eval_range(start, len, |v| got.push(v));
+        prop_assert_eq!(got.len(), len);
+        for (j, &g) in got.iter().enumerate() {
+            prop_assert_eq!(g, h.eval_naive(start + j as u64));
+        }
+    }
+
+    #[test]
     fn reduce128_canonicalization_is_branchless_and_exact(
         hi in 0u64..u64::MAX,
         lo in 0u64..u64::MAX,

@@ -67,6 +67,9 @@ fn build_instance(spec: &str, gen_seed: u64) -> Instance {
         )
         .unwrap(),
         "biregular" => biregular_instance(24, 3, 4, &mut rng).unwrap(),
+        // Wide enough that every prologue shard, up to 8 threads, spans
+        // more keys than a 64-wise hash has coefficients.
+        "biregular-wide" => biregular_instance(2048, 4, 16, &mut rng).unwrap(),
         "skewed" => fixed_size_instance(30, 3, 80, 1.2, &mut rng).unwrap(),
         other => panic!("unknown spec {other}"),
     }
@@ -76,6 +79,8 @@ fn build_algorithm(alg: &str, alg_seed: u64) -> Box<dyn OnlineAlgorithm> {
     match alg {
         "randPr" => Box::new(RandPr::from_seed(alg_seed)),
         "hashPr8" => Box::new(HashRandPr::new(8, alg_seed)),
+        "hashPr16" => Box::new(HashRandPr::new(16, alg_seed)),
+        "hashPr64" => Box::new(HashRandPr::new(64, alg_seed)),
         "greedy" => Box::new(GreedyOnline::new(TieBreak::ByWeight)),
         other => panic!("unknown algorithm {other}"),
     }
@@ -108,10 +113,22 @@ const GOLDENS: &[Golden] = &[
     Golden { spec: "skewed", gen_seed: 101, alg: "hashPr8", alg_seed: 9011, benefit: 1.0, completed: &[1] },
     Golden { spec: "skewed", gen_seed: 100, alg: "greedy", alg_seed: 9020, benefit: 2.0, completed: &[0, 18] },
     Golden { spec: "skewed", gen_seed: 101, alg: "greedy", alg_seed: 9021, benefit: 3.0, completed: &[0, 1, 10] },
+    Golden { spec: "biregular-wide", gen_seed: 100, alg: "hashPr16", alg_seed: 9030, benefit: 32.0, completed: &[76, 200, 341, 392, 519, 553, 558, 821, 861, 872, 898, 954, 978, 991, 1016, 1024, 1029, 1044, 1127, 1310, 1506, 1534, 1570, 1623, 1640, 1646, 1677, 1682, 1730, 1749, 1944, 1961] },
+    Golden { spec: "biregular-wide", gen_seed: 101, alg: "hashPr16", alg_seed: 9031, benefit: 35.0, completed: &[154, 238, 429, 493, 521, 523, 572, 574, 670, 721, 742, 823, 855, 873, 877, 941, 942, 998, 1041, 1174, 1187, 1208, 1218, 1370, 1372, 1476, 1481, 1623, 1659, 1714, 1750, 1836, 1919, 1976, 2035] },
+    Golden { spec: "biregular-wide", gen_seed: 100, alg: "hashPr64", alg_seed: 9040, benefit: 34.0, completed: &[44, 219, 270, 367, 468, 509, 530, 565, 567, 569, 583, 630, 707, 833, 898, 1062, 1137, 1253, 1263, 1281, 1298, 1372, 1408, 1436, 1461, 1551, 1555, 1615, 1647, 1665, 1686, 1777, 1908, 2042] },
+    Golden { spec: "biregular-wide", gen_seed: 101, alg: "hashPr64", alg_seed: 9041, benefit: 37.0, completed: &[7, 143, 147, 198, 246, 422, 531, 568, 595, 662, 690, 701, 712, 757, 904, 1111, 1118, 1133, 1146, 1189, 1200, 1372, 1405, 1414, 1423, 1631, 1649, 1658, 1699, 1714, 1742, 1796, 1887, 1920, 1958, 1989, 2037] },
 ];
 
-const SPECS: [&str; 4] = ["uniform", "weighted", "biregular", "skewed"];
-const ALGS: [&str; 3] = ["randPr", "hashPr8", "greedy"];
+/// Each spec with the algorithms it pins; an algorithm's seeds come from
+/// its position in [`ALGS`].
+const GRID: [(&str, &[&str]); 5] = [
+    ("uniform", &["randPr", "hashPr8", "greedy"]),
+    ("weighted", &["randPr", "hashPr8", "greedy"]),
+    ("biregular", &["randPr", "hashPr8", "greedy"]),
+    ("skewed", &["randPr", "hashPr8", "greedy"]),
+    ("biregular-wide", &["hashPr16", "hashPr64"]),
+];
+const ALGS: [&str; 5] = ["randPr", "hashPr8", "greedy", "hashPr16", "hashPr64"];
 
 #[test]
 fn golden_outcomes_are_stable() {
@@ -190,8 +207,9 @@ fn golden_outcomes_decode_the_same_typed_and_through_the_tree() {
 /// Prints the full golden table in source form.
 fn print_goldens() {
     println!("const GOLDENS: &[Golden] = &[");
-    for spec in SPECS {
-        for (ai, alg) in ALGS.iter().enumerate() {
+    for (spec, algs) in GRID {
+        for alg in algs {
+            let ai = ALGS.iter().position(|a| a == alg).expect("listed in ALGS");
             for trial in 0..2u64 {
                 let gen_seed = 100 + trial;
                 let alg_seed = 9000 + ai as u64 * 10 + trial;

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use osp::core::gen::{CapacityModel, LoadModel, RandomInstanceConfig, WeightModel};
 use osp::core::prelude::*;
-use osp::core::spec::{run_spec, AlgorithmSpec, JobSpec, ScenarioSpec};
+use osp::core::spec::{run_spec, AlgorithmSpec, JobSpec, ScenarioSpec, SpecResolver};
 use osp::core::wire::socket::{
     ping, read_hello, SocketServer, Stream, WorkerAddr, MAX_CONNECTIONS,
 };
@@ -264,6 +264,86 @@ fn oversized_hash_independence_fails_only_its_own_job() {
         independence: 1 << 62,
     };
     assert_only_job_fails(&jobs, bad, "independence");
+}
+
+/// [`NetResolver`], except that building the algorithm of the job seeded
+/// `.0` panics.
+struct PanicsOn(u64);
+
+impl SpecResolver for PanicsOn {
+    fn algorithm(
+        &self,
+        spec: &AlgorithmSpec,
+        seed: u64,
+    ) -> Result<Box<dyn OnlineAlgorithm>, Error> {
+        assert_ne!(seed, self.0, "rigged job {seed}");
+        NetResolver.algorithm(spec, seed)
+    }
+
+    fn scenario(&self, spec: &ScenarioSpec, seed: u64) -> Result<Box<dyn ArrivalSource>, Error> {
+        NetResolver.scenario(spec, seed)
+    }
+}
+
+#[test]
+fn a_panicking_job_answers_remote_and_keeps_its_worker() {
+    // One worker, so every job of the batch, before and after the one
+    // that panics, runs on the same connection. A panic used to kill the
+    // connection's thread; the lane was excluded, rejoined and handed the
+    // same job again without end, so the batch is awaited with a bound.
+    let cfg = RandomInstanceConfig::unweighted(30, 80, 4);
+    let jobs = derived_jobs(&ScenarioSpec::Uniform(cfg), &AlgorithmSpec::RandPr, 829, 6);
+    let bad = 2;
+    let addr = WorkerAddr::parse("127.0.0.1:0").expect("loopback address parses");
+    let server = SocketServer::bind(&addr, PanicsOn(jobs[bad].seed), FaultPlan::default())
+        .expect("loopback bind");
+    let servers = [server];
+    let (sender, receiver) = std::sync::mpsc::channel();
+    let batch = {
+        let pool = pool_over(&servers);
+        let jobs = jobs.clone();
+        std::thread::spawn(move || {
+            let recorder = Recorder::default();
+            let out = pool.run_specs_with_events(&jobs, &recorder);
+            let _ = sender.send((out, recorder));
+        })
+    };
+    let (out, recorder) = receiver
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the batch returns");
+    batch.join().expect("the batch thread ends cleanly");
+    for (i, (job, got)) in jobs.iter().zip(&out).enumerate() {
+        if i == bad {
+            match got {
+                Err(Error::Worker(WorkerError::Remote(why))) => {
+                    assert!(
+                        why.contains("job panicked") && why.contains("rigged job"),
+                        "{why}"
+                    );
+                }
+                other => panic!("job {i}: want a remote panic, got {other:?}"),
+            }
+        } else {
+            let want = run_spec(job, &NetResolver).unwrap();
+            assert_outcomes_identical(&format!("job {i}"), &want, got.as_ref().unwrap());
+        }
+    }
+    let events = recorder.0.lock().unwrap();
+    assert!(
+        !events
+            .iter()
+            .any(|e| matches!(e, DispatchEvent::WorkerExcluded { .. })),
+        "no lane may be excluded: {events:?}"
+    );
+    // A later batch on the same worker is served as usual.
+    let later = pool_over(&servers).run_specs(&jobs[bad + 1..]);
+    for (job, got) in jobs[bad + 1..].iter().zip(&later) {
+        let want = run_spec(job, &NetResolver).unwrap();
+        assert_outcomes_identical("later job", &want, got.as_ref().unwrap());
+    }
+    for server in servers {
+        server.stop();
+    }
 }
 
 #[test]
