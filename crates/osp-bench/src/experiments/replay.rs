@@ -42,8 +42,8 @@
 //! 8. **kernel** — `PolyHash::eval_batch`'s transposed multi-key lanes vs
 //!    scalar `eval` over `m` keys (the single-threaded, ratio-guarded
 //!    `speedup` column), and `HashRandPr`'s `m`-slot table fill serially
-//!    vs through the `OSP_PROLOGUE_THREADS` prologue seam (machine-bound
-//!    wall ratio, so the `begin speedup` column is informational); the
+//!    vs across the machine's cores (machine-bound wall ratio, so the
+//!    `begin speedup` column is informational); the
 //!    `bit-identical` cell asserts batch ≡ scalar key-for-key *and*
 //!    serial ≡ sharded table slot-for-slot;
 //! 9. **pipeline** — ONE huge streamed replay two ways: the serial loop
@@ -793,8 +793,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         &[10_000usize, 1_000_000][..],
         &[10_000, 1_000_000, 10_000_000][..],
     );
-    let prologue_threads =
-        osp_core::env_parallelism(osp_core::engine::prologue::PROLOGUE_THREADS_VAR);
+    let prologue_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut all_kernel_identical = true;
     for &m in kernel_grid {
         let h = PolyHash::new(kernel_independence, kernel_seed);
@@ -849,7 +848,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             }
         }
 
-        // The prologue: serial (1 thread) vs the env-policy fan-out,
+        // The prologue: serial (1 thread) vs the machine's fan-out,
         // filling hashPr's m-slot priority table over synthetic mixed
         // weights. Bit-identity of the two tables is the guarded claim;
         // the wall ratio is machine-bound (1 core ⇒ ~1×), hence the
@@ -888,12 +887,12 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         "kernel: eval_batch is the transposed multi-key evaluator (8/4-lane groups, then \
          a 2- or 1-lane group or a zero-padded 4-lane group for the last 1–3 keys; one \
          branchless fold per Horner step, renormalization every 6 steps) feeding the range \
-         fill and the lazy candidate scoring; scalar eval is the same kernel at one lane, \
+         fill; scalar eval is the same kernel at one lane, \
          so the speedup is the cross-key lanes' instruction-level parallelism, \
          single-threaded and algorithmic, and ratio-guarded like poly_hash_eval. \
          The begin columns time hashPr's m-slot table fill serially vs across the \
-         OSP_PROLOGUE_THREADS prologue seam — that ratio is machine-bound (expect ~1× \
-         on a 1-core runner), so only its bit-identical cell is guarded.",
+         machine's cores — that ratio is machine-bound (expect ~1× on a 1-core runner), \
+         so only its bit-identical cell is guarded.",
     );
 
     // --- 9: pipeline — one huge streamed replay, serial vs pipelined. ---

@@ -17,26 +17,17 @@
 use osp_gf::hash::{PolyHash, MERSENNE_61};
 
 use crate::algorithm::{EngineView, OnlineAlgorithm};
-use crate::engine::batch::env_parallelism;
-use crate::engine::prologue;
+use crate::engine::batch::{machine_parallelism, split_ranges};
 use crate::instance::{Arrival, SetMeta};
 use crate::priority::{Priority, Rw};
 use crate::SetId;
 
-use super::{retain_top_b_by_key, retain_top_b_scored};
-
-/// Lane-sized staging buffers for the lazy mode's chunked
-/// [`PolyHash::eval_batch`] calls: 64 candidate keys per round trip keeps
-/// the buffers on the stack (the warm per-arrival path stays
-/// allocation-free) while amortizing the batch call overhead.
-const BATCH_CHUNK: usize = 64;
+use super::retain_top_b_by_key;
 
 /// The one place a raw hash word becomes a [`Priority`]: the hash output
 /// mapped to `[0, 1)` is fed through the `R_w` quantile, and the raw word
 /// doubles as the deterministic tiebreak so replicas break ties
-/// identically too. Both the `begin`-time table fill and the lazy
-/// per-arrival scoring path call this, which is what keeps the two modes
-/// bit-identical — one polynomial evaluation per key, everywhere.
+/// identically too.
 #[inline]
 fn priority_from_raw(raw: u64, weight: f64) -> Priority {
     match Rw::new(weight) {
@@ -72,12 +63,6 @@ fn priority_from_raw(raw: u64, weight: f64) -> Priority {
 pub struct HashRandPr {
     hash: PolyHash,
     priorities: Vec<Priority>,
-    /// Lazy mode: skip the O(m) `begin`-time table and score each
-    /// arrival's candidates on the fly with `eval_batch`.
-    lazy: bool,
-    /// Recycled candidate-scoring buffer for the lazy path (grows to the
-    /// widest arrival once, then the hot path stays allocation-free).
-    scored: Vec<(Priority, SetId)>,
 }
 
 impl HashRandPr {
@@ -93,27 +78,6 @@ impl HashRandPr {
         HashRandPr {
             hash: PolyHash::new(independence, seed),
             priorities: Vec::new(),
-            lazy: false,
-            scored: Vec::new(),
-        }
-    }
-
-    /// The table-free variant: `begin` builds **no** O(m) priority table;
-    /// instead every arrival's candidates are hashed on the spot with
-    /// [`PolyHash::eval_batch`] (chunked through stack buffers) and the
-    /// top `b` retained — decisions are bit-identical to [`new`](Self::new)
-    /// with the same parameters, because both modes derive each priority
-    /// from the same single evaluation via the same transform. Trades
-    /// per-arrival arithmetic for O(m) memory: the right mode when m is
-    /// huge and each replay touches only a sliver of the sets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `independence == 0`.
-    pub fn new_lazy(independence: usize, seed: u64) -> Self {
-        HashRandPr {
-            lazy: true,
-            ..HashRandPr::new(independence, seed)
         }
     }
 
@@ -126,18 +90,15 @@ impl HashRandPr {
     ///
     /// # Panics
     ///
-    /// Panics if called before the run started, with an out-of-range id,
-    /// or on a [`new_lazy`](Self::new_lazy) instance (which builds no
-    /// table).
+    /// Panics if called before the run started or with an out-of-range id.
     pub fn priority(&self, set: SetId) -> Priority {
         self.priorities[set.index()]
     }
 
-    /// Builds the priority table over an explicit prologue thread count —
-    /// the seam [`begin`](OnlineAlgorithm::begin) rides with the
-    /// `OSP_PROLOGUE_THREADS` policy value, exposed so conformance tests
-    /// and benchmarks can pin any shard count without touching the
-    /// process environment. Each shard hashes its consecutive set ids in
+    /// Builds the priority table over an explicit thread count — the seam
+    /// [`begin`](OnlineAlgorithm::begin) rides with the machine's
+    /// parallelism, exposed so conformance tests and benchmarks can pin
+    /// any shard count. Each shard hashes its consecutive set ids in
     /// one [`PolyHash::eval_range`] call, seeding its own forward
     /// differences, and writes every slot straight from the visited
     /// value — one polynomial evaluation per set, no staging buffer.
@@ -145,9 +106,10 @@ impl HashRandPr {
     /// range kernel is exact, so every thread count writes the same bytes.
     pub fn begin_with_threads(&mut self, sets: &[SetMeta], threads: usize) {
         let hash = &self.hash;
-        self.priorities = prologue::build_table(
-            sets.len(),
-            Priority::zero(),
+        self.priorities.clear();
+        self.priorities.resize(sets.len(), Priority::zero());
+        split_ranges(
+            &mut self.priorities,
             threads,
             &|start, slots: &mut [Priority]| {
                 let len = slots.len();
@@ -167,43 +129,13 @@ impl OnlineAlgorithm for HashRandPr {
     }
 
     fn begin(&mut self, sets: &[SetMeta]) {
-        if self.lazy {
-            self.priorities.clear();
-            return;
-        }
-        self.begin_with_threads(sets, env_parallelism(prologue::PROLOGUE_THREADS_VAR));
+        self.begin_with_threads(sets, machine_parallelism());
     }
 
-    fn decide_into(&mut self, arrival: &Arrival<'_>, view: &EngineView<'_>, out: &mut Vec<SetId>) {
+    fn decide_into(&mut self, arrival: &Arrival<'_>, _view: &EngineView<'_>, out: &mut Vec<SetId>) {
         out.extend_from_slice(arrival.members());
-        let b = arrival.capacity() as usize;
-        if !self.lazy {
-            retain_top_b_by_key(out, b, |s| self.priorities[s.index()]);
-            return;
-        }
-        // Table-free path: hash the staged candidates in eval_batch
-        // chunks through stack buffers into the recycled `scored` pairs,
-        // then retain the top b. `retain_top_b_scored` runs the same
-        // selection over the same comparator results as the table path's
-        // `retain_top_b_by_key`, so the survivors (and their order) are
-        // bit-identical.
-        let hash = &self.hash;
-        retain_top_b_scored(out, b, &mut self.scored, |candidates, scored| {
-            let mut keys = [0u64; BATCH_CHUNK];
-            let mut raws = [0u64; BATCH_CHUNK];
-            for chunk in candidates.chunks(BATCH_CHUNK) {
-                let k = chunk.len();
-                for (key, s) in keys.iter_mut().zip(chunk) {
-                    *key = s.index() as u64;
-                }
-                hash.eval_batch(&keys[..k], &mut raws[..k]);
-                scored.extend(
-                    chunk
-                        .iter()
-                        .zip(&raws[..k])
-                        .map(|(&s, &raw)| (priority_from_raw(raw, view.set(s).weight()), s)),
-                );
-            }
+        retain_top_b_by_key(out, arrival.capacity() as usize, |s| {
+            self.priorities[s.index()]
         });
     }
 }
@@ -341,9 +273,8 @@ mod tests {
         let sets = mixed_weight_sets(157);
         let mut alg = HashRandPr::new(8, 5);
         eval_count::reset();
-        // One thread: the counter is thread-local, and the table fill is
-        // sharded across `OSP_PROLOGUE_THREADS` (the machine's cores) by
-        // default.
+        // One thread: the counter is thread-local, and `begin` shards the
+        // table fill across the machine's cores.
         alg.begin_with_threads(&sets, 1);
         assert_eq!(eval_count::get(), sets.len() as u64);
     }
@@ -367,25 +298,52 @@ mod tests {
         b.build().unwrap()
     }
 
-    #[test]
-    fn lazy_mode_decides_bit_identically_to_eager() {
-        let inst = contested_instance();
-        for seed in 0..25u64 {
-            let eager = run(&inst, &mut HashRandPr::new(8, seed)).unwrap();
-            let lazy = run(&inst, &mut HashRandPr::new_lazy(8, seed)).unwrap();
-            assert_eq!(eager.digest(), lazy.digest(), "seed {seed}");
-            assert_eq!(eager.completed(), lazy.completed(), "seed {seed}");
+    /// Replays `inst` logging every decision, and checks each one keeps
+    /// exactly the `b` candidates with the highest priorities computed key
+    /// by key with scalar `eval` (compared as sets; the order within a
+    /// decision is the selection's).
+    fn assert_decisions_keep_the_top_b(inst: &crate::Instance, independence: usize, seed: u64) {
+        use crate::engine::{run_source_logged, DecisionLog};
+        let hash = PolyHash::new(independence, seed);
+        let mut log = DecisionLog::new();
+        let mut alg = HashRandPr::new(independence, seed);
+        let mut scratch = crate::ReplayScratch::new();
+        run_source_logged(&mut inst.source(), &mut alg, &mut scratch, Some(&mut log)).unwrap();
+        assert_eq!(log.len(), inst.arrivals().len());
+        for (i, (arrival, decision)) in inst.arrivals().into_iter().zip(&log).enumerate() {
+            let mut want = arrival.members().to_vec();
+            want.sort_unstable_by_key(|&s| {
+                std::cmp::Reverse(priority_from_raw(
+                    hash.eval(s.index() as u64),
+                    inst.set(s).weight(),
+                ))
+            });
+            want.truncate(arrival.capacity() as usize);
+            want.sort_unstable();
+            let mut got = decision.to_vec();
+            got.sort_unstable();
+            assert_eq!(
+                got, want,
+                "independence {independence}, seed {seed}, arrival {i}"
+            );
         }
     }
 
     #[test]
-    fn lazy_mode_matches_eager_on_arrivals_wider_than_a_batch_chunk() {
-        // Arrivals listing several full BATCH_CHUNK runs plus a partial
-        // one, so the lazy scoring crosses chunk boundaries and the
-        // eval_batch lane tails, at the default and the paper-realistic
-        // independence. Zero-weight sets hit the Priority::zero() lane.
-        let m = 3 * BATCH_CHUNK + 17;
-        let narrow = 2 * BATCH_CHUNK + 5;
+    fn contested_decisions_keep_the_top_b_scalar_priorities() {
+        let inst = contested_instance();
+        for seed in 0..25u64 {
+            assert_decisions_keep_the_top_b(&inst, 8, seed);
+        }
+    }
+
+    #[test]
+    fn wide_arrival_decisions_keep_the_top_b_scalar_priorities() {
+        // Arrivals listing hundreds of candidates, at the default and the
+        // paper-realistic independence. Zero-weight sets hit the
+        // Priority::zero() lane.
+        let m = 209;
+        let narrow = 133;
         let mut b = InstanceBuilder::new();
         let ids: Vec<SetId> = (0..m)
             .map(|i| {
@@ -404,18 +362,8 @@ mod tests {
         let inst = b.build().unwrap();
         for independence in [8usize, 64] {
             for seed in 0..4u64 {
-                let eager = run(&inst, &mut HashRandPr::new(independence, seed)).unwrap();
-                let lazy = run(&inst, &mut HashRandPr::new_lazy(independence, seed)).unwrap();
-                assert_eq!(eager, lazy, "independence {independence}, seed {seed}");
+                assert_decisions_keep_the_top_b(&inst, independence, seed);
             }
         }
-    }
-
-    #[test]
-    fn lazy_mode_builds_no_table() {
-        let inst = contested_instance();
-        let mut alg = HashRandPr::new_lazy(8, 1);
-        run(&inst, &mut alg).unwrap();
-        assert!(alg.priorities.is_empty());
     }
 }

@@ -27,27 +27,14 @@ pub use random_assign::RandomAssign;
 
 use crate::SetId;
 
-/// The one comparator core every top-`b` pruning path rides: partitions
-/// `items` so the `b` largest-keyed entries occupy `items[..b]`, via a
-/// single `select_nth_unstable_by` call with the descending-key
-/// comparator. The resulting permutation is a deterministic function of
-/// the item count and the *key order alone* (the selection is purely
-/// comparison-based), so both callers that present the same keys in the
-/// same positions — a table lookup ([`retain_top_b_by_key`]) and a bulk
-/// score pass ([`retain_top_b_scored`]) — get the same survivors in the
-/// same order, which is what keeps decisions bit-identical across scoring
-/// strategies. Keys must be totally ordered and unique (all callers
-/// guarantee uniqueness via tiebreak tokens).
-#[inline]
-pub(crate) fn select_top_b<T, K: Ord>(items: &mut [T], b: usize, mut key: impl FnMut(&T) -> K) {
-    // Highest keys first; selects the top b in O(len) average time.
-    items.select_nth_unstable_by(b - 1, |x, y| key(y).cmp(&key(x)));
-}
-
 /// Retains the (up to) `b` candidates with the largest keys, in place and
-/// without allocating, deterministically ([`select_top_b`]'s contract).
-/// Callers stage the candidate list in `out` (the engine's recycled
-/// decision buffer) and this prunes it to the winners.
+/// without allocating. Callers stage the candidate list in `out` (the
+/// engine's recycled decision buffer) and this prunes it to the winners
+/// with one `select_nth_unstable_by` call over the descending-key
+/// comparator, so the survivors and their order are a deterministic
+/// function of the candidate order and the key order alone. Keys must be
+/// totally ordered and unique (all callers guarantee uniqueness via
+/// tiebreak tokens).
 pub(crate) fn retain_top_b_by_key<K: Ord>(
     out: &mut Vec<SetId>,
     b: usize,
@@ -56,36 +43,9 @@ pub(crate) fn retain_top_b_by_key<K: Ord>(
     if out.len() <= b {
         return;
     }
-    select_top_b(out, b, |&s| key(s));
+    // Highest keys first; selects the top b in O(len) average time.
+    out.select_nth_unstable_by(b - 1, |&x, &y| key(y).cmp(&key(x)));
     out.truncate(b);
-}
-
-/// [`retain_top_b_by_key`] for callers that score candidates in bulk
-/// instead of looking keys up per comparison. When pruning is needed
-/// (`out.len() > b` — the same early-exit as the table path), `score` is
-/// called once to push one `(key, id)` pair per candidate into `scored`,
-/// position-aligned with `out`; the top `b` pairs are then selected with
-/// the *same* [`select_top_b`] comparator decisions the table path makes
-/// (keys compare identically regardless of where they are stored), so
-/// the surviving ids — and their order — are bit-identical to scoring
-/// through a precomputed table. `scored` is caller-owned scratch so the
-/// per-arrival hot path stays allocation-free once it has grown to the
-/// widest arrival.
-pub(crate) fn retain_top_b_scored<K: Ord + Copy>(
-    out: &mut Vec<SetId>,
-    b: usize,
-    scored: &mut Vec<(K, SetId)>,
-    score: impl FnOnce(&[SetId], &mut Vec<(K, SetId)>),
-) {
-    if out.len() <= b {
-        return;
-    }
-    scored.clear();
-    score(out, scored);
-    debug_assert_eq!(scored.len(), out.len(), "score must cover every candidate");
-    select_top_b(scored, b, |p| p.0);
-    out.clear();
-    out.extend(scored[..b].iter().map(|&(_, s)| s));
 }
 
 /// In-place partial Fisher–Yates: prunes the staged candidates in `out` to
@@ -153,37 +113,5 @@ mod tests {
         let mut picked = vec![SetId(0), SetId(1)];
         retain_top_b_by_key(&mut picked, 2, |s| s.0);
         assert_eq!(picked.len(), 2);
-    }
-
-    proptest::proptest! {
-        /// Both callers of the [`select_top_b`] comparator core — the
-        /// table-lookup path and the bulk-score path — must produce the
-        /// same survivor *sequence* (the order is observable in the
-        /// decision digest).
-        #[test]
-        fn two_retain_paths_pin_the_same_survivor_sequence(
-            raw in proptest::collection::vec(0u64..1_000, 1..80),
-            b in 1usize..24,
-        ) {
-            // Make keys unique (the callers' tiebreak-token guarantee)
-            // while keeping plenty of near-collisions from the raw draw.
-            let keys: Vec<u64> = raw
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| k * 128 + i as u64)
-                .collect();
-            let ids: Vec<SetId> = (0..keys.len()).map(|i| SetId(i as u32)).collect();
-
-            let mut by_key = ids.clone();
-            retain_top_b_by_key(&mut by_key, b, |s| keys[s.index()]);
-
-            let mut scored_ids = ids.clone();
-            let mut scored: Vec<(u64, SetId)> = Vec::new();
-            retain_top_b_scored(&mut scored_ids, b, &mut scored, |candidates, scored| {
-                scored.extend(candidates.iter().map(|&s| (keys[s.index()], s)));
-            });
-
-            proptest::prop_assert_eq!(&scored_ids, &by_key);
-        }
     }
 }

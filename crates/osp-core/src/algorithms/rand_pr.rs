@@ -4,8 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::algorithm::{EngineView, OnlineAlgorithm};
-use crate::engine::batch::env_parallelism;
-use crate::engine::prologue;
+use crate::engine::batch::{machine_parallelism, split_ranges};
 use crate::instance::{Arrival, SetMeta};
 use crate::priority::{Priority, Rw};
 use crate::SetId;
@@ -16,7 +15,7 @@ use super::retain_top_b_by_key;
 /// non-finite / non-positive weights without touching the RNG, and every
 /// valid weight costs exactly two draws (the quantile sample plus the
 /// tiebreak token). Being able to state this *without* running the
-/// generator is what lets the parallel prologue jump each shard's RNG
+/// generator is what lets the sharded table fill jump each shard's RNG
 /// clone straight to its offset.
 #[inline]
 fn draws_for(set: &SetMeta) -> u64 {
@@ -90,10 +89,9 @@ impl RandPr {
         self.priorities[set.index()]
     }
 
-    /// Draws the priority table over an explicit prologue thread count —
-    /// the seam [`begin`](OnlineAlgorithm::begin) rides with the
-    /// `OSP_PROLOGUE_THREADS` policy value, exposed so conformance tests
-    /// can pin any shard count without touching the process environment.
+    /// Draws the priority table over an explicit thread count — the seam
+    /// [`begin`](OnlineAlgorithm::begin) rides with the machine's
+    /// parallelism, exposed so conformance tests can pin any shard count.
     ///
     /// Bit-identity across shard counts: the SplitMix64 stream is
     /// random-access ([`StdRng::advance`]), and each set's stream
@@ -105,9 +103,10 @@ impl RandPr {
     /// where a sequential `begin` would have.
     pub fn begin_with_threads(&mut self, sets: &[SetMeta], threads: usize) {
         let base = self.rng.clone();
-        self.priorities = prologue::build_table(
-            sets.len(),
-            Priority::zero(),
+        self.priorities.clear();
+        self.priorities.resize(sets.len(), Priority::zero());
+        split_ranges(
+            &mut self.priorities,
             threads,
             &|start, slots: &mut [Priority]| {
                 let mut rng = base.clone();
@@ -138,7 +137,7 @@ impl OnlineAlgorithm for RandPr {
     }
 
     fn begin(&mut self, sets: &[SetMeta]) {
-        self.begin_with_threads(sets, env_parallelism(prologue::PROLOGUE_THREADS_VAR));
+        self.begin_with_threads(sets, machine_parallelism());
     }
 
     fn decide_into(&mut self, arrival: &Arrival<'_>, view: &EngineView<'_>, out: &mut Vec<SetId>) {

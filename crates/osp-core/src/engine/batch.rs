@@ -68,9 +68,9 @@ fn splitmix_finalize(state: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The machine default: `std::thread::available_parallelism`, 1 if the
-/// platform cannot say.
-fn machine_parallelism() -> usize {
+/// The machine default: `std::thread::available_parallelism` (which
+/// respects the process's CPU affinity), 1 if the platform cannot say.
+pub(crate) fn machine_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
@@ -78,10 +78,8 @@ fn machine_parallelism() -> usize {
 
 /// The one environment-sizing policy every thread-count variable in the
 /// workspace routes through — `OSP_REPLAY_SHARDS`
-/// ([`ReplayPool::from_env`]), `OSP_WORKERS` (the process pool's worker
-/// count) and `OSP_PROLOGUE_THREADS`
-/// ([`PROLOGUE_THREADS_VAR`](super::prologue::PROLOGUE_THREADS_VAR)).
-/// Reads the named variable and applies, deterministically,
+/// ([`ReplayPool::from_env`]) and `OSP_WORKERS` (the process pool's
+/// worker count). Reads the named variable and applies, deterministically,
 ///
 /// * unset / empty / non-numeric / out-of-range → the machine default
 ///   (`available_parallelism`, 1 if unknown) — malformed values are
@@ -108,10 +106,20 @@ fn parse_parallelism(value: Option<&str>, fallback: usize) -> usize {
 /// The one scoped-thread splitter in the engine: cuts `slots` into at
 /// most `threads` disjoint contiguous ranges and runs `fill(start, range)`
 /// on each from its own scoped thread, where `range[j]` is slot
-/// `start + j`. [`ReplayPool`]'s shards and the
-/// [`prologue`](super::prologue) table build both ride it. With one
-/// thread (or at most one slot) it is a single `fill(0, slots)` call on
-/// the caller's thread.
+/// `start + j`. [`ReplayPool`]'s shards and the `begin`-time priority
+/// tables of `randPr` and `hashPr` all ride it. With one thread (or at
+/// most one slot) it is a single `fill(0, slots)` call on the caller's
+/// thread — the serial path.
+///
+/// Every shard count writes the same bytes provided `fill` computes slot
+/// `i` as a pure function of `i` and its own captured inputs, with no
+/// shared mutable state. The priority tables meet this: `hashPr` evaluates
+/// a shared polynomial at the set id (each shard walks its range by
+/// forward differences seeded at the range's first id, exact in the hash
+/// field), and `randPr` draws from a SplitMix64 stream whose position
+/// before set `i` is known without generating, so each shard jumps its
+/// clone of the RNG straight there. `tests/batch_equivalence.rs` pins
+/// shard counts {1, 2, 8} bit-identical for both.
 pub(crate) fn split_ranges<T, F>(slots: &mut [T], threads: usize, fill: &F)
 where
     T: Send,
@@ -389,6 +397,37 @@ mod tests {
             split_ranges(&mut buf, threads, &fill);
             assert_eq!(buf, want, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn split_ranges_over_an_empty_slice_is_fine() {
+        let fill = |_: usize, slots: &mut [u8]| assert!(slots.is_empty());
+        let mut table: Vec<u8> = Vec::new();
+        split_ranges(&mut table, 4, &fill);
+        assert!(table.is_empty());
+    }
+
+    #[test]
+    fn split_ranges_hands_out_disjoint_contiguous_ranges() {
+        // Record the (start, len) of every range a 4-thread split hands
+        // out; together they must tile 0..m exactly once.
+        use std::sync::Mutex;
+        let ranges = Mutex::new(Vec::new());
+        let fill = |start: usize, slots: &mut [u32]| {
+            ranges.lock().unwrap().push((start, slots.len()));
+            slots.fill(1);
+        };
+        let mut table = vec![0u32; 10];
+        split_ranges(&mut table, 4, &fill);
+        assert_eq!(table, vec![1u32; 10]);
+        let mut ranges = ranges.into_inner().unwrap();
+        ranges.sort_unstable();
+        let mut next = 0;
+        for (start, len) in ranges {
+            assert_eq!(start, next);
+            next = start + len;
+        }
+        assert_eq!(next, 10);
     }
 
     #[test]

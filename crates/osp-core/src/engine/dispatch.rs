@@ -568,8 +568,7 @@ impl RetryPolicy {
     /// The backoff to sleep after failed attempt `attempt` (0-based):
     /// `base_delay × 2^attempt`, saturating, capped at `max_delay`.
     pub fn delay(&self, attempt: u32) -> Duration {
-        let factor = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
-        self.base_delay.saturating_mul(factor).min(self.max_delay)
+        capped_doubling(self.base_delay, attempt, self.max_delay)
     }
 
     /// Whether a failure on `attempt` (0-based) leaves retries in budget.
@@ -609,9 +608,15 @@ impl RejoinPolicy {
     /// probe after exclusion uses `failures = 0`, i.e. `base_delay`):
     /// `base_delay × 2^failures`, saturating, capped at `max_delay`.
     pub fn delay(&self, failures: u32) -> Duration {
-        let factor = 1u32.checked_shl(failures).unwrap_or(u32::MAX);
-        self.base_delay.saturating_mul(factor).min(self.max_delay)
+        capped_doubling(self.base_delay, failures, self.max_delay)
     }
+}
+
+/// `base × 2^doublings`, saturating, capped at `max`: the one backoff
+/// formula behind [`RetryPolicy::delay`] and [`RejoinPolicy::delay`].
+fn capped_doubling(base: Duration, doublings: u32, max: Duration) -> Duration {
+    let factor = 1u32.checked_shl(doublings).unwrap_or(u32::MAX);
+    base.saturating_mul(factor).min(max)
 }
 
 /// Tuning knobs for [`SocketPool`]. The defaults suit a loopback or

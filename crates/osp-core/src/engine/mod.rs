@@ -67,25 +67,22 @@
 //!   ([`MemStore`](crate::store::MemStore)), journaled to disk with
 //!   checksummed records, torn-tail recovery, and snapshot compaction
 //!   ([`JournalStore`](crate::store::JournalStore)). With
-//!   `osp-serve --state-dir`, batch manifests checkpoint at every chunk
-//!   boundary, so a `kill -9` mid-batch resumes on restart recomputing
-//!   only unjournaled jobs; and the [`dispatch::SocketPool`] fleet is
+//!   `osp-serve --state-dir`, each batch's manifest is written at submit
+//!   and the journal flushed at every chunk boundary, so a `kill -9`
+//!   mid-batch resumes on restart recomputing only unjournaled jobs; and the [`dispatch::SocketPool`] fleet is
 //!   *supervised* — excluded workers are probed with capped exponential
 //!   backoff ([`dispatch::RejoinPolicy`]) and re-admitted when they come
 //!   back; the serve wire's `fleet` verb reports the lanes and forces a
 //!   probe ([`dispatch::FleetHandle`]). Pinned by
 //!   `tests/crash_recovery.rs` against the real binaries.
 //!
-//! Alongside the entry points sits one more intra-replay seam, the
-//! [`prologue`], which parallelizes `begin()`: every built-in algorithm
-//! builds an O(m) per-set table whose slot `i` is a pure function of
+//! `begin()` is parallel too: `randPr` and `hashPr` build an O(m)
+//! per-set priority table whose slot `i` is a pure function of
 //! `(seed, i)` (§3.1's system-wide hash for `hashPr`; counter-based
-//! SplitMix64 jump-ahead for `randPr`), so [`prologue::build_table`]
-//! shards disjoint index ranges across scoped threads
-//! (`OSP_PROLOGUE_THREADS`, same [`batch::env_parallelism`] policy;
-//! 1 = the serial path) and any shard count writes exactly the same
-//! bytes. It rides the same scoped-thread splitter as
-//! [`batch::ReplayPool`]'s shards. The arrival loop itself stays
+//! SplitMix64 jump-ahead for `randPr`), so they shard disjoint index
+//! ranges across the machine's cores through the same scoped-thread
+//! splitter as [`batch::ReplayPool`]'s shards, and any shard count writes
+//! exactly the same bytes. The arrival loop itself stays
 //! sequential — decisions are order-dependent — so the only other
 //! thread in one replay is the pipeline's producer, and every golden
 //! outcome stays bit-identical.
@@ -112,7 +109,6 @@
 pub mod batch;
 pub mod dispatch;
 pub mod parallel;
-pub mod prologue;
 
 use crate::algorithm::{EngineView, OnlineAlgorithm};
 use crate::error::Error;

@@ -287,7 +287,7 @@ mod tests {
         ];
         let algorithms: [fn() -> Box<dyn OnlineAlgorithm>; 3] = [
             || Box::new(RandPr::from_seed(1)),
-            || Box::new(HashRandPr::new_lazy(8, 1)),
+            || Box::new(HashRandPr::new(8, 1)),
             || Box::new(GreedyOnline::new(TieBreak::ByFewestRemaining)),
         ];
         let mut scratch = ReplayScratch::new();

@@ -16,10 +16,11 @@
 //!   counters are surfaced in every [`BatchStatus`]. The cache is a
 //!   [`ResultStore`]: bounded in memory (LRU, [`ServiceConfig`] caps)
 //!   and — with [`ServiceConfig::state_dir`] set — journaled to disk
-//!   ([`JournalStore`]), with **batch
-//!   manifests checkpointed at chunk boundaries** so a service killed
-//!   mid-batch resumes on restart, re-serving journaled results
-//!   bit-identically and recomputing only the missing jobs;
+//!   ([`JournalStore`]), with **one manifest per batch, written at
+//!   submit,** so a service killed mid-batch resumes on restart,
+//!   re-serving journaled results bit-identically and recomputing only
+//!   the missing jobs. Batch ids are never reused across restarts: the
+//!   issued-id high-water mark is kept in the state directory;
 //! * **one resident copy per result** — each outcome is encoded once,
 //!   into an [`OutcomeJson`] buffer that the cache and every batch record
 //!   holding it share. `Fetch` splices those bytes into the reply frame
@@ -93,26 +94,17 @@ use crate::engine::dispatch::{DispatchEvent, Dispatcher, EventSink, FleetHandle,
 use crate::engine::Outcome;
 use crate::error::{Error, WorkerError};
 use crate::spec::JobSpec;
-use crate::store::{JournalStore, MemStore, OutcomeJson, ResultStore, StoreLimits};
+use crate::store::{
+    fnv1a, JournalStore, MemStore, OutcomeJson, ResultStore, StoreLimits, FNV_OFFSET,
+};
 use crate::wire;
 use crate::wire::socket::{dial, FrameServer, Stream, WorkerAddr};
 use crate::wire::Hello;
 
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-/// The standard FNV-1a offset basis — first lane of the digest.
-const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
-/// A second, independent basis — second lane, so a single-lane collision
-/// does not alias two different specs in the cache.
+/// A second, independent FNV-1a basis — the digest's second lane (the
+/// first is the standard [`FNV_OFFSET`]), so a single-lane collision does
+/// not alias two different specs in the cache.
 const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
-
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Content address of a job: a two-lane FNV-1a digest over the spec's
 /// canonical JSON. Canonical because the crate's serializer emits map
@@ -128,7 +120,7 @@ pub fn job_digest(job: &JobSpec) -> Result<(u64, u64), Error> {
     let json = serde_json::to_string(job)
         .map_err(|e| Error::Protocol(format!("digesting job spec: {e}")))?;
     let bytes = json.as_bytes();
-    Ok((fnv1a(bytes, FNV_OFFSET_A), fnv1a(bytes, FNV_OFFSET_B)))
+    Ok((fnv1a(bytes, FNV_OFFSET), fnv1a(bytes, FNV_OFFSET_B)))
 }
 
 /// [`job_digest`] of every job; `None` marks a spec that does not
@@ -148,8 +140,8 @@ pub struct ServiceConfig {
     /// Jobs per dispatcher call inside one batch (zero is treated as
     /// one). Smaller chunks mean finer-grained progress in
     /// [`BatchStatus`] and faster cancel response; larger chunks amortize
-    /// per-call overhead. With a `state_dir` this is also the checkpoint
-    /// granularity: the batch manifest is rewritten after every chunk.
+    /// per-call overhead. With a `state_dir` this is also the durability
+    /// granularity: the journal is flushed after every chunk.
     pub chunk: usize,
     /// Results-cache entry cap (`0` = unlimited). Least-recently-used
     /// outcomes are evicted past the cap; evictions are counted in
@@ -169,9 +161,9 @@ pub struct ServiceConfig {
     pub state_dir: Option<PathBuf>,
     /// Serve-side fault injection for crash drills: exit the process with
     /// status 86 after this many dispatched chunks (lifetime count,
-    /// *after* the chunk's results are journaled and its manifest is
-    /// checkpointed). Wired to `OSP_FAULT=die-after-chunk:<n>` in
-    /// `osp-serve`; never set in production.
+    /// *after* the chunk's results are journaled and flushed). Wired to
+    /// `OSP_FAULT=die-after-chunk:<n>` in `osp-serve`; never set in
+    /// production.
     pub die_after_chunk: Option<u64>,
 }
 
@@ -488,9 +480,12 @@ pub struct ReplayService {
     sender: Mutex<Option<SyncSender<u64>>>,
     executor: Mutex<Option<JoinHandle<()>>>,
     next_id: AtomicU64,
+    /// With a state directory: ids below this are recorded as issued in
+    /// its [`ID_MARK_FILE`], so a restart never issues them again.
+    reserved_ids: Mutex<u64>,
     backend: &'static str,
     lanes: usize,
-    /// Where batch manifests live, when persistence is on.
+    /// Where batch manifests and the id mark live, when persistence is on.
     state_dir: Option<PathBuf>,
 }
 
@@ -503,7 +498,8 @@ impl ReplayService {
     /// torn tail is truncated) and every `batch-<id>.json` manifest found
     /// in the directory — a batch interrupted by a crash — is re-queued
     /// in id order: journaled jobs are answered from the store as cache
-    /// hits, only the rest are recomputed.
+    /// hits, only the rest are recomputed. New ids continue above every
+    /// id an earlier run on the directory issued.
     ///
     /// # Errors
     ///
@@ -522,6 +518,7 @@ impl ReplayService {
             max_bytes: config.cache_bytes,
         };
         let mut resumed: Vec<BatchManifest> = Vec::new();
+        let mut issued = 1;
         let cache: Box<dyn ResultStore> = match &config.state_dir {
             Some(dir) => {
                 let store = JournalStore::open(dir, limits)?;
@@ -529,11 +526,12 @@ impl ReplayService {
                     eprintln!("osp: warning: journal recovery skipped a record: {err}");
                 }
                 resumed = load_manifests(dir);
+                issued = load_id_mark(dir);
                 Box::new(store)
             }
             None => Box::new(MemStore::new(limits)),
         };
-        let next_id = resumed.iter().map(|m| m.id).max().unwrap_or(0) + 1;
+        let next_id = resumed.iter().map(|m| m.id + 1).fold(issued, u64::max);
         let batches = resumed
             .iter()
             .map(|manifest| (manifest.id, BatchRecord::new(manifest.jobs.clone())))
@@ -572,6 +570,7 @@ impl ReplayService {
             sender: Mutex::new(Some(sender)),
             executor: Mutex::new(Some(executor)),
             next_id: AtomicU64::new(next_id),
+            reserved_ids: Mutex::new(next_id),
             backend,
             lanes,
             state_dir,
@@ -598,8 +597,7 @@ impl ReplayService {
     /// # Errors
     ///
     /// [`Error::Unavailable`] when the submission queue is full or the
-    /// service is shutting down; nothing was enqueued and the id was not
-    /// consumed durably — resubmit later.
+    /// service is shutting down; nothing was enqueued — resubmit later.
     pub fn submit(&self, jobs: Vec<JobSpec>) -> Result<u64, Error> {
         let digests = job_digests(&jobs);
         if self
@@ -610,7 +608,7 @@ impl ReplayService {
         {
             return Err(Error::Unavailable("service is shutting down".to_string()));
         }
-        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
+        let id = self.issue_id();
         {
             let mut state = self.state.lock().expect("service state poisoned");
             state.batches.insert(id, BatchRecord::new(jobs.clone()));
@@ -626,11 +624,11 @@ impl ReplayService {
                 return Ok(id);
             }
         }
-        // Checkpoint the manifest *before* enqueueing: once the executor
-        // can see the batch, the on-disk record must already exist, or a
+        // Write the manifest *before* enqueueing: once the executor can
+        // see the batch, the on-disk record must already exist, or a
         // crash in the gap would lose it.
         if let Some(dir) = &self.state_dir {
-            write_manifest(dir, &BatchManifest::new(id, &jobs, &digests));
+            write_manifest(dir, &BatchManifest { id, jobs });
         }
         let sender = self.sender.lock().expect("service sender poisoned");
         let enqueue = match sender.as_ref() {
@@ -650,6 +648,21 @@ impl ReplayService {
             }));
         }
         Ok(id)
+    }
+
+    /// Takes the next batch id. With a state directory, an id past the
+    /// reserved block first reserves the next [`ID_BLOCK`] ids on disk,
+    /// so most submits write nothing for their id.
+    fn issue_id(&self) -> u64 {
+        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
+        if let Some(dir) = &self.state_dir {
+            let mut reserved = self.reserved_ids.lock().expect("id reservation poisoned");
+            if id >= *reserved {
+                *reserved = id + ID_BLOCK;
+                write_id_mark(dir, *reserved);
+            }
+        }
+        id
     }
 
     /// Runs a fleet-supervision command against the backend's socket
@@ -688,7 +701,8 @@ impl ReplayService {
     /// service no longer holds: it finished and was retired past
     /// [`ServiceConfig::cache_bytes`], it finished before a restart, or
     /// its submission was refused (that id never reached a caller).
-    /// Resubmitting its jobs answers them from the cache.
+    /// Resubmitting its jobs answers them from the cache. After a restart
+    /// this also covers ids an earlier run reserved but never handed out.
     /// [`Error::InvalidSpec`] for an id the service never issued.
     pub fn try_status(&self, id: u64) -> Result<BatchStatus, Error> {
         let state = self.state.lock().expect("service state poisoned");
@@ -795,11 +809,11 @@ impl Drop for ReplayService {
 /// dispatcher chunk by chunk with a cache pass first, and finalizes the
 /// record. Runs until the submission channel disconnects.
 ///
-/// With a state directory, every chunk boundary is a checkpoint: the
-/// chunk's outcomes land in the journal (inside `cache.put`), then the
-/// batch manifest is rewritten with the enlarged `completed` list — so a
-/// crash at any instant loses at most the in-flight chunk. Terminal
-/// batches drop their manifest (the journal keeps the outcomes).
+/// With a state directory, every chunk boundary flushes the journal the
+/// chunk's outcomes went into (inside `cache.put`), so a crash at any
+/// instant loses at most the in-flight chunk: a resume answers the rest
+/// from the journal. Terminal batches drop their manifest (the journal
+/// keeps the outcomes).
 fn executor_loop(
     state: &Arc<Mutex<ServiceState>>,
     receiver: &Receiver<u64>,
@@ -875,19 +889,16 @@ fn executor_loop(
                 }
                 guard.record(id).results[index] = answer;
             }
-            if let Some(dir) = state_dir {
-                // Chunk boundary checkpoint: journal first (the puts
-                // above), then the manifest naming what is journaled.
+            if state_dir.is_some() {
+                // Chunk boundary: make the puts above durable.
                 guard.cache.flush();
-                let record = guard.record(id);
-                write_manifest(dir, &BatchManifest::checkpoint(id, record, &digests));
             }
             drop(guard);
             if config
                 .die_after_chunk
                 .is_some_and(|n| chunks_dispatched >= n)
             {
-                // Fault drill: the checkpoint above is durable; die the
+                // Fault drill: the flush above is durable; die the
                 // way a power cut would — no unwinding, no Drop glue.
                 eprintln!(
                     "osp: fault injection: dying after chunk {chunks_dispatched} (die-after-chunk)"
@@ -939,12 +950,14 @@ fn executor_loop(
     }
 }
 
-/// On-disk checkpoint of one batch — `batch-<id>.json` in the state
-/// directory. Written atomically (tmp + rename) when the batch is
-/// submitted and rewritten at every chunk boundary; removed when the
-/// batch reaches a terminal state. A manifest still on disk at startup
-/// is therefore exactly an interrupted batch, and [`ReplayService::new`]
-/// re-queues it.
+/// On-disk record of one batch — `batch-<id>.json` in the state
+/// directory. Written atomically (tmp + rename) once, when the batch is
+/// submitted; removed when the batch reaches a terminal state. A manifest
+/// still on disk at startup is therefore exactly an interrupted batch, and
+/// [`ReplayService::new`] re-queues it: its journaled jobs come back as
+/// cache hits. Older manifests also carry `digest_a`, `digest_b` and
+/// `completed`; the derived reader skips unknown keys, so they still
+/// resume.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 struct BatchManifest {
     /// The batch id (also in the file name; the file wins for discovery,
@@ -952,42 +965,42 @@ struct BatchManifest {
     id: u64,
     /// The full job list — resume needs the specs, not just digests.
     jobs: Vec<JobSpec>,
-    /// First digest lane per job (`0` for an undigestable spec).
-    digest_a: Vec<u64>,
-    /// Second digest lane per job.
-    digest_b: Vec<u64>,
-    /// Indices of jobs whose successful outcome was journaled by the
-    /// last checkpoint — what a resume may skip.
-    completed: Vec<u64>,
 }
 
-impl BatchManifest {
-    /// The submission-time manifest: nothing completed yet.
-    fn new(id: u64, jobs: &[JobSpec], digests: &[Option<(u64, u64)>]) -> BatchManifest {
-        BatchManifest {
-            id,
-            jobs: jobs.to_vec(),
-            digest_a: digests.iter().map(|d| d.map_or(0, |d| d.0)).collect(),
-            digest_b: digests.iter().map(|d| d.map_or(0, |d| d.1)).collect(),
-            completed: Vec::new(),
-        }
-    }
+/// Ids reserved per write of the [`ID_MARK_FILE`].
+const ID_BLOCK: u64 = 1024;
 
-    /// A chunk-boundary checkpoint: `completed` lists every job whose
-    /// successful outcome is in the journal right now.
-    fn checkpoint(id: u64, record: &BatchRecord, digests: &[Option<(u64, u64)>]) -> BatchManifest {
-        BatchManifest {
-            id,
-            jobs: record.jobs.clone(),
-            digest_a: digests.iter().map(|d| d.map_or(0, |d| d.0)).collect(),
-            digest_b: digests.iter().map(|d| d.map_or(0, |d| d.1)).collect(),
-            completed: record
-                .results
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| matches!(r, JobResult::Ok(_)))
-                .map(|(i, _)| i as u64)
-                .collect(),
+/// The state-directory file holding the issued-id high-water mark: one
+/// decimal number, the first id no run on the directory has issued.
+const ID_MARK_FILE: &str = "next-batch-id";
+
+/// Writes `bytes` to `path` atomically (tmp + rename).
+fn replace_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path))
+}
+
+/// Records that every id below `mark` may have been issued. A failure is
+/// logged, not fatal, like a manifest's.
+fn write_id_mark(dir: &Path, mark: u64) {
+    if let Err(e) = replace_file(&dir.join(ID_MARK_FILE), mark.to_string().as_bytes()) {
+        eprintln!("osp: warning: cannot record issued batch ids: {e}");
+    }
+}
+
+/// The directory's issued-id high-water mark; 1 (no id issued) when the
+/// file is absent or unreadable, with a warning for the latter.
+fn load_id_mark(dir: &Path) -> u64 {
+    let path = dir.join(ID_MARK_FILE);
+    match std::fs::read_to_string(&path) {
+        Ok(text) => text.trim().parse().unwrap_or_else(|e| {
+            eprintln!("osp: warning: ignoring {}: {e}", path.display());
+            1
+        }),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => 1,
+        Err(e) => {
+            eprintln!("osp: warning: cannot read {}: {e}", path.display());
+            1
         }
     }
 }
@@ -1000,8 +1013,6 @@ fn manifest_path(dir: &Path, id: u64) -> PathBuf {
 /// not fatal: the service keeps serving from memory and the operator
 /// sees why resume would be incomplete.
 fn write_manifest(dir: &Path, manifest: &BatchManifest) {
-    let path = manifest_path(dir, manifest.id);
-    let tmp = path.with_extension("json.tmp");
     let json = match serde_json::to_string(manifest) {
         Ok(json) => json,
         Err(e) => {
@@ -1012,9 +1023,11 @@ fn write_manifest(dir: &Path, manifest: &BatchManifest) {
             return;
         }
     };
-    let write = std::fs::write(&tmp, json).and_then(|()| std::fs::rename(&tmp, &path));
-    if let Err(e) = write {
-        eprintln!("osp: warning: cannot checkpoint batch {}: {e}", manifest.id);
+    if let Err(e) = replace_file(&manifest_path(dir, manifest.id), json.as_bytes()) {
+        eprintln!(
+            "osp: warning: cannot write manifest for batch {}: {e}",
+            manifest.id
+        );
     }
 }
 
@@ -1834,7 +1847,9 @@ mod tests {
             .map(|j| run_spec(j, &CoreResolver).unwrap())
             .collect();
         // Forge the post-crash state by hand: the journal holds the first
-        // two outcomes, and a manifest says batch 9 never finished.
+        // two outcomes, and a manifest says batch 9 never finished. The
+        // manifest has the older shape, with three keys resume never
+        // reads: they must be skipped.
         {
             let mut store = JournalStore::open(&dir, StoreLimits::default()).unwrap();
             for (job, outcome) in batch.iter().zip(&want).take(2) {
@@ -1842,7 +1857,11 @@ mod tests {
             }
             store.flush();
         }
-        write_manifest(&dir, &BatchManifest::new(9, &batch, &job_digests(&batch)));
+        let old_manifest = format!(
+            r#"{{"id":9,"jobs":{},"digest_a":[1,2,3,4],"digest_b":[5,6,7,8],"completed":[0,1]}}"#,
+            serde_json::to_string(&batch).unwrap()
+        );
+        std::fs::write(manifest_path(&dir, 9), old_manifest).unwrap();
 
         let service = persistent_service(&dir);
         let status = wait_terminal(&service, 9);
@@ -1866,6 +1885,46 @@ mod tests {
             !manifest_path(&dir, 9).exists(),
             "terminal batches drop their manifest"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn batch_ids_are_never_reused_after_a_restart() {
+        let dir = temp_state_dir("ids");
+        let (first, second) = (jobs_from(21, 2), jobs_from(22, 3));
+        {
+            let service = persistent_service(&dir);
+            for (want, batch) in [(1, &first), (2, &second)] {
+                let id = service.submit(batch.clone()).unwrap();
+                assert_eq!(id, want);
+                assert_eq!(wait_terminal(&service, id).state, "done");
+            }
+            service.shutdown();
+        }
+        let service = persistent_service(&dir);
+        for id in [1, 2] {
+            assert_retired(service.try_status(id), id);
+            assert_retired(service.try_fetch(id), id);
+        }
+        let fresh = service.submit(jobs(1)).unwrap();
+        assert!(fresh > 2, "a restart reissued id {fresh}");
+        assert_eq!(wait_terminal(&service, fresh).state, "done");
+        // Ids are reserved in blocks: a fully cached submit takes the next
+        // id without writing the mark again.
+        let mark = std::fs::read_to_string(dir.join(ID_MARK_FILE)).unwrap();
+        assert_eq!(mark, (fresh + ID_BLOCK).to_string());
+        let cached = service.submit(first.clone()).unwrap();
+        assert_eq!(cached, fresh + 1);
+        assert_eq!(service.status(cached).unwrap().cached, 2);
+        assert_eq!(
+            std::fs::read_to_string(dir.join(ID_MARK_FILE)).unwrap(),
+            mark
+        );
+        assert!(matches!(
+            service.try_status(cached + 1),
+            Err(Error::InvalidSpec(_))
+        ));
+        service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

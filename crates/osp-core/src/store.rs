@@ -68,16 +68,18 @@ use crate::engine::Outcome;
 use crate::error::Error;
 use crate::wire::MAX_FRAME_LEN;
 
-/// FNV-1a 64-bit prime (same constants as [`job_digest`]'s lanes — the
-/// checksum is one lane over the record payload).
+/// FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The standard FNV-1a offset basis: the journal checksum's and the first
+/// lane of [`job_digest`].
 ///
 /// [`job_digest`]: crate::serve::job_digest
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-/// The standard FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
+/// FNV-1a over `bytes` from the offset basis `hash`: the journal record
+/// checksum (one lane from [`FNV_OFFSET`]) and both lanes of
+/// [`job_digest`](crate::serve::job_digest).
+pub(crate) fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(FNV_PRIME);
@@ -570,7 +572,7 @@ fn encode_record(digest: (u64, u64), json: &OutcomeJson) -> Option<Vec<u8>> {
     if payload_len > MAX_FRAME_LEN {
         return None;
     }
-    let checksum = fnv1a(&frame[12..]);
+    let checksum = fnv1a(&frame[12..], FNV_OFFSET);
     frame[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
     frame[4..12].copy_from_slice(&checksum.to_le_bytes());
     Some(frame)
@@ -655,7 +657,7 @@ fn decode_payload(payload: &[u8]) -> Result<((u64, u64), Outcome), String> {
     }
     let (sum, json) = payload.split_at(8);
     let want = u64::from_le_bytes(sum.try_into().expect("8-byte slice"));
-    let got = fnv1a(json);
+    let got = fnv1a(json, FNV_OFFSET);
     if want != got {
         return Err(format!(
             "checksum mismatch (stored {want:#018x}, computed {got:#018x})"
@@ -775,7 +777,10 @@ mod tests {
             let want = serde_json::to_string(&record).unwrap();
             assert_eq!(&frame[12..], want.as_bytes());
             assert_eq!(frame[..4], ((want.len() + 8) as u32).to_le_bytes());
-            assert_eq!(frame[4..12], fnv1a(want.as_bytes()).to_le_bytes());
+            assert_eq!(
+                frame[4..12],
+                fnv1a(want.as_bytes(), FNV_OFFSET).to_le_bytes()
+            );
             assert_eq!(json_len, serde_json::to_string(&outcome).unwrap().len());
             // A journaled entry weighs what a memory-only one does.
             let mut mem = MemStore::new(StoreLimits::UNBOUNDED);
@@ -990,7 +995,7 @@ mod tests {
         let json = r#"{"a":11,"b":22,"outcome":{"completed":[0,2],"benefit":3.0,"decisions":{"offsets":[0,1,2,3],"data":[0,0,2]},"died_at":[null,0,null]}}"#;
         let mut frame = Vec::new();
         frame.extend_from_slice(&((json.len() + 8) as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a(json.as_bytes()).to_le_bytes());
+        frame.extend_from_slice(&fnv1a(json.as_bytes(), FNV_OFFSET).to_le_bytes());
         frame.extend_from_slice(json.as_bytes());
         std::fs::write(dir.join("journal.osp"), &frame).expect("write legacy journal");
 

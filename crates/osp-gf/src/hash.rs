@@ -169,11 +169,11 @@ impl PolyHash {
     /// self.eval(xs[i])` — bit-identical to the scalar path for every key,
     /// measurably more than 2× faster at 64-wise independence.
     ///
-    /// This is the kernel for arbitrary keys: hashPr's table-free lazy
-    /// scoring mode hashes each arrival's candidates through it (`&self`
-    /// and stack-resident lane state keep it trivially reentrant).
+    /// This is the kernel for arbitrary keys (`&self` and stack-resident
+    /// lane state keep it trivially reentrant).
     /// Consecutive keys, such as the set ids `0..m` of the `begin`-time
-    /// table fill, go through [`eval_range`](Self::eval_range) instead.
+    /// table fill, go through [`eval_range`](Self::eval_range) instead,
+    /// which seeds its forward differences with this kernel.
     ///
     /// Keys are processed in transposed lanes of 8, then 4; the last 1–3
     /// keys run as a 1- or 2-lane group, or (three keys) a 4-lane group

@@ -8,9 +8,9 @@
 //! ```
 //!
 //! `--listen` takes `host:port`, `[ipv6]:port`, or `uds:/path`. `--state-dir`
-//! turns on crash safety: computed outcomes are journaled under `<dir>`
-//! and batch manifests are checkpointed at every chunk boundary, so a
-//! server killed mid-batch (`kill -9` included) resumes interrupted
+//! turns on crash safety: computed outcomes are journaled under `<dir>`,
+//! flushed at every chunk boundary, and each batch's manifest is written
+//! when it is submitted, so a server killed mid-batch (`kill -9` included) resumes interrupted
 //! batches on restart, re-serving journaled results bit-identically and
 //! recomputing only the jobs that never made it to disk.
 //!

@@ -56,12 +56,6 @@ fn main() {
         ("randPr", Box::new(RandPr::from_seed(7))),
         ("randPr+active", Box::new(RandPr::with_active_filter(7))),
         ("hashPr", Box::new(HashRandPr::new(8, 7))),
-        // The table-free variant scores every arrival's candidates on the
-        // fly through `eval_batch`; its chunk buffers live on the stack
-        // and its scored-pairs scratch is recycled, so the batched
-        // scoring path must be exactly as allocation-free as the table
-        // lookup it replaces.
-        ("hashPr-lazy", Box::new(HashRandPr::new_lazy(8, 7))),
         ("greedy", Box::new(GreedyOnline::new(TieBreak::ByWeight))),
         ("random_assign", Box::new(RandomAssign::from_seed(7))),
         ("oracle", Box::new(OracleOnline::new(oracle_target))),

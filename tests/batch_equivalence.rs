@@ -306,26 +306,6 @@ fn prologue_shard_counts_build_bit_identical_tables() {
 }
 
 #[test]
-fn lazy_hash_pr_matches_eager_on_the_grid() {
-    // The table-free hashPr variant scores candidates per arrival with
-    // the batched kernel; its decisions must be bit-identical to the
-    // table-building mode on every generator model.
-    for (model, instance) in instance_grid() {
-        for trial in 0..TRIALS {
-            let seed = derive_seed(42, trial);
-            let eager = run(&instance, &mut HashRandPr::new(8, seed)).unwrap();
-            let lazy = run(&instance, &mut HashRandPr::new_lazy(8, seed)).unwrap();
-            assert_outcomes_identical(
-                &format!("{model} / lazy hashPr / trial {trial}"),
-                &eager,
-                &lazy,
-                instance.num_sets(),
-            );
-        }
-    }
-}
-
-#[test]
 fn empty_instance_and_single_job_edge_cases() {
     let empty = osp_core::InstanceBuilder::new().build().unwrap();
     for shards in SHARD_COUNTS {

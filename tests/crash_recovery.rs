@@ -5,7 +5,7 @@
 //! `OSP_FAULT=die-after-chunk:<n>` drill, or with a real `SIGKILL` — and
 //! restarted on the same state directory **resumes the interrupted
 //! batch**, re-serving every journaled outcome bit-identically (observed
-//! as cache hits, i.e. zero recomputation of checkpointed jobs) and
+//! as cache hits, i.e. zero recomputation of journaled jobs) and
 //! recomputing only the jobs that never reached the journal. Both tests
 //! drive the real `osp-serve` binary, exactly as the CI `chaos-recovery`
 //! job does with a socket fleet.

@@ -176,8 +176,7 @@ fn parallel_replay_is_bit_identical_to_sequential_run() {
 
 #[test]
 fn pipelined_streamed_sources_match_sequential_run_source() {
-    // The fused generator sources (the pipeline's raison d'être),
-    // including lazy hashPr whose scoring rides eval_batch. Every stream
+    // The fused generator sources (the pipeline's raison d'être). Every stream
     // spans at least three full-size chunks, so the ring recycles an arena
     // that held other capacities and member widths before.
     let uniform_cfg = RandomInstanceConfig::unweighted(200, 2_500, 4);
@@ -213,10 +212,6 @@ fn pipelined_streamed_sources_match_sequential_run_source() {
         ),
         ("randPr", Box::new(|s| Box::new(RandPr::from_seed(s)))),
         ("hashPr", Box::new(|s| Box::new(HashRandPr::new(8, s)))),
-        (
-            "hashPr-lazy",
-            Box::new(|s| Box::new(HashRandPr::new_lazy(8, s))),
-        ),
         (
             "random_assign",
             Box::new(|s| Box::new(RandomAssign::from_seed(s))),
@@ -276,10 +271,7 @@ fn pipeline_matches_serial_on_wide_arrivals() {
         ),
         ("randPr", Box::new(|| Box::new(RandPr::from_seed(3)))),
         ("hashPr", Box::new(|| Box::new(HashRandPr::new(8, 3)))),
-        (
-            "hashPr-lazy",
-            Box::new(|| Box::new(HashRandPr::new_lazy(64, 3))),
-        ),
+        ("hashPr64", Box::new(|| Box::new(HashRandPr::new(64, 3)))),
     ];
     let (_, narrow) = instance_grid().swap_remove(0);
     let mut scratch = ReplayScratch::new();
