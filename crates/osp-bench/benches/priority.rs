@@ -39,10 +39,9 @@ fn bench_priority(c: &mut Criterion) {
     }
 
     // The begin-time table fill's shape: the hash at the set ids
-    // 0..5·10⁴, by the range kernel and by the batch kernel, each writing
-    // every value into the same output buffer.
+    // 0..5·10⁴ by the range kernel, writing every value into one output
+    // buffer.
     const KEYS: usize = 50_000;
-    let keys: Vec<u64> = (0..KEYS as u64).collect();
     for independence in [4usize, 16, 64] {
         let h = PolyHash::new(independence, 1);
         let mut out = vec![0u64; KEYS];
@@ -50,12 +49,6 @@ fn bench_priority(c: &mut Criterion) {
             b.iter(|| {
                 let mut slots = out.iter_mut();
                 h.eval_range(0, KEYS, |v| *slots.next().unwrap() = v);
-                black_box(out[KEYS - 1])
-            })
-        });
-        group.bench_function(format!("poly_hash_batch_{independence}wise"), |b| {
-            b.iter(|| {
-                h.eval_batch(black_box(&keys), &mut out);
                 black_box(out[KEYS - 1])
             })
         });

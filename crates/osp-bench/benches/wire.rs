@@ -2,8 +2,8 @@
 //!
 //! Each job is the size of the served benchmark's (uniform, m = 8000
 //! sets, n = 16000 arrivals, σ = 4). The rows time the `{"ok": Outcome}`
-//! reply a worker sends (encode, and decode as a `Reply` and as the
-//! `ServerFrame` the dispatcher reads), and the `{"results": […]}` frame
+//! reply a worker sends (encode, and decode as the `ServerFrame` the
+//! dispatcher reads), and the `{"results": […]}` frame
 //! a client fetches for a four-job batch (randPr and 16-wise hashPr):
 //! the local numbers for what an outcome crossing costs, next to the
 //! `engine` and `priority` benches.
@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use osp_core::gen::RandomInstanceConfig;
 use osp_core::serve::{JobResult, ServeReply};
 use osp_core::spec::{run_spec, AlgorithmSpec, CoreResolver, JobSpec, ScenarioSpec};
-use osp_core::wire::{read_message, reply, write_message, ServerFrame};
+use osp_core::wire::{read_message, write_message, ServerFrame};
 
 fn served_job(seed: u64) -> JobSpec {
     JobSpec {
@@ -27,8 +27,7 @@ fn served_job(seed: u64) -> JobSpec {
 }
 
 fn bench_wire(c: &mut Criterion) {
-    let result = run_spec(&served_job(1), &CoreResolver);
-    let message = reply::encode(&result);
+    let message = ServerFrame::from(run_spec(&served_job(1), &CoreResolver));
     let mut frame = Vec::new();
     write_message(&mut frame, &message).expect("reply encodes");
 
@@ -39,13 +38,6 @@ fn bench_wire(c: &mut Criterion) {
             let mut out = Vec::new();
             write_message(&mut out, &message).expect("reply encodes");
             out.len()
-        })
-    });
-    group.bench_function("decode_reply_m8000", |b| {
-        b.iter(|| {
-            read_message::<_, reply::Reply>(&mut frame.as_slice())
-                .expect("reply decodes")
-                .is_some()
         })
     });
     group.bench_function("decode_server_frame_m8000", |b| {

@@ -8,10 +8,11 @@
 //!
 //! See [`osp_bench::guard`] for the exact rules: boolean identity columns
 //! must read `true` in every run, required sections (`distributed`,
-//! `socket`, `kernel`) must be present with rows, and the machine-portable
-//! algorithmic speedups (`poly_hash_eval`, `weighted sampling`, `kernel`;
-//! committed value ≥ 2×) must stay at ≥ 0.9× their committed value in the
-//! best run.
+//! `socket`, `kernel`, `pipeline`) must be present with rows, and the
+//! machine-portable algorithmic speedups (`poly_hash_eval`, `weighted
+//! sampling`, `streaming`, `kernel`; committed value ≥ 2×) must stay at
+//! ≥ 0.9× their committed value in the best run. Committed ratio cells
+//! that no run has are listed, not failed.
 
 use std::process::ExitCode;
 
@@ -50,7 +51,19 @@ fn main() -> ExitCode {
             }
         }
     }
-    let violations = guard::check_all(&baseline, &candidates);
+    let guard::Verdict {
+        violations,
+        skipped,
+    } = guard::check_all(&baseline, &candidates);
+    if !skipped.is_empty() {
+        println!(
+            "bench_guard: {} committed ratio cell(s) absent from every run, not compared:",
+            skipped.len()
+        );
+        for cell in &skipped {
+            println!("  - {cell}");
+        }
+    }
     if violations.is_empty() {
         println!(
             "bench_guard: OK — {} run(s) vs {} (identity columns true; guarded speedups ≥ {}× \

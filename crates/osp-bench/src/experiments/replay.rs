@@ -39,12 +39,12 @@
 //!    the fault code 86). Worker stderr goes to `socket-worker-logs/`
 //!    for CI to upload on failure. Like `distributed`, only the identity
 //!    booleans are guarded;
-//! 8. **kernel** — `PolyHash::eval_batch`'s transposed multi-key lanes vs
-//!    scalar `eval` over `m` keys (the single-threaded, ratio-guarded
+//! 8. **kernel** — what hashPr's `begin` runs: `PolyHash::eval_range`
+//!    over the keys `0..m` vs scalar `eval` per key (the single-threaded
 //!    `speedup` column), and `HashRandPr`'s `m`-slot table fill serially
 //!    vs across the machine's cores (machine-bound wall ratio, so the
 //!    `begin speedup` column is informational); the
-//!    `bit-identical` cell asserts batch ≡ scalar key-for-key *and*
+//!    `bit-identical` cell asserts range ≡ scalar key-for-key *and*
 //!    serial ≡ sharded table slot-for-slot;
 //! 9. **pipeline** — ONE huge streamed replay two ways: the serial loop
 //!    (`run_source_with_scratch`) and the pipelined session
@@ -768,14 +768,14 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     }
     report.table(socket_table);
 
-    // --- 8: kernel — transposed eval_batch vs scalar eval, and the sharded
-    // table-build prologue vs the serial begin. ---
+    // --- 8: kernel — what hashPr's begin runs: the range kernel vs
+    // scalar eval, and the sharded table fill vs the serial one. ---
     let mut kernel_table = NamedTable::new(
-        "kernel: transposed eval_batch vs scalar eval; sharded prologue vs serial begin",
+        "kernel: hashPr's hash — eval_range vs scalar eval per key; sharded vs serial begin",
         &[
             "m",
             "scalar ns/eval",
-            "batch ns/eval",
+            "range ns/eval",
             "speedup",
             "serial begin s",
             "parallel begin s",
@@ -784,8 +784,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             "bit-identical",
         ],
     );
-    // The 64-wise family: wide enough that the per-key work dwarfs the
-    // transpose overhead, and the degree the paper's k_max·σ_max guidance
+    // The 64-wise family: the degree the paper's k_max·σ_max guidance
     // actually asks for at realistic loads.
     let kernel_independence = 64usize;
     let kernel_seed = seeds.next_seed();
@@ -797,12 +796,10 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     let mut all_kernel_identical = true;
     for &m in kernel_grid {
         let h = PolyHash::new(kernel_independence, kernel_seed);
-        const CHUNK: usize = 64;
-        // More rounds than the other sections: the ns-level scalar/batch
-        // ratio is ratio-guarded, and min-of-rounds with interleaved legs
-        // is what keeps it stable on a noisy shared runner.
+        // Min-of-rounds with interleaved legs keeps the ns-level ratio
+        // stable on a noisy shared runner.
         let rounds: usize = scale.pick(5, 7);
-        let (mut t_scalar, mut t_batch) = (f64::INFINITY, f64::INFINITY);
+        let (mut t_scalar, mut t_range) = (f64::INFINITY, f64::INFINITY);
         let mut sums_agree = true;
         for _ in 0..rounds {
             let (t, sum_scalar) = timed(|| {
@@ -811,42 +808,21 @@ pub fn run(scale: Scale, seed: u64) -> Report {
                     .fold(0u64, u64::wrapping_add)
             });
             t_scalar = t_scalar.min(t);
-            let (t, sum_batch) = timed(|| {
-                let mut keys = [0u64; CHUNK];
-                let mut raws = [0u64; CHUNK];
+            let (t, sum_range) = timed(|| {
                 let mut sum = 0u64;
-                let mut base = 0u64;
-                while base < m as u64 {
-                    let k = CHUNK.min((m as u64 - base) as usize);
-                    for (j, key) in keys[..k].iter_mut().enumerate() {
-                        *key = black_box(base + j as u64);
-                    }
-                    h.eval_batch(&keys[..k], &mut raws[..k]);
-                    sum = raws[..k].iter().fold(sum, |a, &r| a.wrapping_add(r));
-                    base += k as u64;
-                }
+                h.eval_range(black_box(0), m, |v| sum = sum.wrapping_add(v));
                 sum
             });
-            t_batch = t_batch.min(t);
-            sums_agree &= sum_scalar == sum_batch;
+            t_range = t_range.min(t);
+            sums_agree &= sum_scalar == sum_range;
         }
         // Key-for-key identity (not just checksum agreement), one pass.
         let mut keywise_identical = true;
-        {
-            let mut keys = [0u64; CHUNK];
-            let mut raws = [0u64; CHUNK];
-            for base in (0..m as u64).step_by(CHUNK) {
-                let k = CHUNK.min((m as u64 - base) as usize);
-                for (j, key) in keys[..k].iter_mut().enumerate() {
-                    *key = base + j as u64;
-                }
-                h.eval_batch(&keys[..k], &mut raws[..k]);
-                keywise_identical &= keys[..k]
-                    .iter()
-                    .zip(&raws[..k])
-                    .all(|(&x, &r)| h.eval(x) == r);
-            }
-        }
+        let mut key = 0u64;
+        h.eval_range(0, m, |v| {
+            keywise_identical &= v == h.eval(key);
+            key += 1;
+        });
 
         // The prologue: serial (1 thread) vs the machine's fan-out,
         // filling hashPr's m-slot priority table over synthetic mixed
@@ -873,8 +849,8 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         kernel_table.row(vec![
             m.to_string(),
             format!("{:.1}", t_scalar * 1e9 / m as f64),
-            format!("{:.1}", t_batch * 1e9 / m as f64),
-            format!("{:.2}×", t_scalar / t_batch.max(1e-12)),
+            format!("{:.1}", t_range * 1e9 / m as f64),
+            format!("{:.2}×", t_scalar / t_range.max(1e-12)),
             format!("{t_serial:.3}"),
             format!("{t_parallel:.3}"),
             format!("{:.2}×", t_serial / t_parallel.max(1e-9)),
@@ -884,12 +860,12 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     }
     report.table(kernel_table);
     report.note(
-        "kernel: eval_batch is the transposed multi-key evaluator (8/4-lane groups, then \
-         a 2- or 1-lane group or a zero-padded 4-lane group for the last 1–3 keys; one \
-         branchless fold per Horner step, renormalization every 6 steps) feeding the range \
-         fill; scalar eval is the same kernel at one lane, \
-         so the speedup is the cross-key lanes' instruction-level parallelism, \
-         single-threaded and algorithmic, and ratio-guarded like poly_hash_eval. \
+        "kernel: eval_range is the range kernel hashPr's begin runs over the set ids \
+         0..m: it seeds t forward differences with scalar eval (t·t Horner steps per \
+         range), then steps key to key with t − 1 field additions. Scalar eval is lazy \
+         Horner (one branchless fold per step, renormalization every 6 steps). The \
+         speedup is single-threaded and algorithmic; the guard compares it once a \
+         committed report carries this section's title. \
          The begin columns time hashPr's m-slot table fill serially vs across the \
          machine's cores — that ratio is machine-bound (expect ~1× on a 1-core runner), \
          so only its bit-identical cell is guarded.",

@@ -11,7 +11,7 @@
 //!    silently (`REQUIRED_TABLES`: the `distributed` section, which
 //!    needs the `osp-worker` binary built, the `socket` section,
 //!    which needs a loopback worker fleet, the `kernel` section,
-//!    which carries the batched-kernel and prologue identity claims,
+//!    which carries the range-kernel and sharded-`begin` identity claims,
 //!    and the `pipeline` section, which carries the pipelined-session
 //!    identity claim) must additionally be
 //!    *present with rows* in every candidate once the baseline has
@@ -41,7 +41,11 @@
 //! hold in every candidate.
 //!
 //! Rows or tables present only in the baseline are skipped (the
-//! quick-scale CI grid is a subset of the committed full-scale grid).
+//! quick-scale CI grid is a subset of the committed full-scale grid, and
+//! a retitled section matches no committed title until the next full
+//! re-baseline). Each committed ratio cell skipped that way is named in
+//! [`Verdict::skipped`], so a cell that stops being compared shows in the
+//! log instead of vanishing.
 
 use crate::report::Report;
 
@@ -55,8 +59,8 @@ pub const RATIO_GUARD_MIN: f64 = 2.0;
 /// Table-title prefixes whose ratio columns are machine-portable
 /// (single-threaded algorithmic ratios, or deterministic memory ratios)
 /// and therefore ratio-guarded. The `kernel` table's `speedup` column is
-/// the single-threaded eval_batch-over-scalar ratio (guarded); its
-/// `begin speedup` column measures the prologue's thread fan-out, which
+/// the single-threaded range-kernel-over-scalar ratio (guarded); its
+/// `begin speedup` column measures the table fill's thread fan-out, which
 /// is a machine property — exempt by header name, like `wall speedup`.
 const RATIO_GUARDED_TABLES: [&str; 4] =
     ["poly_hash_eval", "weighted sampling", "streaming", "kernel"];
@@ -72,9 +76,9 @@ const RATIO_GUARDED_TABLES: [&str; 4] =
 /// rule 1 vacuously. Their wall-clock columns stay unguarded (the
 /// thread/worker counts are machine properties); only presence and the
 /// identity booleans are enforced. The `kernel` section is required too:
-/// it carries the batched-kernel ≡ scalar and sharded-prologue ≡ serial
-/// identity claims plus the ratio-guarded eval_batch speedup, so a run
-/// that dropped the table would quietly un-guard all three. The
+/// it carries the range ≡ scalar and sharded-`begin` ≡ serial identity
+/// claims plus the ratio-guarded range-kernel speedup, so a run that
+/// dropped the table would quietly un-guard all three. The
 /// `pipeline` section is required for the same reason: its rows claim
 /// the pipelined session is bit-identical to the serial replay loop
 /// (walls stay unguarded — the core count is a machine property).
@@ -94,10 +98,21 @@ fn parse_ratio(cell: &str) -> Option<f64> {
     cell.trim().trim_end_matches('×').trim().parse::<f64>().ok()
 }
 
-/// Checks the candidate reports against `baseline`; returns every
-/// violation found (empty = pass).
-pub fn check_all(baseline: &Report, candidates: &[Report]) -> Vec<String> {
+/// What [`check_all`] found.
+#[derive(Debug)]
+pub struct Verdict {
+    /// Every rule violation (empty = pass).
+    pub violations: Vec<String>,
+    /// Each guarded committed ratio cell that no candidate has, as
+    /// `[table title] row 'row': 'header'`. Informational, never a
+    /// failure.
+    pub skipped: Vec<String>,
+}
+
+/// Checks the candidate reports against `baseline`.
+pub fn check_all(baseline: &Report, candidates: &[Report]) -> Verdict {
     let mut violations = Vec::new();
+    let mut skipped = Vec::new();
 
     // Rule 1: identity booleans, in every candidate.
     for (i, current) in candidates.iter().enumerate() {
@@ -179,7 +194,11 @@ pub fn check_all(baseline: &Report, candidates: &[Report]) -> Vec<String> {
                 let Some(best) = measured.iter().copied().fold(None, |acc: Option<f64>, v| {
                     Some(acc.map_or(v, |a| a.max(v)))
                 }) else {
-                    continue; // cell absent from every candidate: skipped
+                    skipped.push(format!(
+                        "[{}] row '{}': '{header}'",
+                        base_table.title, base_row[0]
+                    ));
+                    continue;
                 };
                 if best < SPEEDUP_FLOOR * base {
                     violations.push(format!(
@@ -195,12 +214,16 @@ pub fn check_all(baseline: &Report, candidates: &[Report]) -> Vec<String> {
         }
     }
 
-    violations
+    Verdict {
+        violations,
+        skipped,
+    }
 }
 
-/// Single-candidate convenience wrapper around [`check_all`].
+/// Single-candidate convenience wrapper around [`check_all`]: the
+/// violations only.
 pub fn check(baseline: &Report, current: &Report) -> Vec<String> {
-    check_all(baseline, std::slice::from_ref(current))
+    check_all(baseline, std::slice::from_ref(current)).violations
 }
 
 #[cfg(test)]
@@ -240,7 +263,7 @@ mod tests {
             &["workload", "bit-identical"],
             vec![vec!["w", "false"]],
         );
-        let v = check_all(&good, &[good.clone(), bad]);
+        let v = check_all(&good, &[good.clone(), bad]).violations;
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("bit-identical"));
     }
@@ -374,23 +397,23 @@ mod tests {
     fn kernel_speedup_guarded_but_begin_speedup_exempt() {
         let mk = |speedup: &str, begin: &str, identical: &str| {
             report_with(
-                "kernel: transposed eval_batch vs scalar eval; sharded prologue vs serial begin",
+                "kernel: hashPr's hash — eval_range vs scalar eval per key; sharded vs serial begin",
                 &["m", "speedup", "begin speedup", "bit-identical"],
                 vec![vec!["1000000", speedup, begin, identical]],
             )
         };
-        // The eval_batch-over-scalar ratio is single-threaded and guarded:
+        // The range-over-scalar ratio is single-threaded and guarded:
         // a collapse below the floor fails…
         let v = check(&mk("2.20×", "1.00×", "true"), &mk("1.10×", "1.00×", "true"));
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("speedup"));
         // …jitter within the floor passes…
         assert!(check(&mk("2.20×", "1.00×", "true"), &mk("2.05×", "1.00×", "true")).is_empty());
-        // …the prologue's wall ratio is machine-bound: even a committed
+        // …the table fill's wall ratio is machine-bound: even a committed
         // multi-core 4.00× may read ~0.9× on a 1-core runner without
         // failing (exempt by the `begin speedup` header name)…
         assert!(check(&mk("2.20×", "4.00×", "true"), &mk("2.20×", "0.90×", "true")).is_empty());
-        // …and the identity cell (batch ≡ scalar AND serial ≡ sharded
+        // …and the identity cell (range ≡ scalar AND serial ≡ sharded
         // tables) is rule-1 enforced regardless of the ratios.
         let v = check(
             &mk("2.20×", "1.00×", "true"),
@@ -403,7 +426,7 @@ mod tests {
     #[test]
     fn kernel_section_is_required_once_the_baseline_has_it() {
         let base = report_with(
-            "kernel: transposed eval_batch vs scalar eval; sharded prologue vs serial begin",
+            "kernel: hashPr's hash — eval_range vs scalar eval per key; sharded vs serial begin",
             &["m", "speedup", "bit-identical"],
             vec![vec!["10000", "2.50×", "true"]],
         );
@@ -477,7 +500,7 @@ mod tests {
         );
         // The noisy run alone fails; paired with the quiet run it passes.
         assert_eq!(check(&base, &noisy).len(), 1);
-        assert!(check_all(&base, &[noisy, quiet]).is_empty());
+        assert!(check_all(&base, &[noisy, quiet]).violations.is_empty());
     }
 
     #[test]
@@ -495,6 +518,36 @@ mod tests {
         assert!(check(&base, &cur).is_empty());
         let other = report_with("weighted sampling: y", &["id", "speedup"], vec![]);
         assert!(check(&other, &base).is_empty());
+    }
+
+    #[test]
+    fn unmatched_committed_ratio_cells_are_named_not_failed() {
+        let base = report_with(
+            "kernel: old title",
+            &["m", "speedup", "begin speedup", "bit-identical"],
+            vec![
+                vec!["10000", "4.37×", "1.80×", "true"],
+                vec!["10", "1.20×", "1.00×", "true"],
+            ],
+        );
+        let retitled = report_with(
+            "kernel: new title",
+            &["m", "speedup", "begin speedup", "bit-identical"],
+            vec![vec!["10000", "1.10×", "1.00×", "true"]],
+        );
+        let verdict = check_all(&base, &[retitled.clone(), retitled]);
+        // The retitled section still satisfies the presence rule, and its
+        // guarded cell is named once, not failed. The informational cells
+        // (below RATIO_GUARD_MIN, or an unguarded header) are not listed.
+        assert!(verdict.violations.is_empty(), "{:?}", verdict.violations);
+        assert_eq!(
+            verdict.skipped,
+            vec!["[kernel: old title] row '10000': 'speedup'".to_string()]
+        );
+        // A cell some candidate has is compared, not listed.
+        assert!(check_all(&base, std::slice::from_ref(&base))
+            .skipped
+            .is_empty());
     }
 
     #[test]

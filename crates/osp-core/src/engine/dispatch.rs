@@ -23,7 +23,9 @@
 //!   read deadlines, an in-band heartbeat, and **chunk re-dispatch**:
 //!   when a worker dies mid-batch its unanswered jobs are re-chunked
 //!   across the survivors, and only with every worker dead does a job
-//!   fail ([`WorkerError::AllWorkersDead`]). Because outcomes are pure
+//!   fail ([`WorkerError::AllWorkersDead`]) — or when the job itself
+//!   ended its lane's session [`MAX_JOB_KILLS`] times
+//!   ([`WorkerError::JobKilledWorker`]). Because outcomes are pure
 //!   functions of the specs, recovery never changes results — just who
 //!   computes them;
 //! * [`ProcessPool`] — a launcher over [`SocketPool`]: every batch
@@ -657,11 +659,19 @@ impl Default for SocketConfig {
     }
 }
 
+/// How many times one job may end its lane's session (a disconnect or a
+/// timeout while it is the lane's oldest unanswered job) before
+/// [`SocketPool`] stops re-dispatching it and fails it alone with
+/// [`WorkerError::JobKilledWorker`]. A job that aborts or exhausts every
+/// worker it reaches would otherwise be handed out forever.
+pub const MAX_JOB_KILLS: u32 = 3;
+
 /// What the next in-order reply frame on a connection must be — requests
 /// are answered strictly in submission order, so the client tracks a
 /// FIFO of expectations instead of tagging frames.
 enum Expected {
-    /// A [`wire::reply`] for the job at this index of the full work-list.
+    /// A job reply ([`wire::ServerFrame::Ok`] or [`wire::ServerFrame::Err`])
+    /// for the job at this index of the full work-list.
     Job(usize),
     /// A pong carrying this nonce.
     Ping(u64),
@@ -685,6 +695,10 @@ enum Expected {
 ///   re-dispatched** to the surviving workers — rounds continue until
 ///   every job is answered or every worker is dead, in which case the
 ///   leftovers fail with [`WorkerError::AllWorkersDead`];
+/// * replies come strictly in order, so a lane that disconnects or times
+///   out was working on its oldest unanswered job, and that job is
+///   charged one kill; at [`MAX_JOB_KILLS`] it fails alone with
+///   [`WorkerError::JobKilledWorker`] instead of being re-dispatched;
 /// * per-job failures answered by a healthy worker
 ///   ([`WorkerError::Remote`]) are final and never re-dispatched.
 ///
@@ -923,10 +937,13 @@ impl SocketPool {
                 Err(e) => return Err(self.classify(addr, started, e.to_string())),
             };
             match (next, frame) {
-                (Expected::Job(index), wire::ServerFrame::Reply(reply)) => {
-                    answered.push((index, wire::reply::decode(reply)));
+                (Expected::Job(index), wire::ServerFrame::Ok(outcome)) => {
+                    answered.push((index, Ok(outcome)));
                 }
-                (Expected::Ping(nonce), wire::ServerFrame::Pong(wire::Pong { pong })) => {
+                (Expected::Job(index), wire::ServerFrame::Err(why)) => {
+                    answered.push((index, Err(WorkerError::Remote(why).into())));
+                }
+                (Expected::Ping(nonce), wire::ServerFrame::Pong(pong)) => {
                     if pong != nonce {
                         return Err(disconnect(format!(
                             "heartbeat answered out of order: sent {nonce}, got {pong}"
@@ -958,6 +975,7 @@ impl Dispatcher for SocketPool {
             return Vec::new();
         }
         let mut results: Vec<Option<Result<Outcome, Error>>> = vec![None; jobs.len()];
+        let mut kills = vec![0u32; jobs.len()];
         loop {
             let pending: Vec<usize> = (0..jobs.len()).filter(|&i| results[i].is_none()).collect();
             if pending.is_empty() {
@@ -996,9 +1014,11 @@ impl Dispatcher for SocketPool {
             // recovery keeps the submission order intact positionally.
             let lanes_used = lanes.len().min(pending.len());
             let chunk = pending.len().div_ceil(lanes_used);
-            // One lane's round: (lane address, answered jobs, lane fate).
-            type LaneRound = (
+            // One lane's round: (lane address, its chunk, answered jobs,
+            // lane fate).
+            type LaneRound<'a> = (
                 WorkerAddr,
+                &'a [usize],
                 Vec<(usize, Result<Outcome, Error>)>,
                 Result<(), WorkerError>,
             );
@@ -1012,22 +1032,37 @@ impl Dispatcher for SocketPool {
                             let fate = self.run_chunk(addr, slice, jobs, &mut answers);
                             (answers, fate)
                         });
-                        (addr, handle)
+                        (addr, slice, handle)
                     })
                     .collect();
                 handles
                     .into_iter()
-                    .map(|(addr, h)| {
+                    .map(|(addr, slice, h)| {
                         let (answers, fate) = h.join().expect("socket lane thread panicked");
-                        (addr.clone(), answers, fate)
+                        (addr.clone(), slice, answers, fate)
                     })
                     .collect()
             });
-            for (addr, answers, fate) in round {
+            for (addr, slice, answers, fate) in round {
+                // Answers are a prefix of the chunk: replies come in order.
+                let oldest_unanswered = slice.get(answers.len()).copied();
                 for (index, result) in answers {
                     results[index] = Some(result);
                 }
                 if let Err(e) = fate {
+                    if let (
+                        WorkerError::Disconnect { .. } | WorkerError::Timeout { .. },
+                        Some(index),
+                    ) = (&e, oldest_unanswered)
+                    {
+                        kills[index] += 1;
+                        if kills[index] >= MAX_JOB_KILLS {
+                            results[index] = Some(Err(WorkerError::JobKilledWorker {
+                                kills: kills[index],
+                            }
+                            .into()));
+                        }
+                    }
                     exclude_lane(&self.fleet, &addr, &e, self.config.rejoin);
                     sink.event(DispatchEvent::WorkerExcluded {
                         addr: addr.to_string(),

@@ -122,7 +122,8 @@ pub enum Error {
 /// jobs (safe to exclude from the fleet immediately), a
 /// [`Timeout`](Self::Timeout) or [`Disconnect`](Self::Disconnect) means it
 /// died *mid-batch* (its unanswered jobs are re-dispatched to surviving
-/// workers by [`SocketPool`](crate::SocketPool)), and a
+/// workers by [`SocketPool`](crate::SocketPool), up to a bound per job:
+/// [`JobKilledWorker`](Self::JobKilledWorker)), and a
 /// [`Remote`](Self::Remote) is a *per-job* answer — the worker is healthy,
 /// that one job failed on it — which is final and never re-dispatched.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,6 +177,14 @@ pub enum WorkerError {
         /// The frame type actually received (e.g. `"job reply"`).
         got: &'static str,
     },
+    /// The job ended its worker's session (a disconnect or a timeout while
+    /// it was the oldest unanswered job) this many times, so it is not
+    /// re-dispatched again: see
+    /// [`MAX_JOB_KILLS`](crate::engine::dispatch::MAX_JOB_KILLS).
+    JobKilledWorker {
+        /// How many sessions the job ended.
+        kills: u32,
+    },
     /// Every worker of the fleet is dead and jobs remain unanswered.
     AllWorkersDead {
         /// How many jobs were left undispatched.
@@ -212,6 +221,10 @@ impl fmt::Display for WorkerError {
             } => write!(
                 f,
                 "worker {addr} answered out of order: expected a {expected}, got a {got}"
+            ),
+            WorkerError::JobKilledWorker { kills } => write!(
+                f,
+                "the job ended its worker's session {kills} times; not re-dispatched"
             ),
             WorkerError::AllWorkersDead { pending } => {
                 write!(f, "every worker is dead with {pending} job(s) unanswered")

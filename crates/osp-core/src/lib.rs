@@ -64,7 +64,7 @@ pub use engine::batch::{derive_seed, env_parallelism, ReplayPool, ReplayScratch}
 pub use engine::dispatch::{
     derived_jobs, spawn_listening, worker_binary, DispatchChoice, DispatchEvent, Dispatcher,
     EventSink, FleetHandle, FleetReport, LaneReport, ProcessPool, RejoinPolicy, RetryPolicy,
-    SocketConfig, SocketPool, SpecPool, StderrSink,
+    SocketConfig, SocketPool, SpecPool, StderrSink, MAX_JOB_KILLS,
 };
 pub use engine::{
     run, run_source, run_source_logged, run_source_pipelined, run_source_with_scratch,

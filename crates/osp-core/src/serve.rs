@@ -223,7 +223,8 @@ pub enum JobResult<O = Outcome> {
     /// [`run_spec`](crate::spec::run_spec).
     Ok(O),
     /// The per-job failure, as display text (like
-    /// [`reply`](crate::wire::reply) across the worker boundary).
+    /// [`ServerFrame::Err`](crate::wire::ServerFrame::Err) across the
+    /// worker boundary).
     Err(String),
     /// Not answered yet (or never will be, if the batch was cancelled).
     Pending,

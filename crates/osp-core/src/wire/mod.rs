@@ -16,9 +16,9 @@
 //! workers): on accept the worker first sends a [`Hello`] handshake frame
 //! (protocol version + resolver roster), or a [`Refusal`] when it is at
 //! its connection cap; the client then sends
-//! [`Request`] frames — `{"job": JobSpec}` answered by a [`reply`]
-//! envelope (`{"ok": Outcome}` or `{"err": "message"}`), or the heartbeat
-//! `{"ping": nonce}` answered by `{"pong": nonce}` — strictly in order.
+//! [`Request`] frames — `{"job": JobSpec}` answered by `{"ok": Outcome}`
+//! or `{"err": "message"}`, or the heartbeat `{"ping": nonce}` answered
+//! by `{"pong": nonce}` ([`ServerFrame`]) — strictly in order.
 //!
 //! A clean end-of-stream *between* frames is the normal shutdown signal
 //! ([`read_frame`] returns `None`); anything else — a truncated length or
@@ -205,108 +205,6 @@ pub fn read_message<R: Read + ?Sized, T: Deserialize>(reader: &mut R) -> Result<
         .map_err(|e| Error::Protocol(format!("decoding frame: {e}")))
 }
 
-/// The worker→parent message: one job's result.
-pub mod reply {
-    use super::*;
-
-    /// Wire envelope for `Result<Outcome, Error>` (errors cross the
-    /// boundary as display text; see [`decode`]).
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct Reply {
-        /// The outcome, when the job succeeded.
-        pub ok: Option<Outcome>,
-        /// The error message, when it failed.
-        pub err: Option<String>,
-    }
-
-    /// A job result borrowed for the wire ([`encode`]): it writes the
-    /// bytes of the [`Reply`] it decodes to without copying the outcome.
-    #[derive(Debug, Clone, Copy)]
-    pub struct ReplyRef<'a>(&'a Result<Outcome, Error>);
-
-    /// The `{"ok": …}` or `{"err": …}` envelope.
-    fn envelope(ok: Option<&Outcome>, err: Option<&str>) -> serde::Value {
-        let (key, value) = match (ok, err) {
-            (Some(outcome), _) => ("ok", outcome.to_value()),
-            (None, Some(err)) => ("err", serde::Value::Str(err.to_string())),
-            (None, None) => ("err", serde::Value::Str("empty reply".to_string())),
-        };
-        serde::Value::Map(vec![(key.to_string(), value)])
-    }
-
-    impl Serialize for Reply {
-        fn to_value(&self) -> serde::Value {
-            envelope(self.ok.as_ref(), self.err.as_deref())
-        }
-    }
-
-    impl Serialize for ReplyRef<'_> {
-        fn to_value(&self) -> serde::Value {
-            match self.0 {
-                Ok(outcome) => envelope(Some(outcome), None),
-                Err(e) => envelope(None, Some(&e.to_string())),
-            }
-        }
-    }
-
-    impl Deserialize for Reply {
-        fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-            if let Ok(ok) = serde::get_field(value, "ok") {
-                return Ok(Reply {
-                    ok: Some(Outcome::from_value(ok)?),
-                    err: None,
-                });
-            }
-            let err = String::from_value(serde::get_field(value, "err")?)?;
-            Ok(Reply {
-                ok: None,
-                err: Some(err),
-            })
-        }
-
-        fn read_json(reader: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-            reader.read_tagged(&["ok", "err"], read_variant)
-        }
-    }
-
-    /// Reads the value of a reply's `ok` (tag 0) or `err` (tag 1) key.
-    pub(super) fn read_variant(
-        reader: &mut serde::Reader<'_>,
-        tag: usize,
-    ) -> Result<Reply, serde::Error> {
-        Ok(match tag {
-            0 => Reply {
-                ok: Some(Outcome::read_json(reader)?),
-                err: None,
-            },
-            _ => Reply {
-                ok: None,
-                err: Some(String::read_json(reader)?),
-            },
-        })
-    }
-
-    /// Wraps a job result for the wire, borrowing the outcome.
-    pub fn encode(result: &Result<Outcome, Error>) -> ReplyRef<'_> {
-        ReplyRef(result)
-    }
-
-    /// Unwraps a wire reply. A structured engine error does not survive
-    /// the boundary typed; it comes back as
-    /// [`WorkerError::Remote`](crate::error::WorkerError::Remote)
-    /// carrying the original display text.
-    pub fn decode(reply: Reply) -> Result<Outcome, Error> {
-        match reply {
-            Reply { ok: Some(o), .. } => Ok(o),
-            Reply { err: Some(e), .. } => Err(Error::Worker(crate::error::WorkerError::Remote(e))),
-            Reply {
-                ok: None,
-                err: None,
-            } => Err(Error::Protocol("empty reply".into())),
-        }
-    }
-}
-
 /// The handshake frame a socket worker sends immediately after accepting
 /// a connection: which protocol version it speaks and which spec variants
 /// its resolver can build (the roster, see
@@ -346,32 +244,33 @@ pub struct Refusal {
 /// One client → worker message of a socket session.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
-    /// Replay this job and answer with a [`reply`] frame.
+    /// Replay this job and answer with [`ServerFrame::Ok`] or
+    /// [`ServerFrame::Err`].
     Job(JobSpec),
-    /// Heartbeat: answer with `{"pong": nonce}` ([`Pong`]) immediately.
+    /// Heartbeat: answer with [`ServerFrame::Pong`] immediately.
     Ping(u64),
 }
 
-/// The worker's answer to a [`Request::Ping`]: the same nonce back.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Pong {
-    /// The nonce of the ping being answered.
-    pub pong: u64,
-}
-
-/// Any one worker → client frame of a socket session, decoded by key
-/// shape: `{"pong": …}` is a [`Pong`], `{"ok": …}` / `{"err": …}` is a
-/// job [`reply::Reply`]. Clients that expect a specific frame read this
-/// first, so a worker answering out of order (a job reply where a pong
-/// is due, or vice versa) surfaces as a typed
+/// Any one worker → client frame of a socket session after the
+/// [`Hello`]: `{"pong": nonce}` answers a [`Request::Ping`], and
+/// `{"ok": Outcome}` or `{"err": "message"}` answers a [`Request::Job`].
+/// An object holding several of these keys decodes as the first in
+/// declaration order. Clients read this whatever frame they expect, so a
+/// worker answering out of order (a job reply where a pong is due, or
+/// vice versa) surfaces as a typed
 /// [`WorkerError::FrameOrder`](crate::error::WorkerError::FrameOrder)
 /// naming both sides — not a generic decode failure.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServerFrame {
-    /// A job answer.
-    Reply(reply::Reply),
-    /// A heartbeat answer.
-    Pong(Pong),
+    /// A heartbeat answer: the nonce of the ping being answered.
+    Pong(u64),
+    /// A job's outcome.
+    Ok(Outcome),
+    /// A job's failure. A structured engine error does not survive the
+    /// boundary typed: it crosses as display text, and the dispatcher
+    /// reports it as
+    /// [`WorkerError::Remote`](crate::error::WorkerError::Remote).
+    Err(String),
 }
 
 impl ServerFrame {
@@ -380,34 +279,18 @@ impl ServerFrame {
     /// messages.
     pub fn kind(&self) -> &'static str {
         match self {
-            ServerFrame::Reply(_) => "job reply",
             ServerFrame::Pong(_) => "pong",
+            ServerFrame::Ok(_) | ServerFrame::Err(_) => "job reply",
         }
     }
 }
 
-impl Serialize for ServerFrame {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            ServerFrame::Reply(reply) => reply.to_value(),
-            ServerFrame::Pong(pong) => pong.to_value(),
+impl From<Result<Outcome, Error>> for ServerFrame {
+    fn from(result: Result<Outcome, Error>) -> Self {
+        match result {
+            Ok(outcome) => ServerFrame::Ok(outcome),
+            Err(e) => ServerFrame::Err(e.to_string()),
         }
-    }
-}
-
-impl Deserialize for ServerFrame {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        if serde::get_field(value, "pong").is_ok() {
-            return Ok(ServerFrame::Pong(Pong::from_value(value)?));
-        }
-        Ok(ServerFrame::Reply(reply::Reply::from_value(value)?))
-    }
-
-    fn read_json(reader: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        reader.read_tagged(&["pong", "ok", "err"], |r, tag| match tag {
-            0 => u64::read_json(r).map(|pong| ServerFrame::Pong(Pong { pong })),
-            _ => reply::read_variant(r, tag - 1).map(ServerFrame::Reply),
-        })
     }
 }
 
@@ -548,10 +431,10 @@ pub enum SessionEnd {
 /// The worker loop: sends the [`Hello`] handshake, then answers
 /// [`Request`] frames — jobs through `resolver` (one reused
 /// [`ReplayScratch`] across jobs, exactly like a thread shard), pings
-/// with [`Pong`] — until clean end-of-stream, honoring `fault` against
-/// the worker-lifetime `jobs_answered` counter (shared across a worker's
-/// connections so a multi-connection fleet kill stays a pure function of
-/// the plan). Every answer is flushed at once, so the client consumes
+/// with [`ServerFrame::Pong`] — until clean end-of-stream, honoring
+/// `fault` against the worker-lifetime `jobs_answered` counter (shared
+/// across a worker's connections so a multi-connection fleet kill stays
+/// a pure function of the plan). Every answer is flushed at once, so the client consumes
 /// results as they stream.
 ///
 /// Per-job failures (unsupported spec, invalid decision) are *answered*,
@@ -577,7 +460,7 @@ where
     let mut scratch = ReplayScratch::new();
     while let Some(request) = read_message::<_, Request>(reader)? {
         match request {
-            Request::Ping(nonce) => send(writer, &Pong { pong: nonce })?,
+            Request::Ping(nonce) => send(writer, &ServerFrame::Pong(nonce))?,
             Request::Job(job) => {
                 let index = jobs_answered.load(Ordering::SeqCst);
                 if fault.die_after.is_some_and(|n| index >= n) {
@@ -589,7 +472,7 @@ where
                     }
                 }
                 let result = run_spec_with_scratch(&job, resolver, &mut scratch);
-                send(writer, &reply::encode(&result))?;
+                send(writer, &ServerFrame::from(result))?;
                 jobs_answered.fetch_add(1, Ordering::SeqCst);
             }
         }
@@ -663,12 +546,12 @@ mod tests {
         write_frame(&mut w, b"").unwrap();
         assert_eq!(w.writes, 2);
         let outcome = crate::spec::run_spec(&job(4), &CoreResolver).unwrap();
-        write_message(&mut w, &reply::encode(&Ok(outcome))).unwrap();
+        write_message(&mut w, &ServerFrame::Ok(outcome)).unwrap();
         assert_eq!(w.writes, 3, "a message is one frame, one write");
         let mut cursor = Cursor::new(w.bytes);
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
-        assert!(read_message::<_, reply::Reply>(&mut cursor)
+        assert!(read_message::<_, ServerFrame>(&mut cursor)
             .unwrap()
             .is_some());
     }
@@ -743,14 +626,13 @@ mod tests {
         let (end, mut cursor) = session(&input);
         assert_eq!(end.unwrap(), SessionEnd::Eof);
         for j in &jobs {
-            let r: reply::Reply = read_message(&mut cursor)
+            let got: ServerFrame = read_message(&mut cursor)
                 .unwrap()
                 .expect("one reply per job");
-            let got = reply::decode(r).unwrap();
             let want = crate::spec::run_spec(j, &CoreResolver).unwrap();
-            assert_eq!(got, want, "seed {}", j.seed);
+            assert_eq!(got, ServerFrame::Ok(want), "seed {}", j.seed);
         }
-        assert!(read_message::<_, reply::Reply>(&mut cursor)
+        assert!(read_message::<_, ServerFrame>(&mut cursor)
             .unwrap()
             .is_none());
     }
@@ -767,10 +649,10 @@ mod tests {
         write_message(&mut input, &Request::Job(job(1))).unwrap();
         let (end, mut cursor) = session(&input);
         assert_eq!(end.unwrap(), SessionEnd::Eof);
-        let first = reply::decode(read_message(&mut cursor).unwrap().unwrap());
-        assert!(matches!(first, Err(Error::Worker(_))));
-        let second = reply::decode(read_message(&mut cursor).unwrap().unwrap());
-        assert!(second.is_ok());
+        let first: ServerFrame = read_message(&mut cursor).unwrap().unwrap();
+        assert!(matches!(first, ServerFrame::Err(_)), "got {first:?}");
+        let second: ServerFrame = read_message(&mut cursor).unwrap().unwrap();
+        assert!(matches!(second, ServerFrame::Ok(_)), "got {second:?}");
     }
 
     #[test]
@@ -781,7 +663,7 @@ mod tests {
         let (end, mut cursor) = session(&input);
         assert!(matches!(end, Err(Error::Protocol(_))), "got {end:?}");
         assert!(
-            read_message::<_, reply::Reply>(&mut cursor)
+            read_message::<_, ServerFrame>(&mut cursor)
                 .unwrap()
                 .is_none(),
             "nothing after the malformed frame is answered"
@@ -792,9 +674,11 @@ mod tests {
     fn outcome_survives_the_wire_bit_for_bit() {
         let want = crate::spec::run_spec(&job(9), &CoreResolver).unwrap();
         let mut buf = Vec::new();
-        write_message(&mut buf, &reply::encode(&Ok(want.clone()))).unwrap();
-        let got: reply::Reply = read_message(&mut Cursor::new(buf)).unwrap().unwrap();
-        let got = reply::decode(got).unwrap();
+        write_message(&mut buf, &ServerFrame::Ok(want.clone())).unwrap();
+        let got: ServerFrame = read_message(&mut Cursor::new(buf)).unwrap().unwrap();
+        let ServerFrame::Ok(got) = got else {
+            panic!("want an ok frame, got {got:?}");
+        };
         assert_eq!(got.completed(), want.completed());
         assert_eq!(got.benefit().to_bits(), want.benefit().to_bits());
         assert_eq!(got.digest(), want.digest());
@@ -810,7 +694,7 @@ mod tests {
         write_message(&mut buf, &hello).unwrap();
         write_message(&mut buf, &Request::Ping(42)).unwrap();
         write_message(&mut buf, &Request::Job(job(7))).unwrap();
-        write_message(&mut buf, &Pong { pong: 42 }).unwrap();
+        write_message(&mut buf, &ServerFrame::Pong(42)).unwrap();
         let mut cursor = Cursor::new(buf);
         assert_eq!(
             read_message::<_, Hello>(&mut cursor).unwrap().unwrap(),
@@ -825,8 +709,10 @@ mod tests {
             Request::Job(job(7))
         );
         assert_eq!(
-            read_message::<_, Pong>(&mut cursor).unwrap().unwrap(),
-            Pong { pong: 42 }
+            read_message::<_, ServerFrame>(&mut cursor)
+                .unwrap()
+                .unwrap(),
+            ServerFrame::Pong(42)
         );
     }
 
@@ -886,14 +772,18 @@ mod tests {
         let mut cursor = Cursor::new(output);
         let hello: Hello = read_message(&mut cursor).unwrap().unwrap();
         assert_eq!(hello.version, WIRE_VERSION);
-        let pong: Pong = read_message(&mut cursor).unwrap().unwrap();
-        assert_eq!(pong.pong, 11);
-        let r: reply::Reply = read_message(&mut cursor).unwrap().unwrap();
         let want = crate::spec::run_spec(&job(3), &CoreResolver).unwrap();
-        assert_eq!(reply::decode(r).unwrap(), want);
-        let pong: Pong = read_message(&mut cursor).unwrap().unwrap();
-        assert_eq!(pong.pong, 12);
-        assert!(read_message::<_, Pong>(&mut cursor).unwrap().is_none());
+        for frame in [
+            ServerFrame::Pong(11),
+            ServerFrame::Ok(want),
+            ServerFrame::Pong(12),
+        ] {
+            let got: ServerFrame = read_message(&mut cursor).unwrap().unwrap();
+            assert_eq!(got, frame);
+        }
+        assert!(read_message::<_, ServerFrame>(&mut cursor)
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -918,12 +808,12 @@ mod tests {
         let mut cursor = Cursor::new(output);
         let _hello: Hello = read_message(&mut cursor).unwrap().unwrap();
         for seed in 0..2 {
-            let r: reply::Reply = read_message(&mut cursor).unwrap().unwrap();
+            let got: ServerFrame = read_message(&mut cursor).unwrap().unwrap();
             let want = crate::spec::run_spec(&job(seed), &CoreResolver).unwrap();
-            assert_eq!(reply::decode(r).unwrap(), want, "answer {seed}");
+            assert_eq!(got, ServerFrame::Ok(want), "answer {seed}");
         }
         assert!(
-            read_message::<_, reply::Reply>(&mut cursor)
+            read_message::<_, ServerFrame>(&mut cursor)
                 .unwrap()
                 .is_none(),
             "the killed job must not be answered"

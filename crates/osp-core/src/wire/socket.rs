@@ -1,7 +1,7 @@
 //! TCP / Unix-domain-socket transport for the frame protocol.
 //!
 //! Everything above the byte stream — framing, [`Hello`] handshake,
-//! [`Request`]/[`reply`](super::reply) ordering, [`FaultPlan`] semantics —
+//! [`Request`]/[`ServerFrame`] ordering, [`FaultPlan`] semantics —
 //! lives in [`wire`](super); this module only supplies the streams:
 //!
 //! * [`WorkerAddr`] — a parsed worker address, `host:port` TCP or
@@ -33,8 +33,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use super::{
-    read_frame, read_message, send, serve_session, write_message, FaultPlan, Hello, Pong, Refusal,
-    Request, SessionEnd, MIN_WIRE_VERSION, WIRE_VERSION,
+    read_frame, read_message, send, serve_session, write_message, FaultPlan, Hello, Refusal,
+    Request, ServerFrame, SessionEnd, MIN_WIRE_VERSION, WIRE_VERSION,
 };
 use crate::error::{Error, WorkerError};
 use crate::spec::SpecResolver;
@@ -322,15 +322,16 @@ pub(crate) fn dial(addr: &WorkerAddr, timeout: Duration) -> Result<(Stream, Hell
 pub fn ping(addr: &WorkerAddr, timeout: Duration) -> Result<Hello, Error> {
     let (stream, hello) = dial(addr, timeout)?;
     write_message(&mut &stream, &Request::Ping(PING_NONCE))?;
-    let cause = match read_message::<_, Pong>(&mut BufReader::new(&stream)) {
-        Ok(Some(Pong { pong })) if pong == PING_NONCE => return Ok(hello),
-        Ok(Some(Pong { pong })) => {
+    let cause = match read_message::<_, ServerFrame>(&mut BufReader::new(&stream)) {
+        Ok(Some(ServerFrame::Pong(pong))) if pong == PING_NONCE => return Ok(hello),
+        Ok(Some(ServerFrame::Pong(pong))) => {
             return Err(WorkerError::Handshake {
                 addr: addr.to_string(),
                 cause: format!("pong nonce mismatch: sent {PING_NONCE}, got {pong}"),
             }
             .into())
         }
+        Ok(Some(frame)) => format!("expected a pong, got a {}", frame.kind()),
         Ok(None) => "stream closed before the pong".to_string(),
         Err(e) => e.to_string(),
     };

@@ -21,10 +21,9 @@ pub const MERSENNE_61: u64 = (1 << 61) - 1;
 ///
 /// Compiled only under `debug_assertions` so the release hot path carries
 /// zero bookkeeping; the counter is thread-local, so concurrent table
-/// builds don't race it. [`eval`](PolyHash::eval),
-/// [`eval_batch`](PolyHash::eval_batch) and
+/// builds don't race it. [`eval`](PolyHash::eval) and
 /// [`eval_range`](PolyHash::eval_range) each count one evaluation per
-/// key, whichever kernel evaluates it.
+/// key; the scalar seeds of a range are not counted twice.
 #[cfg(debug_assertions)]
 pub mod eval_count {
     use std::cell::Cell;
@@ -152,104 +151,13 @@ impl PolyHash {
 
     /// Evaluates the hash at `x`, returning a value in `[0, 2^61 − 1)`.
     ///
-    /// Horner with lazy Mersenne reduction: one lane of the kernel behind
-    /// [`eval_batch`](Self::eval_batch) (one branchless fold per step, a
-    /// full normalization every 6 steps, canonicalized once at the end),
-    /// so the two agree bit for bit by construction.
+    /// Horner with lazy Mersenne reduction: one branchless fold per step,
+    /// a full normalization every 6 steps, canonicalized once at the end.
     /// [`eval_naive`](Self::eval_naive) is the obviously-correct
     /// reference; the osp-gf proptests pin the two to agree everywhere.
     pub fn eval(&self, x: u64) -> u64 {
         count_evals(1);
-        let mut out = [0u64];
-        Self::eval_lanes::<1>(&self.coeffs, &[x], &mut out);
-        out[0]
-    }
-
-    /// Evaluates the hash at every key of `xs`, writing `out[i] =
-    /// self.eval(xs[i])` — bit-identical to the scalar path for every key,
-    /// measurably more than 2× faster at 64-wise independence.
-    ///
-    /// This is the kernel for arbitrary keys (`&self` and stack-resident
-    /// lane state keep it trivially reentrant).
-    /// Consecutive keys, such as the set ids `0..m` of the `begin`-time
-    /// table fill, go through [`eval_range`](Self::eval_range) instead,
-    /// which seeds its forward differences with this kernel.
-    ///
-    /// Keys are processed in transposed lanes of 8, then 4; the last 1–3
-    /// keys run as a 1- or 2-lane group, or (three keys) a 4-lane group
-    /// padded with a zero key. Each lane runs its own Horner recurrence
-    /// one *shared* coefficient at a time. The cross-key lanes supply the
-    /// instruction-level parallelism that a single Horner chain lacks,
-    /// and because no lane depends on another, the reduction stays lazy:
-    /// accumulators live in `u64`, each step performs a **single**
-    /// branchless fold (`(lo & M) + ((lo >> 61) | (hi << 3))`, a
-    /// funnel-shift on the 128-bit product halves), and a full
-    /// re-normalization runs only once every 6 steps. Bounds: keys are
-    /// canonicalized (`< 2^61`) and coefficients are stored canonical, so
-    /// from a normalized accumulator (`< 2^61 + 8`) six single-fold steps
-    /// grow it to at most `7·2^61 + 14 < 2^64` — never overflowing the
-    /// `u64` lane — while the 128-bit product `acc·x + c` stays below
-    /// `2^125`, so its high half is below `2^61` and the funnel shift is
-    /// exact. Every fold preserves the value modulo `2^61 − 1`, and
-    /// `reduce128` canonicalizes each lane at the end, so every lane
-    /// count yields the canonical value: the result is *bit*-identical to
-    /// [`eval`](Self::eval) (the 1-lane group) rather than merely
-    /// congruent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` and `out` have different lengths.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use osp_gf::hash::PolyHash;
-    ///
-    /// let h = PolyHash::new(64, 7);
-    /// let keys: Vec<u64> = (0..13).collect(); // non-multiple of the lane width
-    /// let mut out = vec![0u64; 13];
-    /// h.eval_batch(&keys, &mut out);
-    /// for (&k, &v) in keys.iter().zip(&out) {
-    ///     assert_eq!(v, h.eval(k));
-    /// }
-    /// ```
-    pub fn eval_batch(&self, xs: &[u64], out: &mut [u64]) {
-        assert_eq!(
-            xs.len(),
-            out.len(),
-            "eval_batch requires one output slot per key"
-        );
-        count_evals(xs.len() as u64);
-        self.batch(xs, out);
-    }
-
-    /// The uncounted body of [`eval_batch`](Self::eval_batch): lane-group
-    /// dispatch over equal-length `xs` and `out`.
-    fn batch(&self, xs: &[u64], out: &mut [u64]) {
-        let n = xs.len();
-        let mut i = 0;
-        while n - i >= 8 {
-            Self::eval_lanes::<8>(&self.coeffs, &xs[i..i + 8], &mut out[i..i + 8]);
-            i += 8;
-        }
-        if n - i >= 4 {
-            Self::eval_lanes::<4>(&self.coeffs, &xs[i..i + 4], &mut out[i..i + 4]);
-            i += 4;
-        }
-        match n - i {
-            0 => {}
-            1 => Self::eval_lanes::<1>(&self.coeffs, &xs[i..], &mut out[i..]),
-            2 => Self::eval_lanes::<2>(&self.coeffs, &xs[i..], &mut out[i..]),
-            _ => {
-                // Three keys ride a 4-lane group padded with a zero key:
-                // one more lane costs less than a separate third chain.
-                let mut keys = [0u64; 4];
-                let mut vals = [0u64; 4];
-                keys[..3].copy_from_slice(&xs[i..]);
-                Self::eval_lanes::<4>(&self.coeffs, &keys, &mut vals);
-                out[i..].copy_from_slice(&vals[..3]);
-            }
-        }
+        self.horner(x)
     }
 
     /// Evaluates the hash at the `len` consecutive keys `start`,
@@ -260,8 +168,9 @@ impl PolyHash {
     /// difference, so after seeding the `t` differences at `start` the
     /// kernel steps from one key to the next with `t − 1` field additions
     /// instead of `t` multiply-and-fold Horner steps. Seeding evaluates
-    /// `h(start..start+t)` with the batch kernel and turns them into
-    /// differences in place with `t(t−1)/2` canonical subtractions. Each
+    /// `h(start..start+t)` with the scalar kernel of [`eval`](Self::eval)
+    /// and turns them into differences in place with `t(t−1)/2` canonical
+    /// subtractions. Each
     /// step then sets `d[j] ← d[j] + d[j+1]` for ascending `j`, every
     /// addition reading the *old* `d[j+1]`, so the `t − 1` additions are
     /// independent of one another. A sum of two values in `[0, P]` (`P =
@@ -272,8 +181,8 @@ impl PolyHash {
     /// to 0 modulo `P`) is still exact.
     ///
     /// A range shorter than `t` keys is not worth a difference table and
-    /// runs through the batch kernel. Either way this counts one
-    /// evaluation per key.
+    /// runs through the scalar kernel alone. Either way this counts one
+    /// evaluation per key: the seeds are not counted again.
     ///
     /// # Panics
     ///
@@ -298,10 +207,9 @@ impl PolyHash {
         );
         count_evals(len as u64);
         let t = self.coeffs.len();
-        let seeds = len.min(t);
-        let keys: Vec<u64> = (0..seeds as u64).map(|j| start + j).collect();
-        let mut d = vec![0u64; seeds];
-        self.batch(&keys, &mut d);
+        let mut d: Vec<u64> = (0..len.min(t) as u64)
+            .map(|j| self.horner(start + j))
+            .collect();
         if len < t {
             d.into_iter().for_each(visit);
             return;
@@ -320,43 +228,40 @@ impl PolyHash {
         }
     }
 
-    /// The transposed multi-key kernel behind
-    /// [`eval_batch`](Self::eval_batch): `L` independent Horner chains
-    /// (manual `u64xL` lanes) advanced one shared coefficient per step
-    /// with single-fold lazy reduction. See `eval_batch` for the overflow
-    /// bounds that make one fold per step safe.
+    /// The uncounted body of [`eval`](Self::eval): one Horner chain
+    /// with single-fold lazy reduction.
+    ///
+    /// The accumulator lives in a `u64`. Each step computes the 128-bit
+    /// `t = acc·x + c` and performs a **single** branchless fold,
+    /// `(t & M) + (t >> 61)`, with the shift assembled from the product
+    /// halves as `(lo >> 61) + (hi << 3)` (the two share no bits; a sum
+    /// keeps LLVM off the slower `shld`). A full renormalization runs
+    /// once every 6 steps.
+    ///
+    /// Bounds: the key is canonicalized (`< 2^61`) and the coefficients
+    /// are stored canonical, so from a normalized accumulator
+    /// (`< 2^61 + 8`) each step adds less than `2^61`, and six steps
+    /// stay below `7·2^61 + 8 < 2^64`: the `u64` never overflows. The
+    /// product stays below `2^125`, so `hi < 2^61` and `hi << 3` is
+    /// exact. Every fold preserves the value modulo `2^61 − 1`, and
+    /// `reduce128` canonicalizes it at the end.
     #[inline]
-    fn eval_lanes<const L: usize>(coeffs: &[u64], xs: &[u64], out: &mut [u64]) {
-        let mut x = [0u64; L];
-        for l in 0..L {
-            x[l] = xs[l] % MERSENNE_61;
-        }
-        let mut acc = [0u64; L];
+    fn horner(&self, x: u64) -> u64 {
+        let x = x % MERSENNE_61;
+        let mut acc = 0u64;
         let mut since_norm = 0u32;
-        for &c in coeffs.iter().rev() {
-            for l in 0..L {
-                let t = (acc[l] as u128) * (x[l] as u128) + c as u128;
-                let lo = t as u64;
-                let hi = (t >> 64) as u64;
-                // One branchless fold: (t & M) + (t >> 61), with the
-                // 61-bit shift assembled as a funnel shift of the two
-                // product halves (hi < 2^61, so `hi << 3` is exact).
-                acc[l] = (lo & MERSENNE_61) + ((lo >> 61) | (hi << 3));
-            }
+        for &c in self.coeffs.iter().rev() {
+            let t = (acc as u128) * (x as u128) + c as u128;
+            let lo = t as u64;
+            let hi = (t >> 64) as u64;
+            acc = (lo & MERSENNE_61) + (lo >> 61) + (hi << 3);
             since_norm += 1;
             if since_norm == 6 {
-                // Re-normalize before the u64 lanes can overflow: each
-                // single-fold step grows the bound by ~2^61, and 8 of
-                // them would reach 2^64.
                 since_norm = 0;
-                for lane in &mut acc {
-                    *lane = (*lane & MERSENNE_61) + (*lane >> 61);
-                }
+                acc = (acc & MERSENNE_61) + (acc >> 61);
             }
         }
-        for l in 0..L {
-            out[l] = reduce128(acc[l] as u128);
-        }
+        reduce128(acc as u128)
     }
 
     /// Reference evaluation: explicit precomputed powers of `x`, each term
@@ -441,49 +346,29 @@ mod tests {
     }
 
     #[test]
-    fn eval_batch_matches_eval_for_every_remainder() {
-        // Key counts covering every lane-dispatch shape (8s, a 4, then a
-        // 1-, 2- or padded 3-key tail) at short and long lengths; keys
-        // include field boundaries. The naive reference checks each key,
-        // since eval is itself the 1-lane kernel.
-        for len in [1usize, 4, 8, 15, 16, 17, 19, 64] {
-            let h = PolyHash::new(len, 500 + len as u64);
-            let keys: Vec<u64> = (0..23u64)
-                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .chain([0, 1, MERSENNE_61 - 1, MERSENNE_61, u64::MAX])
-                .collect();
-            for count in [
-                0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 21, 28,
-            ] {
-                let xs = &keys[..count];
-                let mut out = vec![0u64; count];
-                h.eval_batch(xs, &mut out);
-                for (&x, &got) in xs.iter().zip(&out) {
-                    assert_eq!(got, h.eval(x), "len {len}, count {count}, key {x}");
-                    assert_eq!(got, h.eval_naive(x), "len {len}, count {count}, key {x}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn eval_batch_boundary_coefficients() {
+    fn eval_and_range_boundary_coefficients() {
+        // The all-(p−1) coefficients at 64-wise independence keep the
+        // accumulator at its largest between renormalizations; the keys
+        // sit on the field boundary, and each range starts at one and
+        // crosses a multiple of p where it can.
         let m = MERSENNE_61;
         let h = PolyHash::from_coeffs(vec![m - 1; 64]);
-        let xs: Vec<u64> = vec![0, 1, m - 2, m - 1, m, m + 1, u64::MAX, 12345, 6, 7, 8, 9];
-        let mut out = vec![0u64; xs.len()];
-        h.eval_batch(&xs, &mut out);
-        for (&x, &got) in xs.iter().zip(&out) {
-            assert_eq!(got, h.eval_naive(x), "key {x}");
+        for x in [0, 1, m - 2, m - 1, m, m + 1, u64::MAX, 12345, 6, 7, 8, 9] {
+            assert_eq!(h.eval(x), h.eval_naive(x), "key {x}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "one output slot per key")]
-    fn eval_batch_rejects_mismatched_lengths() {
-        let h = PolyHash::new(4, 0);
-        let mut out = [0u64; 2];
-        h.eval_batch(&[1, 2, 3], &mut out);
+        for (start, len) in [
+            (0, 70),
+            (m - 2, 130),
+            (m - 1, 3),
+            (m, 64),
+            (u64::MAX - 69, 70),
+        ] {
+            let mut key = start;
+            h.eval_range(start, len, |v| {
+                assert_eq!(v, h.eval_naive(key), "range from {start}, key {key}");
+                key = key.wrapping_add(1);
+            });
+        }
     }
 
     #[cfg(debug_assertions)]
@@ -496,14 +381,8 @@ mod tests {
         wide.eval(2);
         h.unit(3);
         assert_eq!(eval_count::get(), 3);
-        eval_count::reset();
-        let xs: Vec<u64> = (0..15).collect(); // 8 + 4 + a padded 3
-        let mut out = vec![0u64; 15];
-        h.eval_batch(&xs, &mut out);
-        wide.eval_batch(&xs, &mut out);
-        assert_eq!(eval_count::get(), 30);
         // One per key on both sides of the short-range cutoff, though
-        // the difference path seeds its table through the batch kernel.
+        // the difference path seeds its table through the scalar kernel.
         for len in [0usize, 5, 63, 64, 65, 1000] {
             eval_count::reset();
             wide.eval_range(7, len, |_| {});

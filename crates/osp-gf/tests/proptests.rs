@@ -178,32 +178,13 @@ proptest! {
     }
 
     #[test]
-    fn eval_batch_agrees_with_eval_and_naive(
-        independence in 1usize..40,
-        seed in 0u64..5000,
-        keys in proptest::collection::vec(0u64..u64::MAX, 0..30),
-    ) {
-        // The transposed multi-key kernel against both scalar `eval` and
-        // the precomputed-powers reference — key counts 0..30 hit every
-        // 8-lane/4-lane/1-to-3-key tail remainder class.
-        let h = PolyHash::new(independence, seed);
-        let mut got = vec![0u64; keys.len()];
-        h.eval_batch(&keys, &mut got);
-        for (&x, &g) in keys.iter().zip(&got) {
-            prop_assert_eq!(g, h.eval(x));
-            prop_assert_eq!(g, h.eval_naive(x));
-            prop_assert!(g < MERSENNE_61);
-        }
-    }
-
-    #[test]
-    fn eval_batch_boundary_coeffs_agree(
+    fn eval_range_boundary_coeffs_agree(
         picks in proptest::collection::vec(0usize..5, 1..20),
         extra in 0u64..u64::MAX,
     ) {
         // Boundary coefficients (where the six-step renormalization bound
-        // is tightest) against boundary keys, at a width that exercises
-        // full 8-lanes, the 4-lane middle, and a 1-key tail at once.
+        // is tightest) against boundary keys, through the scalar kernel
+        // and through ranges long enough to take the difference path.
         let boundary = [0u64, 1, 2, MERSENNE_61 - 2, MERSENNE_61 - 1];
         let coeffs: Vec<u64> = picks.iter().map(|&i| boundary[i]).collect();
         let h = PolyHash::from_coeffs(coeffs);
@@ -212,10 +193,15 @@ proptest! {
             MERSENNE_61, MERSENNE_61 + 1, u64::MAX - 1, u64::MAX,
             extra ^ MERSENNE_61, extra.wrapping_mul(3), extra >> 7,
         ];
-        let mut got = [0u64; 13];
-        h.eval_batch(&keys, &mut got);
-        for (&x, &g) in keys.iter().zip(&got) {
-            prop_assert_eq!(g, h.eval_naive(x));
+        for &x in &keys {
+            prop_assert_eq!(h.eval(x), h.eval_naive(x));
+        }
+        for start in [extra >> 1, 0, MERSENNE_61 - 2, u64::MAX - 41] {
+            let mut got = Vec::new();
+            h.eval_range(start, 41, |v| got.push(v));
+            for (&g, key) in got.iter().zip(start..) {
+                prop_assert_eq!(g, h.eval_naive(key));
+            }
         }
     }
 

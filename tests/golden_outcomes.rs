@@ -22,7 +22,7 @@ use osp_core::gen::{
     RandomInstanceConfig, WeightModel,
 };
 use osp_core::serve::ServeReply;
-use osp_core::wire::reply;
+use osp_core::wire::ServerFrame;
 use osp_core::{
     run, run_source_with_scratch, Instance, JobResult, OnlineAlgorithm, Outcome, ReplayPool, SetId,
 };
@@ -189,7 +189,7 @@ fn golden_outcomes_decode_the_same_typed_and_through_the_tree() {
         let json = serde_json::to_string(outcome).unwrap();
         assert_eq!(&serde_json::from_str::<Outcome>(&json).unwrap(), outcome);
         agree(json);
-        agree(serde_json::to_string(&reply::encode(&Ok(outcome.clone()))).unwrap());
+        agree(serde_json::to_string(&ServerFrame::Ok(outcome.clone())).unwrap());
     }
     for seed in 0..512u64 {
         let at = seed as usize % outcomes.len();

@@ -26,10 +26,10 @@ use osp::core::spec::{run_spec, AlgorithmSpec, JobSpec, ScenarioSpec, SpecResolv
 use osp::core::wire::socket::{
     ping, read_hello, SocketServer, Stream, WorkerAddr, MAX_CONNECTIONS,
 };
-use osp::core::wire::{read_message, reply, write_message, Hello, Pong, Request, Stall};
+use osp::core::wire::{read_message, write_message, Hello, Request, ServerFrame, Stall};
 use osp::core::{
     derived_jobs, spawn_listening, DispatchEvent, Dispatcher, EventSink, FaultPlan, RetryPolicy,
-    SocketConfig, SocketPool, WorkerError,
+    SocketConfig, SocketPool, WorkerError, MAX_JOB_KILLS,
 };
 use osp::net::NetResolver;
 
@@ -52,7 +52,11 @@ fn fleet(n: usize) -> Vec<SocketServer> {
 /// either succeed instantly or never, so short timeouts keep the failure
 /// tests fast without ever firing on the healthy path.
 fn pool_over(servers: &[SocketServer]) -> SocketPool {
-    let addrs = servers.iter().map(|s| s.local_addr().clone()).collect();
+    pool_at(servers.iter().map(|s| s.local_addr().clone()).collect())
+}
+
+/// [`pool_over`] for workers named by address.
+fn pool_at(addrs: Vec<WorkerAddr>) -> SocketPool {
     SocketPool::with_config(
         addrs,
         SocketConfig {
@@ -346,6 +350,75 @@ fn a_panicking_job_answers_remote_and_keeps_its_worker() {
     }
 }
 
+/// A worker that serves jobs and pings like `osp-worker --listen`, except
+/// that a job seeded `poison` drops the connection unanswered, as a
+/// worker process that the job kills would. It keeps accepting, so the
+/// lane rejoins on the next probe.
+fn poisoned_worker(poison: u64) -> WorkerAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+    let addr = WorkerAddr::parse(&listener.local_addr().unwrap().to_string()).unwrap();
+    std::thread::spawn(move || {
+        use std::io::Write;
+        while let Ok((stream, _)) = listener.accept() {
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut writer = BufWriter::new(stream);
+            if write_message(&mut writer, &Hello::for_resolver(&NetResolver)).is_err()
+                || writer.flush().is_err()
+            {
+                continue;
+            }
+            while let Ok(Some(request)) = read_message::<_, Request>(&mut reader) {
+                let frame = match request {
+                    Request::Ping(nonce) => ServerFrame::Pong(nonce),
+                    Request::Job(job) if job.seed == poison => break,
+                    Request::Job(job) => ServerFrame::from(run_spec(&job, &NetResolver)),
+                };
+                if write_message(&mut writer, &frame).is_err() || writer.flush().is_err() {
+                    break;
+                }
+            }
+        }
+    });
+    addr
+}
+
+#[test]
+fn a_job_that_kills_every_worker_fails_alone_after_bounded_re_dispatch() {
+    // Each time the poison job reaches a lane, the connection drops. It
+    // used to be re-dispatched without end, since the lanes rejoin; it
+    // must fail alone once it has ended MAX_JOB_KILLS sessions, and the
+    // batch is awaited with a bound.
+    let cfg = RandomInstanceConfig::unweighted(30, 80, 4);
+    let jobs = derived_jobs(&ScenarioSpec::Uniform(cfg), &AlgorithmSpec::RandPr, 831, 8);
+    let bad = 2;
+    let poison = jobs[bad].seed;
+    let pool = pool_at(vec![poisoned_worker(poison), poisoned_worker(poison)]);
+    let (sender, receiver) = std::sync::mpsc::channel();
+    let batch = {
+        let jobs = jobs.clone();
+        std::thread::spawn(move || {
+            let _ = sender.send(pool.run_specs(&jobs));
+        })
+    };
+    let out = receiver
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the batch returns");
+    batch.join().expect("the batch thread ends cleanly");
+    for (i, (job, got)) in jobs.iter().zip(&out).enumerate() {
+        if i == bad {
+            match got {
+                Err(Error::Worker(WorkerError::JobKilledWorker { kills })) => {
+                    assert_eq!(*kills, MAX_JOB_KILLS);
+                }
+                other => panic!("job {i}: want JobKilledWorker, got {other:?}"),
+            }
+        } else {
+            let want = run_spec(job, &NetResolver).unwrap();
+            assert_outcomes_identical(&format!("job {i}"), &want, got.as_ref().unwrap());
+        }
+    }
+}
+
 #[test]
 fn injected_mid_batch_kill_re_dispatches_bit_identically() {
     // The acceptance scenario: 3 workers, one carrying a seeded
@@ -589,14 +662,10 @@ fn rogue_worker(frame: RogueFrame) -> WorkerAddr {
             let _ = writer.flush();
             while let Ok(Some(_)) = read_message::<_, Request>(&mut reader) {
                 let sent = match frame {
-                    RogueFrame::Reply => write_message(
-                        &mut writer,
-                        &reply::Reply {
-                            ok: None,
-                            err: Some("rogue".to_string()),
-                        },
-                    ),
-                    RogueFrame::Pong => write_message(&mut writer, &Pong { pong: 0 }),
+                    RogueFrame::Reply => {
+                        write_message(&mut writer, &ServerFrame::Err("rogue".to_string()))
+                    }
+                    RogueFrame::Pong => write_message(&mut writer, &ServerFrame::Pong(0)),
                 };
                 if sent.is_err() || writer.flush().is_err() {
                     break;
@@ -804,10 +873,10 @@ fn connections_over_the_cap_are_refused_and_served_ones_are_not() {
     }
     // A connection accepted before the cap filled still answers.
     write_message(&mut &held[0], &Request::Ping(5)).unwrap();
-    let pong: Pong = read_message(&mut BufReader::new(&held[0]))
+    let pong: ServerFrame = read_message(&mut BufReader::new(&held[0]))
         .unwrap()
         .unwrap();
-    assert_eq!(pong.pong, 5);
+    assert_eq!(pong, ServerFrame::Pong(5));
     // Closing one frees its slot for the next connect.
     drop(held.pop());
     ping_until_served(&addr).expect("a freed slot serves a new connect");

@@ -15,7 +15,7 @@ use osp::core::algorithms::TieBreak;
 use osp::core::engine::{DecisionDigest, DecisionLog};
 use osp::core::serve::{BatchStatus, ServeReply, ServeRequest};
 use osp::core::spec::{AlgorithmSpec, JobSpec, ScenarioSpec};
-use osp::core::wire::{reply, Hello, Pong, Refusal, Request, ServerFrame};
+use osp::core::wire::{Hello, Refusal, Request, ServerFrame};
 use osp::core::{ElementId, FleetCommand, JobResult, Outcome, SetId};
 use serde::{Deserialize, Value};
 
@@ -49,13 +49,11 @@ pub fn typed_matches_tree(bytes: &[u8]) -> Result<(), String> {
     agree::<TieBreak>(bytes)?;
     agree::<JobResult>(bytes)?;
     agree::<Vec<JobResult>>(bytes)?;
-    agree::<reply::Reply>(bytes)?;
     agree::<ServerFrame>(bytes)?;
     agree::<DecisionDigest>(bytes)?;
     agree::<DecisionLog>(bytes)?;
     agree::<BatchStatus>(bytes)?;
     agree::<Hello>(bytes)?;
-    agree::<Pong>(bytes)?;
     agree::<Refusal>(bytes)?;
     agree::<Vec<Option<ElementId>>>(bytes)?;
     agree::<Vec<SetId>>(bytes)?;

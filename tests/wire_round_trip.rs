@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use osp::core::gen::{CapacityModel, LoadModel, RandomInstanceConfig, WeightModel};
 use osp::core::prelude::*;
-use osp::core::wire::{read_frame, read_message, reply, write_frame, write_message};
+use osp::core::wire::{read_frame, read_message, write_frame, write_message, ServerFrame};
 use osp::core::ElementId;
 
 #[path = "support/typed_decode.rs"]
@@ -409,16 +409,16 @@ fn spliced_fetch_frames_match_the_pinned_reply_bytes() {
     assert_eq!(&frame[4..], br#"{"results":[]}"#);
 }
 
-/// A worker's reply to a job is written from a borrowed result; its
-/// bytes are the outcome's canonical JSON (or the error text) under one
-/// key.
+/// A worker's reply to a job is the [`ServerFrame`] made from its
+/// result; its bytes are the outcome's canonical JSON (or the error
+/// text) under one key.
 #[test]
 fn worker_reply_bytes_are_pinned() {
     let (outcome, outcome_json) = pinned_outcome();
-    let ok = serde_json::to_string(&reply::encode(&Ok(outcome))).unwrap();
+    let ok = serde_json::to_string(&ServerFrame::from(Ok(outcome))).unwrap();
     assert_eq!(ok, format!(r#"{{"ok":{outcome_json}}}"#));
     let failed = Err(Error::Protocol(PINNED_ERR.to_string()));
-    let err = serde_json::to_string(&reply::encode(&failed)).unwrap();
+    let err = serde_json::to_string(&ServerFrame::from(failed)).unwrap();
     assert_eq!(
         err,
         r#"{"err":"wire protocol error: spec \"x\"\n\tfailed: σ≥1 \u0001"}"#
@@ -453,7 +453,7 @@ fn refusal_frame_bytes_are_pinned() {
 #[test]
 fn known_answer_frames_decode_the_same_typed_and_through_the_tree() {
     let (outcome, outcome_json) = pinned_outcome();
-    let worker_ok = serde_json::to_string(&reply::encode(&Ok(outcome))).unwrap();
+    let worker_ok = serde_json::to_string(&ServerFrame::from(Ok(outcome))).unwrap();
     let legacy = concat!(
         r#"{"completed":[0,2],"benefit":3.0,"#,
         r#""decisions":{"offsets":[0,1,2,3],"data":[0,0,2]},"died_at":[null,0,null]}"#,
