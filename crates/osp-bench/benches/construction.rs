@@ -3,11 +3,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use osp_adversary::gadget_lb::gadget_lower_bound;
 use osp_adversary::weak::weak_lower_bound;
-use osp_core::gen::{biregular_instance, random_instance, RandomInstanceConfig};
+use osp_core::gen::{biregular_instance, random_instance, BiregularSource, RandomInstanceConfig};
+use osp_core::{sort_members, ArrivalSource, SetId, SORT_NETWORK_MAX};
 use osp_net::trace::{video_trace, VideoTraceConfig};
 use osp_net::trace_to_instance;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn bench_constructions(c: &mut Criterion) {
     let mut group = c.benchmark_group("construction");
@@ -82,9 +83,57 @@ fn bench_constructions(c: &mut Criterion) {
     group.finish();
 }
 
+/// The member-list sort kernel against `sort_unstable`, each timed over
+/// the same 65,536 random lists per iteration (copied in first, so every
+/// sort sees unsorted ids; fewer lists would let the branch predictor
+/// learn `sort_unstable`'s comparisons), then the streamed biregular
+/// source of the `replay-biregular` workload built and drained.
+fn bench_member_sort(c: &mut Criterion) {
+    let mut group = c.benchmark_group("member_sort");
+    const LISTS: usize = 1 << 16;
+    // σ = SORT_NETWORK_MAX is the network's cutoff.
+    for sigma in [4usize, 8, SORT_NETWORK_MAX] {
+        let mut rng = StdRng::seed_from_u64(sigma as u64);
+        let lists: Vec<SetId> = (0..LISTS * sigma)
+            .map(|_| SetId(rng.gen_range(0..50_000)))
+            .collect();
+        let mut work = lists.clone();
+        let network: fn(&mut [SetId]) = sort_members;
+        for (name, sort) in [
+            ("network", network),
+            ("sort_unstable", <[SetId]>::sort_unstable),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, sigma), &sigma, |b, &sigma| {
+                b.iter(|| {
+                    work.copy_from_slice(&lists);
+                    for list in work.chunks_mut(sigma) {
+                        sort(list);
+                    }
+                    work[0]
+                })
+            });
+        }
+    }
+
+    group.bench_function("biregular_source_m50000_k4_s16", |b| {
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let mut source = BiregularSource::new(50_000, 4, 16, seed).unwrap();
+            let mut members = 0usize;
+            while let Some(a) = source.next_arrival() {
+                members += a.members().len();
+            }
+            members
+        })
+    });
+
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_constructions
+    targets = bench_constructions, bench_member_sort
 }
 criterion_main!(benches);

@@ -113,7 +113,7 @@ pub mod parallel;
 use crate::algorithm::{EngineView, OnlineAlgorithm};
 use crate::error::Error;
 use crate::ids::{ElementId, SetId};
-use crate::instance::{Arrival, Instance, SetMeta};
+use crate::instance::{sort_members, Arrival, Instance, SetMeta};
 use crate::source::ArrivalSource;
 
 pub use batch::{derive_seed, ReplayPool, ReplayScratch};
@@ -845,7 +845,7 @@ impl<'a> Session<'a> {
         }
         self.sorted.clear();
         self.sorted.extend_from_slice(decision);
-        self.sorted.sort_unstable();
+        sort_members(&mut self.sorted);
         for w in self.sorted.windows(2) {
             if w[0] == w[1] {
                 return Err(Error::DecisionDuplicate {

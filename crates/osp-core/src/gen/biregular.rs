@@ -10,7 +10,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::instance::{Instance, InstanceBuilder};
+use crate::instance::{sort_members, Instance, InstanceBuilder};
 use crate::SetId;
 
 use super::GenError;
@@ -84,9 +84,12 @@ pub(super) fn biregular_stubs<R: Rng + ?Sized>(
     let sigma = sigma as usize;
 
     // Deal shuffled set-stubs; element j owns stubs[j*σ .. (j+1)*σ].
-    let mut stubs: Vec<u32> = (0..m as u32)
-        .flat_map(|s| std::iter::repeat_n(s, k as usize))
-        .collect();
+    let mut stubs: Vec<u32> = Vec::with_capacity(incidences);
+    for s in 0..m as u32 {
+        stubs.extend(std::iter::repeat_n(s, k as usize));
+    }
+    // Sorted copy of the window under test, reused across windows.
+    let mut sorted: Vec<SetId> = Vec::with_capacity(sigma);
 
     const MAX_RESTARTS: usize = 50;
     'restart: for _ in 0..MAX_RESTARTS {
@@ -102,18 +105,19 @@ pub(super) fn biregular_stubs<R: Rng + ?Sized>(
         // clean prefix after every swap.
         let mut first = 0usize;
         loop {
-            let mut conflict = None;
-            'scan: for j in first..n {
+            // A window is tested through a sorted copy, where duplicates
+            // sit side by side; only a window that has one runs the
+            // pairwise scan that picks which stub the repair moves.
+            let conflict = (first..n).find_map(|j| {
                 let win = &stubs[j * sigma..(j + 1) * sigma];
-                for a in 0..sigma {
-                    for b in a + 1..sigma {
-                        if win[a] == win[b] {
-                            conflict = Some(j * sigma + b);
-                            break 'scan;
-                        }
-                    }
+                sorted.clear();
+                sorted.extend(win.iter().map(|&s| SetId(s)));
+                sort_members(&mut sorted);
+                if !sorted.windows(2).any(|w| w[0] == w[1]) {
+                    return None;
                 }
-            }
+                first_duplicate(win).map(|b| j * sigma + b)
+            });
             let Some(pos) = conflict else {
                 // Simple: hand the repaired pairing back.
                 return Ok(stubs);
@@ -140,6 +144,12 @@ pub(super) fn biregular_stubs<R: Rng + ?Sized>(
         }
     }
     Err(GenError::RepairFailed)
+}
+
+/// The position `b` of the first pair `a < b` with `win[a] == win[b]`, in
+/// `(a, b)` lexicographic order: the stub the repair moves.
+fn first_duplicate(win: &[u32]) -> Option<usize> {
+    (0..win.len()).find_map(|a| (a + 1..win.len()).find(|&b| win[a] == win[b]))
 }
 
 #[cfg(test)]

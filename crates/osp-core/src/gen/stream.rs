@@ -30,13 +30,16 @@
 //!
 //! All three yield arrivals from internal reused buffers, so the
 //! per-arrival streaming path performs **zero heap allocations** (pinned
-//! by `tests/alloc_free_streaming.rs`).
+//! by `tests/alloc_free_streaming.rs`). [`UniformSource`] and
+//! [`BiregularSource`] sort each drawn member list with [`sort_members`],
+//! the one sort kernel every arrival's `C(u)` goes through (a branch-free
+//! network up to [`SORT_NETWORK_MAX`](crate::SORT_NETWORK_MAX) members).
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 use crate::ids::{ElementId, SetId};
-use crate::instance::{Arrival, SetMeta};
+use crate::instance::{sort_members, Arrival, SetMeta};
 use crate::source::ArrivalSource;
 
 use super::biregular::biregular_stubs;
@@ -207,7 +210,7 @@ impl ArrivalSource for UniformSource {
             sigma,
             |pick| members.push(SetId(remap[pick as usize])),
         );
-        self.members.sort_unstable();
+        sort_members(&mut self.members);
         let capacity = self.config.capacities.sample(&mut self.cap_rng);
         let element = ElementId(self.next);
         self.next += 1;
@@ -282,7 +285,7 @@ impl ArrivalSource for BiregularSource {
                 .iter()
                 .map(|&s| SetId(s)),
         );
-        self.members.sort_unstable();
+        sort_members(&mut self.members);
         let element = ElementId(self.next);
         self.next += 1;
         Some(Arrival::new(element, 1, &self.members))
@@ -416,6 +419,8 @@ mod tests {
                 weights: WeightModel::Zipf { exponent: 1.0 },
                 capacities: CapacityModel::Fixed(2),
             },
+            // Every arrival at the sort network's full width.
+            RandomInstanceConfig::unweighted(200, 300, 16),
         ];
         for (ci, cfg) in configs.iter().enumerate() {
             for seed in [0u64, 7, 99] {
@@ -447,12 +452,17 @@ mod tests {
 
     #[test]
     fn biregular_source_streams_the_materialized_instance() {
-        for seed in [0u64, 5, 21] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let materialized = biregular_instance(24, 6, 4, &mut rng).unwrap();
-            let mut source = BiregularSource::new(24, 6, 4, seed).unwrap();
-            assert_eq!(source.remaining_hint(), Some(36)); // 24*6/4
-            assert_stream_equals_instance(&mut source, &materialized);
+        // σ = 4, the `replay-biregular` workload's σ = 16 (the sort
+        // network's cutoff) and σ = 20 (the `sort_unstable` fallback).
+        for (m, k, sigma) in [(24, 6, 4), (400, 4, 16), (400, 5, 20)] {
+            for seed in [0u64, 5, 21] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let materialized = biregular_instance(m, k, sigma, &mut rng).unwrap();
+                let mut source = BiregularSource::new(m, k, sigma, seed).unwrap();
+                let n = m * k as usize / sigma as usize;
+                assert_eq!(source.remaining_hint(), Some(n));
+                assert_stream_equals_instance(&mut source, &materialized);
+            }
         }
     }
 

@@ -441,6 +441,97 @@ impl Instance {
     }
 }
 
+/// Longest member list [`sort_members`] sorts with a compare–exchange
+/// network; longer lists fall back to `sort_unstable`.
+pub const SORT_NETWORK_MAX: usize = 16;
+
+/// Sorts a member list ascending: the one sort kernel behind every
+/// arrival's `C(u)` (the streamed sources, [`InstanceBuilder::add_element`],
+/// the engine's decision check and osp-net's trace reduction).
+///
+/// Lists of up to [`SORT_NETWORK_MAX`] ids are padded with `u32::MAX` to
+/// width 4, 8 or 16 and run through Batcher's odd–even merge network of
+/// that width: a fixed sequence of `min`/`max` pairs, so no branch
+/// depends on the ids (`sort_unstable`'s insertion sort mispredicts about
+/// once per member on random ids). The length alone picks the width, or
+/// the `sort_unstable` fallback above the cutoff. Duplicates are kept, as
+/// any sort keeps them.
+pub fn sort_members(members: &mut [SetId]) {
+    match members.len() {
+        0..=4 => through_network::<4>(members, batcher4),
+        5..=8 => through_network::<8>(members, batcher8),
+        9..=SORT_NETWORK_MAX => through_network::<16>(members, batcher16),
+        _ => members.sort_unstable(),
+    }
+}
+
+/// Pads `members` (at most `W` ids) with `u32::MAX` to width `W`, runs
+/// `network` and copies the first `members.len()` outputs back: the
+/// padding sorts last, so those are the members in order. The copy loops
+/// have the constant trip count `W`, so they unroll.
+#[inline(always)]
+fn through_network<const W: usize>(
+    members: &mut [SetId],
+    network: impl FnOnce(&mut [u32; SORT_NETWORK_MAX]),
+) {
+    let n = members.len();
+    let mut v = [u32::MAX; SORT_NETWORK_MAX];
+    for i in 0..W {
+        if i < n {
+            v[i] = members[i].0;
+        }
+    }
+    network(&mut v);
+    for i in 0..W {
+        if i < n {
+            members[i] = SetId(v[i]);
+        }
+    }
+}
+
+#[inline(always)]
+fn compare_exchange(v: &mut [u32; SORT_NETWORK_MAX], i: usize, j: usize) {
+    let (a, b) = (v[i], v[j]);
+    v[i] = a.min(b);
+    v[j] = a.max(b);
+}
+
+/// Expands to one [`compare_exchange`] per `(i j)` pair, in order.
+macro_rules! network {
+    ($v:ident; $(($i:literal $j:literal))*) => {
+        $(compare_exchange($v, $i, $j);)*
+    };
+}
+
+// Batcher's odd–even merge sort in recursive order: the width-2w network
+// is the width-w network, the same on the upper half, then the merge. So
+// each width extends the last one.
+
+#[inline(always)]
+fn batcher4(v: &mut [u32; SORT_NETWORK_MAX]) {
+    network!(v; (0 1) (2 3) (0 2) (1 3) (1 2));
+}
+
+#[inline(always)]
+fn batcher8(v: &mut [u32; SORT_NETWORK_MAX]) {
+    batcher4(v);
+    network!(v;
+        (4 5) (6 7) (4 6) (5 7) (5 6)
+        (0 4) (2 6) (2 4) (1 5) (3 7) (3 5) (1 2) (3 4) (5 6));
+}
+
+#[inline(always)]
+fn batcher16(v: &mut [u32; SORT_NETWORK_MAX]) {
+    batcher8(v);
+    network!(v;
+        (8 9) (10 11) (8 10) (9 11) (9 10)
+        (12 13) (14 15) (12 14) (13 15) (13 14)
+        (8 12) (10 14) (10 12) (9 13) (11 15) (11 13) (9 10) (11 12) (13 14)
+        (0 8) (4 12) (4 8) (2 10) (6 14) (6 10) (2 4) (6 8) (10 12)
+        (1 9) (5 13) (5 9) (3 11) (7 15) (7 11) (3 5) (7 9) (11 13)
+        (1 2) (3 4) (5 6) (7 8) (9 10) (11 12) (13 14));
+}
+
 /// Incremental builder for [`Instance`].
 ///
 /// Sets may be declared with a known size ([`add_set`](Self::add_set)) or
@@ -516,13 +607,14 @@ impl InstanceBuilder {
 
     /// Appends the next arriving element with capacity `b(u)` and member
     /// list `C(u)`; returns the element's id. The member list is sorted
-    /// internally; order does not matter.
+    /// internally by [`sort_members`], the one sort kernel every arrival
+    /// goes through; order does not matter.
     pub fn add_element(&mut self, capacity: u32, members: &[SetId]) -> ElementId {
         let element = ElementId(self.capacities.len() as u32);
         self.capacities.push(capacity);
         let start = self.members.len();
         self.members.extend_from_slice(members);
-        self.members[start..].sort_unstable();
+        sort_members(&mut self.members[start..]);
         self.member_offsets.push(self.members.len() as u32);
         element
     }
@@ -789,5 +881,53 @@ mod tests {
         orig.sort();
         shuf.sort();
         assert_eq!(orig, shuf);
+    }
+
+    /// The 0–1 principle: a compare–exchange network sorts every input
+    /// iff it sorts every 0/1 input. Each length up to the cutoff runs
+    /// all 2^n of them (65,536 at n = 16), which covers each width's
+    /// network in full and every padded length below it.
+    #[test]
+    fn sort_members_sorts_every_binary_input_up_to_the_cutoff() {
+        let mut v = Vec::with_capacity(SORT_NETWORK_MAX);
+        for n in 0..=SORT_NETWORK_MAX {
+            for bits in 0u32..1 << n {
+                v.clear();
+                v.extend((0..n).map(|i| SetId(bits >> i & 1)));
+                sort_members(&mut v);
+                let ones = bits.count_ones() as usize;
+                assert!(
+                    v[..n - ones].iter().all(|&s| s == SetId(0))
+                        && v[n - ones..].iter().all(|&s| s == SetId(1)),
+                    "n={n} bits={bits:#b}: {v:?}"
+                );
+            }
+        }
+    }
+
+    mod sort_kernel {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+            /// Against `sort_unstable` on every length through the
+            /// fallback, with few distinct ids so duplicates are common,
+            /// and ids at both ends of the range (`u32::MAX` is also the
+            /// network's padding).
+            #[test]
+            fn sort_members_agrees_with_sort_unstable(
+                raw in proptest::collection::vec((0u32..6, 0u32..2), 0..=SORT_NETWORK_MAX + 8)
+            ) {
+                let mut got: Vec<SetId> = raw
+                    .iter()
+                    .map(|&(v, top)| SetId(if top == 1 { u32::MAX - v } else { v }))
+                    .collect();
+                let mut want = got.clone();
+                want.sort_unstable();
+                sort_members(&mut got);
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 }

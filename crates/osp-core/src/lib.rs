@@ -72,7 +72,9 @@ pub use engine::{
 };
 pub use error::{Error, WorkerError};
 pub use ids::{ElementId, SetId};
-pub use instance::{Arrival, Arrivals, Instance, InstanceBuilder, SetMeta};
+pub use instance::{
+    sort_members, Arrival, Arrivals, Instance, InstanceBuilder, SetMeta, SORT_NETWORK_MAX,
+};
 pub use serve::{
     job_digest, write_results, BatchStatus, FleetCommand, JobResult, ReplayService, ServeClient,
     ServeServer, ServiceConfig,

@@ -81,6 +81,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -93,7 +94,7 @@ use serde::{Deserialize, Serialize};
 use crate::engine::dispatch::{DispatchEvent, Dispatcher, EventSink, FleetHandle, FleetReport};
 use crate::engine::Outcome;
 use crate::error::{Error, WorkerError};
-use crate::spec::JobSpec;
+use crate::spec::{panic_message, JobSpec};
 use crate::store::{
     fnv1a, JournalStore, MemStore, OutcomeJson, ResultStore, StoreLimits, FNV_OFFSET,
 };
@@ -815,6 +816,10 @@ impl Drop for ReplayService {
 /// instant loses at most the in-flight chunk: a resume answers the rest
 /// from the journal. Terminal batches drop their manifest (the journal
 /// keeps the outcomes).
+///
+/// A panic inside the dispatch call answers every job of that chunk
+/// [`Error::JobPanicked`], so the batch ends `failed`; the batch's other
+/// chunks and every later batch still run.
 fn executor_loop(
     state: &Arc<Mutex<ServiceState>>,
     receiver: &Receiver<u64>,
@@ -870,7 +875,15 @@ fn executor_loop(
                 break;
             }
             let specs: Vec<JobSpec> = slice.iter().map(|&i| jobs[i].clone()).collect();
-            let outcomes = dispatcher.run_specs_with_events(&specs, &sink);
+            // A panic in the dispatcher itself, outside any job's own
+            // boundary, fails this chunk's jobs; the executor lives on.
+            let outcomes = catch_unwind(AssertUnwindSafe(|| {
+                dispatcher.run_specs_with_events(&specs, &sink)
+            }))
+            .unwrap_or_else(|payload| {
+                let why = panic_message(payload.as_ref());
+                vec![Err(Error::JobPanicked(why)); specs.len()]
+            });
             chunks_dispatched += 1;
             // Encode each outcome once, outside the lock: these bytes are
             // what the cache, the journal and every fetch share.
@@ -1737,6 +1750,63 @@ mod tests {
             3,
         );
         let next = service.submit(fresh).unwrap();
+        assert_eq!(wait_terminal(&service, next).state, "done");
+        service.shutdown();
+    }
+
+    /// A dispatcher that panics, outside any job, on every chunk holding
+    /// the job with this seed.
+    struct PanicOnSeed(u64);
+
+    impl Dispatcher for PanicOnSeed {
+        fn run_specs_with_events(
+            &self,
+            jobs: &[JobSpec],
+            _sink: &dyn EventSink,
+        ) -> Vec<Result<Outcome, Error>> {
+            assert!(jobs.iter().all(|j| j.seed != self.0), "dispatcher fault");
+            jobs.iter().map(|j| run_spec(j, &CoreResolver)).collect()
+        }
+
+        fn lanes(&self) -> usize {
+            1
+        }
+
+        fn backend(&self) -> &'static str {
+            "panic-test"
+        }
+    }
+
+    #[test]
+    fn a_dispatcher_panic_fails_its_chunk_and_the_executor_goes_on() {
+        let batch = jobs(5);
+        // Chunks of 3: jobs 0..3 panic in dispatch, jobs 3..5 run.
+        let service = ReplayService::new(
+            Box::new(PanicOnSeed(batch[1].seed)),
+            ServiceConfig {
+                queue_capacity: 4,
+                chunk: 3,
+                ..ServiceConfig::default()
+            },
+        )
+        .expect("in-memory service never fails to start");
+        let id = service.submit(batch.clone()).unwrap();
+        let status = wait_terminal(&service, id);
+        assert_eq!(status.state, "failed");
+        assert_eq!(status.failed, 3);
+        let results = service.fetch(id).unwrap();
+        for (i, (result, job)) in results.iter().zip(&batch).enumerate() {
+            match result {
+                JobResult::Err(why) if i < 3 => {
+                    assert!(why.contains("job panicked: dispatcher fault"), "{why}");
+                }
+                JobResult::Ok(got) if i >= 3 => {
+                    assert_eq!(got, &run_spec(job, &CoreResolver).unwrap(), "job {i}");
+                }
+                other => panic!("job {i}: {other:?}"),
+            }
+        }
+        let next = service.submit(jobs_from(50, 4)).unwrap();
         assert_eq!(wait_terminal(&service, next).state, "done");
         service.shutdown();
     }

@@ -381,7 +381,7 @@ pub fn run_spec_with_scratch<R: SpecResolver + ?Sized>(
 
 /// The text a panic was raised with (`panic!` with a literal or a format
 /// string), or a placeholder for any other payload.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     match payload.downcast_ref::<&str>() {
         Some(text) => (*text).to_string(),
         None => payload

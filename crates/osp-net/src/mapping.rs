@@ -19,7 +19,9 @@
 //!   invariants.
 
 use osp_core::source::ArrivalSource;
-use osp_core::{Arrival, ElementId, Error, Instance, InstanceBuilder, SetId, SetMeta};
+use osp_core::{
+    sort_members, Arrival, ElementId, Error, Instance, InstanceBuilder, SetId, SetMeta,
+};
 
 use crate::trace::Trace;
 
@@ -206,7 +208,7 @@ fn advance_to_nonempty_slot(
     }
     members.clear();
     members.extend(slots[*slot].iter().map(|&f| SetId(f as u32)));
-    members.sort_unstable();
+    sort_members(members);
     let yielded = *slot;
     *slot += 1;
     Some(yielded)
