@@ -41,11 +41,8 @@
 //!    booleans are guarded;
 //! 8. **kernel** — what hashPr's `begin` runs: `PolyHash::eval_range`
 //!    over the keys `0..m` vs scalar `eval` per key (the single-threaded
-//!    `speedup` column), and `HashRandPr`'s `m`-slot table fill serially
-//!    vs across the machine's cores (machine-bound wall ratio, so the
-//!    `begin speedup` column is informational); the
-//!    `bit-identical` cell asserts range ≡ scalar key-for-key *and*
-//!    serial ≡ sharded table slot-for-slot;
+//!    `speedup` column); the `bit-identical` cell asserts range ≡ scalar
+//!    key-for-key;
 //! 9. **pipeline** — ONE huge streamed replay two ways: the serial loop
 //!    (`run_source_with_scratch`) and the pipelined session
 //!    (`run_source_pipelined`, producer thread + chunk ring), both on the
@@ -73,7 +70,7 @@ use osp_core::spec::{run_spec, AlgorithmSpec, ScenarioSpec};
 use osp_core::wire::socket::WorkerAddr;
 use osp_core::{
     derived_jobs, run as engine_run, run_source, run_source_with_scratch, spawn_listening,
-    worker_binary, Dispatcher, OnlineAlgorithm, Outcome, ProcessPool, SetId, SocketPool, SpecPool,
+    worker_binary, Dispatcher, OnlineAlgorithm, Outcome, ProcessPool, SocketPool, SpecPool,
 };
 use osp_gf::hash::PolyHash;
 use osp_net::NetResolver;
@@ -769,18 +766,14 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     report.table(socket_table);
 
     // --- 8: kernel — what hashPr's begin runs: the range kernel vs
-    // scalar eval, and the sharded table fill vs the serial one. ---
+    // scalar eval. ---
     let mut kernel_table = NamedTable::new(
-        "kernel: hashPr's hash — eval_range vs scalar eval per key; sharded vs serial begin",
+        "kernel: hashPr's hash — eval_range vs scalar eval per key",
         &[
             "m",
             "scalar ns/eval",
             "range ns/eval",
             "speedup",
-            "serial begin s",
-            "parallel begin s",
-            "begin speedup",
-            "threads",
             "bit-identical",
         ],
     );
@@ -792,7 +785,6 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         &[10_000usize, 1_000_000][..],
         &[10_000, 1_000_000, 10_000_000][..],
     );
-    let prologue_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut all_kernel_identical = true;
     for &m in kernel_grid {
         let h = PolyHash::new(kernel_independence, kernel_seed);
@@ -823,38 +815,13 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             keywise_identical &= v == h.eval(key);
             key += 1;
         });
-
-        // The prologue: serial (1 thread) vs the machine's fan-out,
-        // filling hashPr's m-slot priority table over synthetic mixed
-        // weights. Bit-identity of the two tables is the guarded claim;
-        // the wall ratio is machine-bound (1 core ⇒ ~1×), hence the
-        // unguarded `begin speedup` column name.
-        let sets: Vec<osp_core::SetMeta> = (0..m)
-            .map(|i| osp_core::SetMeta::new(0.5 + (i % 7) as f64 * 0.25, 1))
-            .collect();
-        let (mut t_serial, mut t_parallel) = (f64::INFINITY, f64::INFINITY);
-        let mut tables_identical = true;
-        for _ in 0..rounds {
-            let mut serial = HashRandPr::new(8, kernel_seed);
-            let (t, ()) = timed(|| serial.begin_with_threads(&sets, 1));
-            t_serial = t_serial.min(t);
-            let mut parallel = HashRandPr::new(8, kernel_seed);
-            let (t, ()) = timed(|| parallel.begin_with_threads(&sets, prologue_threads));
-            t_parallel = t_parallel.min(t);
-            tables_identical &= (0..m)
-                .all(|i| serial.priority(SetId(i as u32)) == parallel.priority(SetId(i as u32)));
-        }
-        let identical = sums_agree && keywise_identical && tables_identical;
+        let identical = sums_agree && keywise_identical;
         all_kernel_identical &= identical;
         kernel_table.row(vec![
             m.to_string(),
             format!("{:.1}", t_scalar * 1e9 / m as f64),
             format!("{:.1}", t_range * 1e9 / m as f64),
             format!("{:.2}×", t_scalar / t_range.max(1e-12)),
-            format!("{t_serial:.3}"),
-            format!("{t_parallel:.3}"),
-            format!("{:.2}×", t_serial / t_parallel.max(1e-9)),
-            prologue_threads.to_string(),
             identical.to_string(),
         ]);
     }
@@ -865,10 +832,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
          range), then steps key to key with t − 1 field additions. Scalar eval is lazy \
          Horner (one branchless fold per step, renormalization every 6 steps). The \
          speedup is single-threaded and algorithmic; the guard compares it once a \
-         committed report carries this section's title. \
-         The begin columns time hashPr's m-slot table fill serially vs across the \
-         machine's cores — that ratio is machine-bound (expect ~1× on a 1-core runner), \
-         so only its bit-identical cell is guarded.",
+         committed report carries this section's title.",
     );
 
     // --- 9: pipeline — one huge streamed replay, serial vs pipelined. ---
@@ -1019,14 +983,14 @@ pub fn run(scale: Scale, seed: u64) -> Report {
              is bit-identical to materialize-then-replay, distributed (process) replay and \
              the socket worker fleet — surviving an injected mid-batch kill — are \
              bit-identical to both, the hash fast path agrees with the naive \
-             reference, the batched kernel and sharded prologue agree with their \
-             scalar/serial references, and the pipelined session is bit-identical to \
-             the serial replay loop; timings above are the tracked baseline."
+             reference, the range kernel agrees with scalar eval key for key, and \
+             the pipelined session is bit-identical to the serial replay loop; \
+             timings above are the tracked baseline."
                 .to_string()
         } else {
             "Verdict: an identity check FAILED — the batch engine, the streaming pipeline, \
              the distributed dispatch layer, the socket fleet, the hash fast path, the \
-             batched kernel/prologue or the pipelined replay diverged."
+             range kernel or the pipelined replay diverged."
                 .to_string()
         },
     );

@@ -17,7 +17,6 @@
 use osp_gf::hash::{PolyHash, MERSENNE_61};
 
 use crate::algorithm::{EngineView, OnlineAlgorithm};
-use crate::engine::batch::{machine_parallelism, split_ranges};
 use crate::instance::{Arrival, SetMeta};
 use crate::priority::{Priority, Rw};
 use crate::SetId;
@@ -94,33 +93,6 @@ impl HashRandPr {
     pub fn priority(&self, set: SetId) -> Priority {
         self.priorities[set.index()]
     }
-
-    /// Builds the priority table over an explicit thread count — the seam
-    /// [`begin`](OnlineAlgorithm::begin) rides with the machine's
-    /// parallelism, exposed so conformance tests and benchmarks can pin
-    /// any shard count. Each shard hashes its consecutive set ids in
-    /// one [`PolyHash::eval_range`] call, seeding its own forward
-    /// differences, and writes every slot straight from the visited
-    /// value — one polynomial evaluation per set, no staging buffer.
-    /// Each slot is a pure function of `(hash, index, weight)` and the
-    /// range kernel is exact, so every thread count writes the same bytes.
-    pub fn begin_with_threads(&mut self, sets: &[SetMeta], threads: usize) {
-        let hash = &self.hash;
-        self.priorities.clear();
-        self.priorities.resize(sets.len(), Priority::zero());
-        split_ranges(
-            &mut self.priorities,
-            threads,
-            &|start, slots: &mut [Priority]| {
-                let len = slots.len();
-                let mut targets = slots.iter_mut().zip(&sets[start..]);
-                hash.eval_range(start as u64, len, |raw| {
-                    let (slot, set) = targets.next().expect("one value per slot");
-                    *slot = priority_from_raw(raw, set.weight());
-                });
-            },
-        );
-    }
 }
 
 impl OnlineAlgorithm for HashRandPr {
@@ -128,8 +100,17 @@ impl OnlineAlgorithm for HashRandPr {
         format!("hashPr({}-wise)", self.hash.independence())
     }
 
+    /// Hashes the set ids `0..m` in one [`PolyHash::eval_range`] call and
+    /// writes each slot straight from the visited value: one polynomial
+    /// evaluation per set, no staging buffer.
     fn begin(&mut self, sets: &[SetMeta]) {
-        self.begin_with_threads(sets, machine_parallelism());
+        self.priorities.clear();
+        self.priorities.resize(sets.len(), Priority::zero());
+        let mut targets = self.priorities.iter_mut().zip(sets);
+        self.hash.eval_range(0, sets.len(), |raw| {
+            let (slot, set) = targets.next().expect("one value per slot");
+            *slot = priority_from_raw(raw, set.weight());
+        });
     }
 
     fn decide_into(&mut self, arrival: &Arrival<'_>, _view: &EngineView<'_>, out: &mut Vec<SetId>) {
@@ -230,36 +211,24 @@ mod tests {
     }
 
     #[test]
-    fn prologue_shard_counts_build_identical_tables() {
-        let sets = mixed_weight_sets(193); // prime: uneven chunks everywhere
-        let mut reference = HashRandPr::new(8, 11);
-        reference.begin_with_threads(&sets, 1);
-        for threads in [2usize, 3, 8, 64] {
-            let mut sharded = HashRandPr::new(8, 11);
-            sharded.begin_with_threads(&sets, threads);
-            assert_eq!(
-                sharded.priorities, reference.priorities,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn table_matches_scalar_eval_at_every_shard_count() {
-        // Against a reference built key by key with scalar `eval`: at
-        // t = 64 and m = 1000, shards of 1000/8 keys and more take the
-        // difference path, shards of 1000/64 keys the batch path.
-        let sets = mixed_weight_sets(1000);
-        let hash = PolyHash::new(64, 23);
-        let want: Vec<Priority> = sets
-            .iter()
-            .enumerate()
-            .map(|(i, set)| priority_from_raw(hash.eval(i as u64), set.weight()))
-            .collect();
-        for threads in [1usize, 2, 3, 8, 64] {
-            let mut alg = HashRandPr::new(64, 23);
-            alg.begin_with_threads(&sets, threads);
-            assert_eq!(alg.priorities, want, "threads={threads}");
+        // Against a reference built key by key with scalar `eval`, at
+        // table lengths on both sides of the independence t: ranges
+        // shorter than t keys take `eval_range`'s scalar path, longer
+        // ones its forward differences.
+        for t in [8usize, 64] {
+            let hash = PolyHash::new(t, 23);
+            for m in [0, 1, t - 1, t, t + 1, 1000] {
+                let sets = mixed_weight_sets(m);
+                let want: Vec<Priority> = sets
+                    .iter()
+                    .enumerate()
+                    .map(|(i, set)| priority_from_raw(hash.eval(i as u64), set.weight()))
+                    .collect();
+                let mut alg = HashRandPr::new(t, 23);
+                alg.begin(&sets);
+                assert_eq!(alg.priorities, want, "t={t}, m={m}");
+            }
         }
     }
 
@@ -273,9 +242,7 @@ mod tests {
         let sets = mixed_weight_sets(157);
         let mut alg = HashRandPr::new(8, 5);
         eval_count::reset();
-        // One thread: the counter is thread-local, and `begin` shards the
-        // table fill across the machine's cores.
-        alg.begin_with_threads(&sets, 1);
+        alg.begin(&sets);
         assert_eq!(eval_count::get(), sets.len() as u64);
     }
 

@@ -4,27 +4,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::algorithm::{EngineView, OnlineAlgorithm};
-use crate::engine::batch::{machine_parallelism, split_ranges};
 use crate::instance::{Arrival, SetMeta};
 use crate::priority::{Priority, Rw};
 use crate::SetId;
 
 use super::retain_top_b_by_key;
-
-/// Draws consumed from the priority stream for one set: `R_w` rejects
-/// non-finite / non-positive weights without touching the RNG, and every
-/// valid weight costs exactly two draws (the quantile sample plus the
-/// tiebreak token). Being able to state this *without* running the
-/// generator is what lets the sharded table fill jump each shard's RNG
-/// clone straight to its offset.
-#[inline]
-fn draws_for(set: &SetMeta) -> u64 {
-    if Rw::new(set.weight()).is_ok() {
-        2
-    } else {
-        0
-    }
-}
 
 /// The paper's randomized algorithm:
 ///
@@ -88,43 +72,6 @@ impl RandPr {
     pub fn priority(&self, set: SetId) -> Priority {
         self.priorities[set.index()]
     }
-
-    /// Draws the priority table over an explicit thread count — the seam
-    /// [`begin`](OnlineAlgorithm::begin) rides with the machine's
-    /// parallelism, exposed so conformance tests can pin any shard count.
-    ///
-    /// Bit-identity across shard counts: the SplitMix64 stream is
-    /// random-access ([`StdRng::advance`]), and each set's stream
-    /// consumption is known without generating (`draws_for`: two draws per
-    /// positive-weight set, none otherwise), so every shard clones
-    /// the base RNG, jumps to the draw offset of its first set, and then
-    /// walks its range exactly as the serial loop would. Afterwards the
-    /// algorithm's own RNG is advanced past the whole table, leaving it
-    /// where a sequential `begin` would have.
-    pub fn begin_with_threads(&mut self, sets: &[SetMeta], threads: usize) {
-        let base = self.rng.clone();
-        self.priorities.clear();
-        self.priorities.resize(sets.len(), Priority::zero());
-        split_ranges(
-            &mut self.priorities,
-            threads,
-            &|start, slots: &mut [Priority]| {
-                let mut rng = base.clone();
-                rng.advance(sets[..start].iter().map(draws_for).sum());
-                for (slot, s) in slots.iter_mut().zip(&sets[start..]) {
-                    *slot = match Rw::new(s.weight()) {
-                        // Tiebreak token makes the order total even under
-                        // f64 ties.
-                        Ok(rw) => Priority::new(rw.sample(&mut rng), rng.gen()),
-                        // Weight-zero sets get the a.s. limit of R_w as
-                        // w -> 0.
-                        Err(_) => Priority::zero(),
-                    };
-                }
-            },
-        );
-        self.rng.advance(sets.iter().map(draws_for).sum());
-    }
 }
 
 impl OnlineAlgorithm for RandPr {
@@ -136,8 +83,20 @@ impl OnlineAlgorithm for RandPr {
         }
     }
 
+    /// Draws the priority table from `self.rng` in set order: each set
+    /// with a valid `R_w` takes the quantile sample, then the tiebreak
+    /// token; a set `R_w` rejects draws nothing.
     fn begin(&mut self, sets: &[SetMeta]) {
-        self.begin_with_threads(sets, machine_parallelism());
+        self.priorities.clear();
+        self.priorities.resize(sets.len(), Priority::zero());
+        for (slot, s) in self.priorities.iter_mut().zip(sets) {
+            *slot = match Rw::new(s.weight()) {
+                // Tiebreak token makes the order total even under f64 ties.
+                Ok(rw) => Priority::new(rw.sample(&mut self.rng), self.rng.gen()),
+                // Weight-zero sets get the a.s. limit of R_w as w -> 0.
+                Err(_) => Priority::zero(),
+            };
+        }
     }
 
     fn decide_into(&mut self, arrival: &Arrival<'_>, view: &EngineView<'_>, out: &mut Vec<SetId>) {
@@ -303,44 +262,36 @@ mod tests {
     }
 
     #[test]
-    fn prologue_shard_counts_draw_identical_tables() {
-        // Mixed valid / zero weights so the jump-ahead must skip the
-        // rejected sets' (absent) draws correctly; prime length so no
-        // shard count divides evenly.
-        let sets: Vec<SetMeta> = (0..151)
-            .map(|i| SetMeta::new(if i % 4 == 0 { 0.0 } else { i as f64 }, 1))
-            .collect();
-        let mut reference = RandPr::from_seed(13);
-        reference.begin_with_threads(&sets, 1);
-        for threads in [2usize, 3, 8, 64] {
-            let mut sharded = RandPr::from_seed(13);
-            sharded.begin_with_threads(&sets, threads);
-            assert_eq!(
-                sharded.priorities, reference.priorities,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn parallel_begin_leaves_the_rng_where_serial_did() {
-        // After begin, the algorithm's own RNG must sit exactly past the
-        // table draws, whatever the shard count — a second begin must
-        // therefore produce the same (different-from-first) table.
+        // Two consecutive begins against a hand-walked SplitMix64 stream:
+        // a set with a valid R_w takes two words (the uniform for the
+        // quantile, then the tiebreak), a zero-weight set takes none, and
+        // the second begin picks up exactly where the first left off.
+        use rand::RngCore;
         let sets: Vec<SetMeta> = (0..37)
             .map(|i| SetMeta::new(if i % 5 == 0 { 0.0 } else { 1.5 }, 1))
             .collect();
-        let mut serial = RandPr::from_seed(99);
-        serial.begin_with_threads(&sets, 1);
-        let first = serial.priorities.clone();
-        serial.begin_with_threads(&sets, 1);
-        let second = serial.priorities.clone();
+        let mut walked = StdRng::seed_from_u64(99);
+        let mut walk = |sets: &[SetMeta]| -> Vec<Priority> {
+            sets.iter()
+                .map(|s| match Rw::new(s.weight()) {
+                    Ok(rw) => {
+                        let u = (walked.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+                        Priority::new(rw.quantile(u), walked.next_u64())
+                    }
+                    Err(_) => Priority::zero(),
+                })
+                .collect()
+        };
+        let first = walk(&sets);
+        let second = walk(&sets);
         assert_ne!(first, second, "stream must advance between begins");
 
-        let mut sharded = RandPr::from_seed(99);
-        sharded.begin_with_threads(&sets, 8);
-        assert_eq!(sharded.priorities, first);
-        sharded.begin_with_threads(&sets, 3);
-        assert_eq!(sharded.priorities, second);
+        let mut alg = RandPr::from_seed(99);
+        alg.begin(&sets);
+        assert_eq!(alg.priorities, first);
+        alg.begin(&sets);
+        assert_eq!(alg.priorities, second);
+        assert_eq!(alg.rng.next_u64(), walked.next_u64());
     }
 }

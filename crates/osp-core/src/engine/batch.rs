@@ -106,20 +106,13 @@ fn parse_parallelism(value: Option<&str>, fallback: usize) -> usize {
 /// The one scoped-thread splitter in the engine: cuts `slots` into at
 /// most `threads` disjoint contiguous ranges and runs `fill(start, range)`
 /// on each from its own scoped thread, where `range[j]` is slot
-/// `start + j`. [`ReplayPool`]'s shards and the `begin`-time priority
-/// tables of `randPr` and `hashPr` all ride it. With one thread (or at
-/// most one slot) it is a single `fill(0, slots)` call on the caller's
-/// thread — the serial path.
+/// `start + j`. [`ReplayPool::map`] is its one caller. With one thread
+/// (or at most one slot) it is a single `fill(0, slots)` call on the
+/// caller's thread.
 ///
-/// Every shard count writes the same bytes provided `fill` computes slot
+/// Every thread count writes the same bytes provided `fill` computes slot
 /// `i` as a pure function of `i` and its own captured inputs, with no
-/// shared mutable state. The priority tables meet this: `hashPr` evaluates
-/// a shared polynomial at the set id (each shard walks its range by
-/// forward differences seeded at the range's first id, exact in the hash
-/// field), and `randPr` draws from a SplitMix64 stream whose position
-/// before set `i` is known without generating, so each shard jumps its
-/// clone of the RNG straight there. `tests/batch_equivalence.rs` pins
-/// shard counts {1, 2, 8} bit-identical for both.
+/// shared mutable state.
 pub(crate) fn split_ranges<T, F>(slots: &mut [T], threads: usize, fill: &F)
 where
     T: Send,

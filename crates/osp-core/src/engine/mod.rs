@@ -76,16 +76,13 @@
 //!   probe ([`dispatch::FleetHandle`]). Pinned by
 //!   `tests/crash_recovery.rs` against the real binaries.
 //!
-//! `begin()` is parallel too: `randPr` and `hashPr` build an O(m)
-//! per-set priority table whose slot `i` is a pure function of
-//! `(seed, i)` (§3.1's system-wide hash for `hashPr`; counter-based
-//! SplitMix64 jump-ahead for `randPr`), so they shard disjoint index
-//! ranges across the machine's cores through the same scoped-thread
-//! splitter as [`batch::ReplayPool`]'s shards, and any shard count writes
-//! exactly the same bytes. The arrival loop itself stays
-//! sequential — decisions are order-dependent — so the only other
-//! thread in one replay is the pipeline's producer, and every golden
-//! outcome stays bit-identical.
+//! `begin()` runs on the caller's thread: `randPr` and `hashPr` fill
+//! their O(m) per-set priority tables in set order (§3.1's system-wide
+//! hash for `hashPr`, the seeded stream for `randPr`). Replays are
+//! parallelized across jobs, by [`batch::ReplayPool`]'s shards and the
+//! worker fleets, not within one. The arrival loop itself is sequential
+//! — decisions are order-dependent — so the only other thread in one
+//! replay is the pipeline's producer.
 //!
 //! All paths enforce the model's rules (§2): each decision must pick at
 //! most `b(u)` distinct sets from `C(u)`. A set is **completed** iff it was
